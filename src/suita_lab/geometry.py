@@ -254,10 +254,10 @@ def _polygon_contains(vertices, z: np.ndarray) -> np.ndarray:
 def boundary_distance(domain: Domain, w: Point) -> float:
     """Euclidean distance from an interior point to the boundary.
 
-    Exact for Disc/Annulus/Polygon; for a MoebiusImage it is a certified
-    lower bound obtained from boundary sampling with density refinement
-    (relative error <= 1e-6).  PolarComplement reports +inf: its complement
-    is a single point.
+    Exact for Disc/Annulus/Polygon.  A MoebiusImage of a disc or an annulus
+    is bounded by circles, so its distance is exact too, reported 1e-12
+    relative low to stay a lower bound under rounding.  PolarComplement
+    reports +inf: its complement is a single point.
     """
     if not contains(domain, w):
         raise PointOutsideDomain(f"{w} is not an interior point")
@@ -294,40 +294,25 @@ def _core_boundary_points(core: Domain, m: int) -> list[np.ndarray]:
 
 
 def _moebius_boundary_distance(domain: MoebiusImage, w: Point) -> float:
-    """Certified lower bound: coarse scan, then ternary refinement of every
-    sample that could hide the global minimum (within one chord gap)."""
-    core, coeffs = flatten_moebius(domain)
-    m = 4096
+    """Distance to the image circles, shrunk by 1e-12 to stay a lower bound.
+
+    The pole -d/c of F stays off every base circle (c0, rho), so each maps
+    to a circle.  Its center is F(zeta*), zeta* = c0 + rho^2 / conj(-d/c - c0)
+    the pole reflected in the circle (F(c0) when c = 0); written out so that
+    a pole at c0 (C = a/c) needs no separate case,
+        C = ((a c0 + b) conj(c c0 + d) - a conj(c) rho^2) / D,
+        R = rho |ad - bc| / |D|,  D = |c c0 + d|^2 - |c|^2 rho^2.
+    """
+    core, (a, b, c, d) = flatten_moebius(domain)
+    circles = [(core.center, core.radius)] if isinstance(core, Disc) else [(0j, 1.0), (0j, core.q)]
     best = math.inf
-    for comp_idx, comp in enumerate(_core_boundary_points(core, m)):
-        img = moebius_forward(coeffs, comp)
-        d = np.abs(img - w)
-        gap = float(np.max(np.abs(np.diff(np.append(img, img[0])))))
-        d_min = float(np.min(d))
-        best = min(best, d_min)
-        candidates = np.nonzero(d <= d_min + gap)[0]
-
-        def dist_at(theta: float) -> float:
-            # mirror the _core_boundary_points parametrization exactly
-            if isinstance(core, Disc):
-                zeta = core.center + core.radius * np.exp(1j * theta)
-            elif comp_idx == 0:
-                zeta = np.exp(1j * theta)
-            else:
-                zeta = core.q * np.exp(-1j * theta)
-            return abs(moebius_forward(coeffs, zeta) - w)
-
-        step = 2 * math.pi / m
-        for i in candidates:
-            lo, hi = (i - 1) * step, (i + 1) * step
-            for _ in range(60):  # ternary search on the locally convex dip
-                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                if dist_at(m1) <= dist_at(m2):
-                    hi = m2
-                else:
-                    lo = m1
-            best = min(best, dist_at(0.5 * (lo + hi)))
-    return best * (1.0 - 1e-7)
+    for c0, rho in circles:
+        e = c * c0 + d
+        den = abs(e) ** 2 - abs(c) ** 2 * rho * rho
+        center = ((a * c0 + b) * e.conjugate() - a * c.conjugate() * rho * rho) / den
+        radius = rho * abs(a * d - b * c) / abs(den)
+        best = min(best, abs(abs(w - center) - radius))
+    return best * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +423,6 @@ def bounding_box(domain: Domain) -> tuple[float, float, float, float]:
             float(pts.imag.max() + pad),
         )
     raise UnsupportedDomain(f"no bounding box for {domain!r}")
-
-
-def domain_area(domain: Domain) -> float:
-    """Exact area where a closed form exists (used as a sanity bound)."""
-    if isinstance(domain, Disc):
-        return math.pi * domain.radius**2
-    if isinstance(domain, Annulus):
-        return math.pi * (1.0 - domain.q**2)
-    if isinstance(domain, Polygon):
-        return _polygon_signed_area(domain.vertices)
-    raise UnsupportedDomain(f"no closed-form area for {domain!r}")
 
 
 # ---------------------------------------------------------------------------

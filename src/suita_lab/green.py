@@ -376,13 +376,16 @@ def disc_max_green(domain: Domain, w: Point, r: float, n_angles: int = 4096) -> 
     Dense angular sampling (offset half a spacing so a boundary tangency is
     never hit exactly) plus one parabolic refinement per local maximum, and
     a second-order modulus-of-continuity margin capped at 1e-8.  The result
-    is clamped strictly below zero: G < 0 inside the domain.
+    is capped at zero; at r equal to the boundary distance the closed disc
+    touches the boundary, where G = 0, and 0.0 is returned.
     """
     if isinstance(domain, (Polygon, PolarComplement)):
         raise UnsupportedDomain("disc_max_green supports Disc, Annulus and their Moebius images")
     delta = geo.boundary_distance(domain, w)
     if not (0 < r <= delta * (1 + 1e-12)):
         raise RadiusTooLarge(f"r={r} exceeds boundary distance {delta}")
+    if r >= delta:
+        return 0.0
     dtheta = 2 * math.pi / n_angles
     theta = (np.arange(n_angles) + 0.5) * dtheta
     circle = w + r * np.exp(1j * theta)
@@ -404,7 +407,7 @@ def disc_max_green(domain: Domain, w: Point, r: float, n_angles: int = 4096) -> 
         best = max(best, float(np.max(refined_vals)))
     second = np.abs(right - 2 * vals + left) / dtheta**2
     margin = min(float(np.max(second)) * dtheta**2 / 8.0, 1e-8)
-    return min(best + margin, -1e-15)
+    return min(best + margin, 0.0)
 
 
 def boundary_flux(domain: Domain, w: Point, n: int) -> float:
@@ -448,67 +451,21 @@ def boundary_flux(domain: Domain, w: Point, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gradient_grid_minima(domain: Domain, w: Point, grid_size: int = 512) -> list[complex]:
-    """Coarse localization of the zeros of grad G: local minima of |f'| on a lattice.
-
-    Excludes a pole neighborhood of radius 10 cells and filters out minima
-    that are incompatible with an actual zero (|f'| should be of order
-    |f''| * cell size near one).  Returned points seed the Newton polish.
-    """
-    core, coeffs = geo.flatten_moebius(domain)
-    if isinstance(core, (Polygon, PolarComplement)):
-        raise UnsupportedDomain("gradient scan needs a series Green function")
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        seeds = gradient_grid_minima(core, zeta_w, grid_size)
-        return [complex(geo.moebius_forward(coeffs, s)) for s in seeds]
-    x0, x1, y0, y1 = geo.bounding_box(domain)
-    xs = np.linspace(x0, x1, grid_size)
-    ys = np.linspace(y0, y1, grid_size)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = X + 1j * Y
-    h = max((x1 - x0), (y1 - y0)) / (grid_size - 1)
-    inside = geo.contains_mask(domain, Z) & (np.abs(Z - w) > 10 * h)
-    mag = np.full(Z.shape, np.inf)
-    if np.any(inside):
-        mag[inside] = np.abs(green_fprime_raw(domain, w, Z[inside]))
-    local = np.ones(Z.shape, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == dy == 0:
-                continue
-            shifted = np.full(Z.shape, np.inf)
-            sx = slice(max(dx, 0), Z.shape[0] + min(dx, 0))
-            tx = slice(max(-dx, 0), Z.shape[0] + min(-dx, 0))
-            sy = slice(max(dy, 0), Z.shape[1] + min(dy, 0))
-            ty = slice(max(-dy, 0), Z.shape[1] + min(-dy, 0))
-            shifted[tx, ty] = mag[sx, sy]
-            local &= mag <= shifted
-    cand = np.nonzero(local & inside & np.isfinite(mag))
-    points: list[complex] = []
-    for i, j in zip(*cand):
-        z0 = complex(Z[i, j])
-        f2 = abs(complex(green_fsecond_raw(domain, w, np.asarray(z0))))
-        if mag[i, j] > 3.0 * h * f2:
-            continue  # spurious minimum: |f'| too large for a nearby zero
-        if all(abs(z0 - p) > 3 * h for p in points):
-            points.append(z0)
-    points.sort(key=lambda p: abs(complex(green_fprime_raw(domain, w, np.asarray(p)))))
-    return points
-
-
-def critical_points(
-    domain: Domain, w: Point, grid_size: int = 512, residual_tol: float = 1e-9
-) -> list[CriticalPoint]:
-    """All zeros of grad G(., w), Newton-refined from the grid scan seeds.
+def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
+    """All zeros of grad G(., w).
 
     Simply connected domains have none: an empty list is returned for a
-    disc (or Moebius image of one).  Newton runs until its step |f'/f''|,
-    the distance to the zero whatever the scale of G, is below 1e-14 |z|;
-    a seed whose last step stays above residual_tol |z| raises
-    ConvergenceFailure.  The local order n (G = t0 + Re(u^n h) after
-    recentering) is estimated from the decay rate of |grad G| on
-    shrinking circles.
+    disc (or Moebius image of one).  An annulus has exactly one, and it
+    lies on the far ray z = r u, u = -w/|w|, q < r < 1: reflection through
+    the line of the pole maps the ring and the pole to themselves, so
+    grad G is radial along that line, and G, which vanishes at both ends
+    of the segment and is negative in between, has its minimum there.  r is
+    the root of g(r) = Re(f'(r u) u) by Newton steps g / Re(f'' u^2) kept
+    inside the shrinking sign-change bracket (bisection otherwise), down
+    to rounding.  The point is nondegenerate (|f''| > 0), of order 2.  A
+    Moebius image pulls the pole back and pushes the point forward.
+    ConvergenceFailure is raised when g shows no sign change on (q, 1), as
+    when the field underflows across a very thin ring.
     """
     core, coeffs = geo.flatten_moebius(domain)
     if isinstance(core, (Polygon, PolarComplement)):
@@ -518,44 +475,43 @@ def critical_points(
     if isinstance(core, Disc):
         return []
     zeta_w = geo.moebius_inverse(coeffs, w) if isinstance(domain, MoebiusImage) else w
-    seeds = gradient_grid_minima(core, zeta_w, grid_size)
-    found: list[tuple[complex, float]] = []
-    for seed in seeds:
-        zc, step = seed, complex(math.inf)
-        for _ in range(60):
-            fs = complex(green_fsecond_raw(core, zeta_w, np.asarray(zc)))
-            if fs == 0:
-                break
-            step = complex(green_fprime_raw(core, zeta_w, np.asarray(zc))) / fs
-            zc = zc - step
-            if abs(step) <= 1e-14 * abs(zc):
-                break
-        if not abs(step) <= residual_tol * abs(zc):
-            raise ConvergenceFailure(f"Newton stalled {abs(step):.3g} from a zero, seed {seed}")
-        resid = abs(complex(green_fprime_raw(core, zeta_w, np.asarray(zc))))
-        if geo.contains(core, zc) and all(abs(zc - p) > 1e-8 for p, _ in found):
-            found.append((zc, resid))
-    results = []
-    for zc, resid in found:
-        order = _estimate_order(core, zeta_w, zc)
-        level = float(green_values_raw(core, zeta_w, np.asarray(zc)))
-        if isinstance(domain, MoebiusImage):
-            z_img = complex(geo.moebius_forward(coeffs, zc))
-            scale = abs(geo.moebius_fprime(coeffs, zc))
-            results.append(CriticalPoint(z_img, level, resid / scale, order))
+    q = core.q
+    u = -zeta_w / abs(zeta_w)
+
+    def slope(r: float) -> float:
+        return (complex(green_fprime_raw(core, zeta_w, np.asarray(r * u))) * u).real
+
+    lo, hi = q, 1.0
+    if not (slope(lo) < 0 < slope(hi)):
+        raise ConvergenceFailure(
+            f"dG/dr shows no sign change on the far ray of Annulus({q}) from the pole {zeta_w}: "
+            f"G there is about exp(-pi^2/log(1/q)) = exp({-math.pi**2 / -math.log(q):.4g}), "
+            "below the double range"
+        )
+    r = math.sqrt(q)
+    for _ in range(200):
+        g = slope(r)
+        if g == 0:
+            break
+        if g < 0:
+            lo = r
         else:
-            results.append(CriticalPoint(zc, level, resid, order))
-    results.sort(key=lambda cp: (cp.level, cp.location.real, cp.location.imag))
-    return results
-
-
-def _estimate_order(core: Domain, w: Point, z0: complex) -> int:
-    """Least-squares slope of log max|f'| vs log rho on shrinking circles."""
-    radii = np.logspace(-4, -2, 7)
-    angles = np.exp(1j * np.linspace(0, 2 * math.pi, 32, endpoint=False))
-    logs = []
-    for rho in radii:
-        ring = z0 + rho * angles
-        logs.append(math.log(float(np.max(np.abs(green_fprime_raw(core, w, ring))))))
-    slope = np.polyfit(np.log(radii), np.array(logs), 1)[0]
-    return max(2, int(round(slope)) + 1)
+            hi = r
+        dg = (complex(green_fsecond_raw(core, zeta_w, np.asarray(r * u))) * u * u).real
+        nxt = r - g / dg if dg > 0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt in (lo, hi, r):
+            break
+        r = nxt
+    else:
+        raise ConvergenceFailure(f"no root of dG/dr found on the far ray of Annulus({q}) from the pole {zeta_w}")
+    zc = r * u
+    if not abs(complex(green_fsecond_raw(core, zeta_w, np.asarray(zc)))) > 0:
+        raise ConvergenceFailure(f"degenerate critical point at {zc}: f'' vanishes")
+    resid = abs(complex(green_fprime_raw(core, zeta_w, np.asarray(zc))))
+    level = float(green_values_raw(core, zeta_w, np.asarray(zc)))
+    if isinstance(domain, MoebiusImage):
+        z_img = complex(geo.moebius_forward(coeffs, zc))
+        return [CriticalPoint(z_img, level, resid / abs(geo.moebius_fprime(coeffs, zc)), 2)]
+    return [CriticalPoint(zc, level, resid, 2)]

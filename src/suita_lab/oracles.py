@@ -6,7 +6,10 @@ Nothing here shares series machinery with the quantities it validates:
 * ``mc_area``    -- rejection-sampled sublevel areas,
 * ``robin_extrapolate`` -- the capacity limit evaluated as a genuine limit
   with Richardson extrapolation,
-* ``grid_min_gradient`` -- coarse lattice localization of critical points.
+* ``grid_min_gradient`` -- lattice localization of the zeros of grad G.
+  It reads the series gradient but not the search of
+  ``green.critical_points``, which goes straight to the reflection axis
+  of the annulus, so it referees that search.
 
 Randomness is counter-based: every variate is a pure function of
 (seed, stream, counter), where the counter encodes the walk index and step.
@@ -32,11 +35,7 @@ from .errors import (
     PointOutsideDomain,
     UnsupportedDomain,
 )
-from .geometry import Annulus, Disc, Domain, Point, Polygon
-
-# re-exported oracle: coarse localization of grad G zeros lives with the
-# series code it scans, but it is consumed as an oracle from here
-from .green import gradient_grid_minima as grid_min_gradient  # noqa: F401
+from .geometry import Annulus, Disc, Domain, MoebiusImage, Point, PolarComplement, Polygon
 
 CAPTURE_EPS = 1e-6
 MAX_STEPS = 10_000
@@ -246,3 +245,53 @@ def robin_extrapolate(domain: Domain, w: Point, radii, return_residual: bool = F
     if return_residual:
         return math.exp(last), abs(last - prev)
     return math.exp(last)
+
+
+def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[complex]:
+    """Coarse localization of the zeros of grad G: local minima of |f'| on a lattice.
+
+    Excludes a pole neighborhood of radius 10 cells and filters out minima
+    that are incompatible with an actual zero (|f'| should be of order
+    |f''| * cell size near one).  The returned points, best first, seed a
+    Newton polish.
+    """
+    core, coeffs = geo.flatten_moebius(domain)
+    if isinstance(core, (Polygon, PolarComplement)):
+        raise UnsupportedDomain("gradient scan needs a series Green function")
+    if isinstance(domain, MoebiusImage):
+        zeta_w = geo.moebius_inverse(coeffs, w)
+        seeds = grid_min_gradient(core, zeta_w, grid_size)
+        return [complex(geo.moebius_forward(coeffs, s)) for s in seeds]
+    x0, x1, y0, y1 = geo.bounding_box(domain)
+    xs = np.linspace(x0, x1, grid_size)
+    ys = np.linspace(y0, y1, grid_size)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    Z = X + 1j * Y
+    h = max((x1 - x0), (y1 - y0)) / (grid_size - 1)
+    inside = geo.contains_mask(domain, Z) & (np.abs(Z - w) > 10 * h)
+    mag = np.full(Z.shape, np.inf)
+    if np.any(inside):
+        mag[inside] = np.abs(gr.green_fprime_raw(domain, w, Z[inside]))
+    local = np.ones(Z.shape, dtype=bool)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            if dx == dy == 0:
+                continue
+            shifted = np.full(Z.shape, np.inf)
+            sx = slice(max(dx, 0), Z.shape[0] + min(dx, 0))
+            tx = slice(max(-dx, 0), Z.shape[0] + min(-dx, 0))
+            sy = slice(max(dy, 0), Z.shape[1] + min(dy, 0))
+            ty = slice(max(-dy, 0), Z.shape[1] + min(-dy, 0))
+            shifted[tx, ty] = mag[sx, sy]
+            local &= mag <= shifted
+    cand = np.nonzero(local & inside & np.isfinite(mag))
+    points: list[complex] = []
+    for i, j in zip(*cand):
+        z0 = complex(Z[i, j])
+        f2 = abs(complex(gr.green_fsecond_raw(domain, w, np.asarray(z0))))
+        if mag[i, j] > 3.0 * h * f2:
+            continue  # spurious minimum: |f'| too large for a nearby zero
+        if all(abs(z0 - p) > 3 * h for p in points):
+            points.append(z0)
+    points.sort(key=lambda p: abs(complex(gr.green_fprime_raw(domain, w, np.asarray(p)))))
+    return points

@@ -128,7 +128,9 @@ def suita_check(domain: Domain, w: Point, j_max: int = 3, overrides=None) -> lis
 
 
 def thm1_check(domain: Domain, w: Point, r_list=None, overrides=None) -> list[Check]:
-    """K(w) <= 1 / (-2 pi r^2 max_{|z-w|<=r} G) for each r, plus the golden radius."""
+    """K(w) <= 1 / (-2 pi r^2 max_{|z-w|<=r} G) for each r, plus the golden radius.
+
+    A disc that touches the boundary has max G = 0 and an infinite bound."""
     delta = geo.boundary_distance(domain, w)
     kernel = bg.kernel_j(domain, w, 0).value
     radii = [float(r) for r in (r_list if r_list is not None else [0.25 * delta, 0.5 * delta, 0.8 * delta])]
@@ -136,7 +138,7 @@ def thm1_check(domain: Domain, w: Point, r_list=None, overrides=None) -> list[Ch
     out = []
     for r in radii:
         max_g = gr.disc_max_green(domain, w, r)
-        bound = 1.0 / (-2.0 * math.pi * r * r * max_g)
+        bound = math.inf if max_g == 0 else 1.0 / (-2.0 * math.pi * r * r * max_g)
         out.append(_check(f"thm1[r={r:.6g}]", domain, w, f"r={r:.12g};maxG={max_g:.12g}", kernel, bound, overrides))
     return out
 

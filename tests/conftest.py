@@ -37,6 +37,13 @@ def moebius_annulus(annulus_half):
 
 
 @pytest.fixture(scope="session")
+def nested_moebius(moebius_annulus):
+    # 1/(z - 0.1) of the eccentric ring: the composed map has c != 0 and its
+    # pole in the hole, so the inner circle becomes the outer boundary
+    return MoebiusImage(moebius_annulus, 0j, 1 + 0j, 1 + 0j, -0.1 + 0j)
+
+
+@pytest.fixture(scope="session")
 def unit_square():
     return Polygon([0, 1, 1 + 1j, 1j])
 

@@ -9,6 +9,7 @@ from suita_lab import geometry as geo
 from suita_lab.errors import InvalidDomain, PointOutsideDomain, UnsupportedDomain
 from suita_lab.geometry import (
     Annulus,
+    Disc,
     MoebiusImage,
     PolarComplement,
     Polygon,
@@ -73,7 +74,28 @@ class TestBoundaryDistance:
         d = boundary_distance(blaschke_disc, w)
         exact = 1.0 - abs(w)
         assert d <= exact
-        assert d == pytest.approx(exact, rel=2e-6)
+        assert d == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("fixture", ["blaschke_disc", "moebius_annulus", "nested_moebius"])
+    def test_moebius_closed_form_against_dense_sample(self, fixture, request):
+        # The image circles give the distance in closed form; 2^16 boundary
+        # samples per circle, refined around the best one, bound it above.
+        domain = request.getfixturevalue(fixture)
+        core, coeffs = geo.flatten_moebius(domain)
+        circles = [(core.center, core.radius)] if isinstance(core, Disc) else [(0j, 1.0), (0j, core.q)]
+        n = 1 << 16
+        theta = 2 * np.pi * np.arange(n) / n
+        for w in interior_points(domain, 10):
+            sampled = math.inf
+            for center, radius in circles:
+                d = np.abs(geo.moebius_forward(coeffs, center + radius * np.exp(1j * theta)) - w)
+                k = int(np.argmin(d))
+                fine = theta[k] + (2 * np.pi / n) * np.linspace(-1.0, 1.0, 4097)
+                d_fine = np.abs(geo.moebius_forward(coeffs, center + radius * np.exp(1j * fine)) - w)
+                sampled = min(sampled, float(np.min(d)), float(np.min(d_fine)))
+            delta = boundary_distance(domain, w)
+            assert delta <= sampled
+            assert sampled - delta <= 1e-11 * sampled
 
 
 class TestBoundarySample:

@@ -7,6 +7,7 @@ from suita_lab import geometry as geo
 from suita_lab import green as gr
 from suita_lab.errors import (
     CoincidentPoints,
+    ConvergenceFailure,
     PointOutsideDomain,
     RadiusTooLarge,
     UnsupportedDomain,
@@ -217,9 +218,16 @@ class TestDiscMaxGreen:
         assert gr.disc_max_green(unit_disc, 0j, 0.6) == pytest.approx(math.log(0.6), abs=1e-8)
 
     def test_tangency_case(self, unit_disc):
-        # r equals the full boundary distance: max approaches 0 from below
-        value = gr.disc_max_green(unit_disc, 0.5 + 0j, 0.5)
-        assert -1e-3 < value < 0
+        # r equals the full boundary distance: the closed disc touches the
+        # boundary, where G = 0, so the maximum is exactly 0
+        assert gr.disc_max_green(unit_disc, 0.5 + 0j, 0.5) == 0.0
+
+    def test_touching_disc_is_zero(self, annulus_thin, moebius_annulus):
+        for domain, w in ((Disc(0j, 1.0), 0.3 + 0.4j), (annulus_thin, 0.9 + 0j), (moebius_annulus, 0.75 + 0.1j)):
+            delta = geo.boundary_distance(domain, w)
+            assert gr.disc_max_green(domain, w, delta) == 0.0
+            # just inside, the maximum is negative and capped at 0
+            assert gr.disc_max_green(domain, w, 0.999 * delta) < 0
 
     def test_radius_guard(self, unit_disc):
         with pytest.raises(RadiusTooLarge):
@@ -260,6 +268,14 @@ class TestCriticalPoints:
             assert cp.level < 0
             if level is not None:
                 assert cp.level == pytest.approx(level, rel=1e-10)
+
+    def test_thin_ring_underflow_refused(self):
+        # across Annulus(0.99) G is about exp(-pi^2 / log(1/q)) = exp(-982),
+        # which no double holds: refused, with the cause named
+        q = 0.99
+        for frac in (0.2, 0.5, 0.8):
+            with pytest.raises(ConvergenceFailure, match="below the double range"):
+                gr.critical_points(Annulus(q), q + frac * (1 - q) + 0j)
 
     def test_level_between_extremes(self, annulus_half):
         cps = gr.critical_points(annulus_half, 0.7 + 0j)

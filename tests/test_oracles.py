@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from suita_lab import geometry as geo
 from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab.errors import PointOutsideDomain, UnsupportedDomain
-from suita_lab.geometry import MoebiusImage
+from suita_lab.geometry import Annulus, MoebiusImage
 
 
 class TestCounterUniform:
@@ -151,3 +152,40 @@ class TestGridMinGradient:
         cell = 2.0 / 511
         assert len(rotated) == len(seeds)
         assert abs(rotated[0] - seeds[0] * rot) <= cell * math.sqrt(2)
+
+    # The lattice scan referees critical_points, which searches only the far
+    # ray: one point, negative level, on the ray, and within 1e-9 of the
+    # Newton-polished best lattice seed.  The Annulus(0.3) saddle radius
+    # 0.547742439 is a 40-digit mpmath root (benchmark/README.md).
+    @pytest.mark.parametrize(
+        "case",
+        ["q03", "q05_angle0", "q05_angle1", "q05_angle2", "q05_angle3", "q08", "moebius"],
+    )
+    def test_referee_critical_points(self, case, annulus_half, annulus_thin, moebius_annulus):
+        if case == "q03":
+            domain, zeta_w = Annulus(0.3), 0.55 + 0.2j
+        elif case.startswith("q05"):
+            angle = (0.3 + int(case[-1])) * math.pi / 2
+            domain, zeta_w = annulus_half, 0.7 * complex(math.cos(angle), math.sin(angle))
+        elif case == "q08":
+            domain, zeta_w = annulus_thin, 0.9 + 0j
+        else:
+            domain, zeta_w = moebius_annulus, 0.7 + 0j
+        core, coeffs = geo.flatten_moebius(domain)
+        w = complex(geo.moebius_forward(coeffs, zeta_w))
+        cps = gr.critical_points(domain, w)
+        assert len(cps) == 1
+        cp = cps[0]
+        assert cp.level < 0
+        along = complex(geo.moebius_inverse(coeffs, cp.location)) * (-zeta_w / abs(zeta_w)).conjugate()
+        assert abs(along.imag) <= 1e-12
+        assert core.q < along.real < 1.0
+        if case == "q03":
+            assert along.real == pytest.approx(0.547742439, abs=1e-9)
+        z = oc.grid_min_gradient(domain, w, 512)[0]
+        for _ in range(60):
+            step = complex(gr.green_fprime_raw(domain, w, np.asarray(z))) / complex(gr.green_fsecond_raw(domain, w, np.asarray(z)))
+            z -= step
+            if abs(step) <= 1e-14 * abs(z):
+                break
+        assert abs(cp.location - z) <= 1e-9

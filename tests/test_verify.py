@@ -52,6 +52,13 @@ class TestThm1Check:
         checks = vf.thm1_check(annulus_half, 0.7 + 0j, r_list=[0.1, 0.15, 0.2])
         assert all(c.passed for c in checks)
 
+    def test_touching_disc_infinite_bound(self, annulus_half):
+        # r = delta: the closed disc touches the boundary, max G = 0
+        checks = vf.thm1_check(annulus_half, 0.7 + 0j, r_list=[0.2])
+        assert checks[0].rhs == math.inf
+        assert checks[0].passed
+        assert math.isfinite(checks[1].rhs)  # the golden radius stays inside
+
 
 class TestThm2Check:
     def test_constant_value(self):
