@@ -52,7 +52,7 @@ def main() -> int:
         print(f"  {t:+.6e}  {lam:.10f}  {d2 if np.isnan(d2) else f'{d2:+.4e}'}")
 
     levels = [t0 - 0.2 * width, t0, t0 + 0.1 * width]
-    emit_contours(domain, pole, levels, out, resolution=1024)
+    emit_contours(sl.LevelField(domain, pole, 1024), levels, out)
     print(f"\nlevel curves at {[f'{t:.3e}' for t in levels]} written to {out}")
     return 0
 

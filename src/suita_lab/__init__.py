@@ -36,6 +36,7 @@ from .bergman import KernelResult, OrthonormalFrame, basis_norms, build_frame, k
 from .sublevel import (
     AreaEstimate,
     ConvexityReport,
+    LevelField,
     SublevelProfile,
     coarea_derivative,
     convexity_report,

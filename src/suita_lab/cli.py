@@ -27,7 +27,7 @@ from . import sublevel as sl
 from . import verify as vf
 from . import weights as wt
 from .errors import ConfigError, SuitaLabError
-from .geometry import Domain, Point
+from .geometry import Domain
 from .verify import Check, SuiteConfig, VerificationReport
 
 
@@ -185,8 +185,9 @@ def _svg_path(points: np.ndarray, scale, color: str) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{coords}"/>'
 
 
-def emit_contours(domain: Domain, w: Point, t_list, path: str, resolution: int = 512) -> None:
-    """SVG with the domain outline and one level curve set per t."""
+def emit_contours(field: sl.LevelField, t_list, path: str) -> None:
+    """SVG with the domain outline and one level curve set per t, at the field's resolution."""
+    domain = field.domain
     x0, x1, y0, y1 = geo.bounding_box(domain)
     pad = 0.05 * max(x1 - x0, y1 - y0)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
@@ -203,7 +204,7 @@ def emit_contours(domain: Domain, w: Point, t_list, path: str, resolution: int =
     parts.extend(_outline_elements(domain, scale, span, size))
     for i, t in enumerate(t_list):
         color = _PALETTE[i % len(_PALETTE)]
-        for line in sl.extract_contours(domain, w, float(t), resolution):
+        for line in field.contours(float(t)):
             parts.append(_svg_path(line, scale, color))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -281,7 +282,8 @@ def _cmd_critical(args) -> int:
 def _cmd_sublevel(args) -> int:
     domain = geo.parse_domain(args.domain)
     w = _parse_point(args.pole)
-    profile = sl.profile_scan(domain, w, args.tmin, args.tmax, args.steps, args.grid)
+    field = sl.LevelField(domain, w, args.grid)
+    profile = field.profile(args.tmin, args.tmax, args.steps)
     print("t,lambda,log_lambda,gamma_prime,second_diff,e2t_lambda,err_est")
     for i in range(len(profile.t_samples)):
         print(
@@ -299,7 +301,7 @@ def _cmd_sublevel(args) -> int:
             )
         )
     if args.svg:
-        emit_contours(domain, w, profile.t_samples, args.svg, args.grid)
+        emit_contours(field, profile.t_samples, args.svg)
     return 0
 
 

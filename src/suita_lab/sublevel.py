@@ -19,6 +19,14 @@ differences.
 For a Moebius image the computation runs in base coordinates: the
 indicator is pulled back and the Jacobian |F'|^2 integrates the area, while
 the co-area integrand picks up the same |F'|^2 factor.
+
+A profile reads many levels of one (domain, pole) pair, so the work that
+does not depend on t is done once per LevelField: input validation, one
+256 x 256 coarse scan from which every level reads its bounding box, and
+the critical points.  The field keeps only the corner grid of the box it
+used last.  The single-level functions (sublevel_area, coarea_derivative,
+extract_contours) and profile_scan each build a field for their one call;
+no state outlives a field.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .errors import (
 from .geometry import Annulus, Disc, Domain, MoebiusImage, Point
 
 _REFINE = 4  # subcells per side in straddling cells
+_COARSE = 256  # points per side of the scan that bounds each sublevel set
 
 
 @dataclass(frozen=True)
@@ -118,22 +127,6 @@ def _masked_field(core: Domain, w_eff: Point, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _setup(domain: Domain, w: Point):
-    """Resolve the evaluation frame: (core domain, effective pole, weight coeffs).
-
-    Weight coeffs are the Moebius coefficients when areas must be pulled
-    back (then the grid lives in base coordinates), else None.
-    """
-    core, coeffs = geo.flatten_moebius(domain)
-    if not isinstance(core, (Disc, Annulus)):
-        raise UnsupportedDomain("sublevel machinery supports Disc, Annulus and their Moebius images")
-    if not geo.contains(domain, w):
-        raise PointOutsideDomain(f"{w} outside domain")
-    if isinstance(domain, MoebiusImage):
-        return core, geo.moebius_inverse(coeffs, w), coeffs
-    return core, w, None
-
-
 def _core_bbox(core: Domain) -> tuple[float, float, float, float]:
     if isinstance(core, Disc):
         c, r = core.center, core.radius * 1.02
@@ -141,81 +134,35 @@ def _core_bbox(core: Domain) -> tuple[float, float, float, float]:
     return (-1.02, 1.02, -1.02, 1.02)
 
 
-def _tight_bbox(core: Domain, w_eff: Point, t: float, coarse: int = 256):
-    """Bounding box of {G < t} in base coordinates, from a coarse scan."""
-    x0, x1, y0, y1 = _core_bbox(core)
-    xs = np.linspace(x0, x1, coarse)
-    ys = np.linspace(y0, y1, coarse)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = _masked_field(core, w_eff, X + 1j * Y)
-    mask = vals < t
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    if not np.any(mask):
-        # Deep level: fall back on the near-pole asymptotics {G<t} ~ disc of
-        # radius e^t / c around the pole.
-        cap = gr.robin_capacity(core, w_eff).capacity
-        rad = 4.0 * math.exp(t) / cap
-        return (w_eff.real - rad, w_eff.real + rad, w_eff.imag - rad, w_eff.imag + rad)
-    ii, jj = np.nonzero(mask)
-    return (
-        max(x0, xs[ii.min()] - 2 * hx),
-        min(x1, xs[ii.max()] + 2 * hx),
-        max(y0, ys[jj.min()] - 2 * hy),
-        min(y1, ys[jj.max()] + 2 * hy),
-    )
-
-
-def _quantized_bbox(core: Domain, w_eff: Point, t: float):
-    """Tight bbox snapped to a geometric size ladder.
-
-    Nearby levels land on identical boxes, so the corner-field cache is
-    shared across a profile scan while deep levels still get boxes scaled
-    to their shrunken sublevel sets.
-    """
-    x0, x1, y0, y1 = _core_bbox(core)
-    tx0, tx1, ty0, ty1 = _tight_bbox(core, w_eff, t)
-    full = max(x1 - x0, y1 - y0)
-    tight = max(tx1 - tx0, ty1 - ty0)
-    k = 0
-    while k < 60 and full / 2 ** (k + 1) >= tight / 0.75:
-        k += 1
-    size = full / 2**k
-    snap = size / 4
-    cx = round(0.5 * (tx0 + tx1) / snap) * snap
-    cy = round(0.5 * (ty0 + ty1) / snap) * snap
-    cx = min(max(cx, x0 + size / 2), x1 - size / 2)
-    cy = min(max(cy, y0 + size / 2), y1 - size / 2)
-    return (cx - size / 2, cx + size / 2, cy - size / 2, cy + size / 2)
-
-
-_FIELD_CACHE: dict = {}
-
-
-def _corner_field(core: Domain, w_eff: Point, bbox, resolution: int):
-    """Corner grid of G over bbox with resolution x resolution cells (cached).
-
-    The cache is a plain dict: concurrent callers may at worst recompute a
-    field or evict early, never observe a wrong one (entries are immutable
-    once stored).
-    """
-    key = (core, w_eff, bbox, resolution)
-    hit = _FIELD_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _grid_field(core: Domain, w_eff: Point, bbox, points: int):
+    """Axes and masked field values of a points x points grid over bbox."""
     x0, x1, y0, y1 = bbox
-    xs = np.linspace(x0, x1, resolution + 1)
-    ys = np.linspace(y0, y1, resolution + 1)
+    xs = np.linspace(x0, x1, points)
+    ys = np.linspace(y0, y1, points)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = _masked_field(core, w_eff, X + 1j * Y)
-    if len(_FIELD_CACHE) > 10:
-        _FIELD_CACHE.clear()
-    _FIELD_CACHE[key] = (xs, ys, vals)
-    return xs, ys, vals
+    return xs, ys, _masked_field(core, w_eff, X + 1j * Y)
 
 
 # ---------------------------------------------------------------------------
 # Marching-squares case table
 # ---------------------------------------------------------------------------
+
+
+def _case_index(v00, v10, v11, v01, t):
+    """Marching-squares case of each cell: bit k is set when corner k lies below t."""
+    return (
+        (v00 < t).astype(np.int8)
+        | ((v10 < t).astype(np.int8) << 1)
+        | ((v11 < t).astype(np.int8) << 2)
+        | ((v01 < t).astype(np.int8) << 3)
+    )
+
+
+def _straddling_cells(vals: np.ndarray, t: float):
+    """Cells of a corner grid wholly below t, and the (i, j) indices of the
+    cells the level line cuts."""
+    case = _case_index(vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:], t)
+    return case == 15, np.nonzero((case > 0) & (case < 15))
 
 
 def _crossing(va, vb, t):
@@ -232,12 +179,7 @@ def cell_inside_fraction(v00, v10, v11, v01, t):
     v01 top-left; crossings are linearly interpolated and the resulting
     polygon area is exact per case.
     """
-    case = (
-        (v00 < t).astype(np.int8)
-        | ((v10 < t).astype(np.int8) << 1)
-        | ((v11 < t).astype(np.int8) << 2)
-        | ((v01 < t).astype(np.int8) << 3)
-    )
+    case = _case_index(v00, v10, v11, v01, t)
     xb = _crossing(v00, v10, t)
     xt = _crossing(v01, v11, t)
     yl = _crossing(v00, v01, t)
@@ -299,12 +241,7 @@ def cell_segments(v00, v10, v11, v01, t, x, y, hx, hy):
     (starts, ends) complex arrays covering every straddling cell, with both
     branches of the saddle cases included.
     """
-    case = (
-        (v00 < t).astype(np.int8)
-        | ((v10 < t).astype(np.int8) << 1)
-        | ((v11 < t).astype(np.int8) << 2)
-        | ((v01 < t).astype(np.int8) << 3)
-    )
+    case = _case_index(v00, v10, v11, v01, t)
     xb = x + hx * _crossing(v00, v10, t)
     xt = x + hx * _crossing(v01, v11, t)
     yl = y + hy * _crossing(v00, v01, t)
@@ -340,178 +277,20 @@ def cell_segments(v00, v10, v11, v01, t, x, y, hx, hy):
     return np.array([], dtype=complex), np.array([], dtype=complex)
 
 
-# ---------------------------------------------------------------------------
-# Area
-# ---------------------------------------------------------------------------
-
-
-def sublevel_area(
-    domain: Domain,
-    w: Point,
-    t: float,
-    resolution: int = 1024,
-    bbox: tuple[float, float, float, float] | None = None,
-) -> AreaEstimate:
-    """Area of the sublevel set {G(., w) < t} with an attached error estimate."""
-    if not (t < 0):
-        raise LevelAbovePeak(f"need t < 0, got {t}")
-    core, w_eff, coeffs = _setup(domain, w)
-    if bbox is None:
-        bbox = _quantized_bbox(core, w_eff, t)
-    xs, ys, vals = _corner_field(core, w_eff, bbox, resolution)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    v00 = vals[:-1, :-1]
-    v10 = vals[1:, :-1]
-    v11 = vals[1:, 1:]
-    v01 = vals[:-1, 1:]
-    inside_corners = (
-        (v00 < t).astype(np.int8)
-        + (v10 < t).astype(np.int8)
-        + (v11 < t).astype(np.int8)
-        + (v01 < t).astype(np.int8)
+def _grid_segments(xs, ys, vals, t):
+    """Level-line segments of the straddling cells of a corner grid."""
+    _, (si, sj) = _straddling_cells(vals, t)
+    return cell_segments(
+        vals[si, sj],
+        vals[si + 1, sj],
+        vals[si + 1, sj + 1],
+        vals[si, sj + 1],
+        t,
+        xs[si],
+        ys[sj],
+        xs[1] - xs[0],
+        ys[1] - ys[0],
     )
-    full = inside_corners == 4
-    straddle = (inside_corners > 0) & (inside_corners < 4)
-    cell_area = hx * hy
-    if coeffs is None:
-        area = float(np.count_nonzero(full)) * cell_area
-    else:
-        ci, cj = np.nonzero(full)
-        centers = (xs[ci] + 0.5 * hx) + 1j * (ys[cj] + 0.5 * hy)
-        area = float(np.sum(np.abs(geo.moebius_fprime(coeffs, centers)) ** 2)) * cell_area
-    err = 0.0
-    si, sj = np.nonzero(straddle)
-    if len(si):
-        # One refinement level: 4x4 subcells with exact polygon fractions.
-        n = _REFINE
-        fx = np.linspace(0, 1, n + 1)
-        ones = np.ones((1, n + 1, n + 1))
-        sub_x = xs[si][:, None, None] + (fx[None, :, None] * hx) * ones
-        sub_y = ys[sj][:, None, None] + (fx[None, None, :] * hy) * ones
-        sub_vals = _masked_field(core, w_eff, sub_x + 1j * sub_y)
-        f00 = sub_vals[:, :-1, :-1].ravel()
-        f10 = sub_vals[:, 1:, :-1].ravel()
-        f11 = sub_vals[:, 1:, 1:].ravel()
-        f01 = sub_vals[:, :-1, 1:].ravel()
-        frac = cell_inside_fraction(f00, f10, f11, f01, t)
-        sub_area = cell_area / (n * n)
-        if coeffs is None:
-            area += float(np.sum(frac)) * sub_area
-            err = 0.05 * float(np.count_nonzero((frac > 0) & (frac < 1))) * sub_area
-        else:
-            cx = (sub_x[:, :-1, :-1] + 0.5 * hx / n).ravel()
-            cy = (sub_y[:, :-1, :-1] + 0.5 * hy / n).ravel()
-            wgt = np.abs(geo.moebius_fprime(coeffs, cx + 1j * cy)) ** 2
-            area += float(np.sum(frac * wgt)) * sub_area
-            err = 0.05 * float(np.sum(wgt[(frac > 0) & (frac < 1)])) * sub_area
-    return AreaEstimate(value=area, err_est=err)
-
-
-# ---------------------------------------------------------------------------
-# Co-area derivative
-# ---------------------------------------------------------------------------
-
-
-def _critical_levels(domain: Domain, w: Point) -> list[gr.CriticalPoint]:
-    core, _ = geo.flatten_moebius(domain)
-    if isinstance(core, Disc):
-        return []
-    return gr.critical_points(domain, w)
-
-
-def coarea_derivative(
-    domain: Domain,
-    w: Point,
-    t: float,
-    resolution: int = 1024,
-    bbox: tuple[float, float, float, float] | None = None,
-    critical: list[gr.CriticalPoint] | None = None,
-) -> float:
-    """gamma'(t): the level-curve integral of 1 / |grad G| at level t.
-
-    Raises CriticalLevel when t is so close to a critical value that the
-    saddle pinch of {G = t} cannot be resolved by the grid (half-width
-    sqrt(|t - t0| / |f''|) under two cells); the integrand degenerates
-    there and the true integral diverges logarithmically.
-    """
-    if not (t < 0):
-        raise LevelAbovePeak(f"need t < 0, got {t}")
-    core, w_eff, coeffs = _setup(domain, w)
-    if bbox is None:
-        bbox = _quantized_bbox(core, w_eff, t)
-    xs, ys, vals = _corner_field(core, w_eff, bbox, resolution)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    if critical is None:
-        critical = _critical_levels(domain, w)
-    for cp in critical:
-        zc = cp.location
-        if isinstance(domain, MoebiusImage):
-            zc = geo.moebius_inverse(geo.flatten_moebius(domain)[1], zc)
-        f2 = abs(complex(gr.green_fsecond_raw(core, w_eff, np.asarray(zc))))
-        band = 25.0 * (hx * hx + hy * hy) * f2
-        if abs(t - cp.level) < band:
-            raise CriticalLevel(f"level {t} within {band} of critical level {cp.level}")
-    v00 = vals[:-1, :-1]
-    v10 = vals[1:, :-1]
-    v11 = vals[1:, 1:]
-    v01 = vals[:-1, 1:]
-    inside_corners = (
-        (v00 < t).astype(np.int8)
-        + (v10 < t).astype(np.int8)
-        + (v11 < t).astype(np.int8)
-        + (v01 < t).astype(np.int8)
-    )
-    straddle = (inside_corners > 0) & (inside_corners < 4)
-    si, sj = np.nonzero(straddle)
-    if len(si) == 0:
-        return 0.0
-    starts, ends = cell_segments(
-        v00[si, sj], v10[si, sj], v11[si, sj], v01[si, sj], t, xs[si], ys[sj], hx, hy
-    )
-    seg_len = np.abs(ends - starts)
-    keep = seg_len > 1e-300
-    starts, ends, seg_len = starts[keep], ends[keep], seg_len[keep]
-    mids = 0.5 * (starts + ends)
-    grad = np.abs(gr.green_fprime_raw(core, w_eff, mids))
-    if coeffs is None:
-        return float(np.sum(seg_len / grad))
-    wgt = np.abs(geo.moebius_fprime(coeffs, mids)) ** 2
-    return float(np.sum(seg_len * wgt / grad))
-
-
-def extract_contours(
-    domain: Domain,
-    w: Point,
-    t: float,
-    resolution: int = 512,
-    bbox: tuple[float, float, float, float] | None = None,
-) -> list[np.ndarray]:
-    """Level curves of G at level t as closed polylines in image coordinates."""
-    if not (t < 0):
-        raise LevelAbovePeak(f"need t < 0, got {t}")
-    core, w_eff, coeffs = _setup(domain, w)
-    if bbox is None:
-        bbox = _quantized_bbox(core, w_eff, t)
-    xs, ys, vals = _corner_field(core, w_eff, bbox, resolution)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    v00, v10, v11, v01 = vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:]
-    inside_corners = (
-        (v00 < t).astype(np.int8)
-        + (v10 < t).astype(np.int8)
-        + (v11 < t).astype(np.int8)
-        + (v01 < t).astype(np.int8)
-    )
-    straddle = (inside_corners > 0) & (inside_corners < 4)
-    si, sj = np.nonzero(straddle)
-    if len(si) == 0:
-        return []
-    starts, ends = cell_segments(
-        v00[si, sj], v10[si, sj], v11[si, sj], v01[si, sj], t, xs[si], ys[sj], hx, hy
-    )
-    polylines = _chain_segments(starts, ends, tol=1e-9 * max(hx, hy))
-    if coeffs is not None:
-        polylines = [geo.moebius_forward(coeffs, p) for p in polylines]
-    return polylines
 
 
 def _chain_segments(starts: np.ndarray, ends: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -540,6 +319,221 @@ def _chain_segments(starts: np.ndarray, ends: np.ndarray, tol: float) -> list[np
 
 
 # ---------------------------------------------------------------------------
+# The level field of one (domain, pole) profile
+# ---------------------------------------------------------------------------
+
+
+class LevelField:
+    """G(., w) on one domain at one grid resolution, read at many levels.
+
+    Holds the evaluation frame (core domain, effective pole and, for a
+    Moebius image, the composed coefficients: the grid then lives in base
+    coordinates), the 256 x 256 coarse scan from which every level's
+    bounding box is read, the critical points once the co-area integral
+    needs them, and the corner grid of the box last used.  Each level gets
+    its own box on a geometric size ladder, so nearby levels share a grid
+    while deep levels get boxes scaled to their shrunken sublevel sets; a
+    new box replaces the stored grid.
+    """
+
+    def __init__(self, domain: Domain, w: Point, resolution: int):
+        core, coeffs = geo.flatten_moebius(domain)
+        if not isinstance(core, (Disc, Annulus)):
+            raise UnsupportedDomain("sublevel machinery supports Disc, Annulus and their Moebius images")
+        if not geo.contains(domain, w):
+            raise PointOutsideDomain(f"{w} outside domain")
+        self.domain = domain
+        self.w = w
+        self.resolution = resolution
+        self.core = core
+        if isinstance(domain, MoebiusImage):
+            self.w_eff, self.coeffs = geo.moebius_inverse(coeffs, w), coeffs
+        else:
+            self.w_eff, self.coeffs = w, None
+        self._coarse = _grid_field(core, self.w_eff, _core_bbox(core), _COARSE)
+        self._saddles: list[tuple[float, float]] | None = None
+        self._grid = None  # (bbox, xs, ys, vals)
+
+    def _bbox(self, t: float):
+        """Bounding box of {G < t} from the coarse scan, snapped to the size ladder."""
+        x0, x1, y0, y1 = _core_bbox(self.core)
+        xs, ys, vals = self._coarse
+        mask = vals < t
+        if np.any(mask):
+            hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+            ii, jj = np.nonzero(mask)
+            tx0 = max(x0, xs[ii.min()] - 2 * hx)
+            tx1 = min(x1, xs[ii.max()] + 2 * hx)
+            ty0 = max(y0, ys[jj.min()] - 2 * hy)
+            ty1 = min(y1, ys[jj.max()] + 2 * hy)
+        else:
+            # Deep level: fall back on the near-pole asymptotics {G<t} ~ disc
+            # of radius e^t / c around the pole.
+            cap = gr.robin_capacity(self.core, self.w_eff).capacity
+            rad = 4.0 * math.exp(t) / cap
+            tx0, tx1 = self.w_eff.real - rad, self.w_eff.real + rad
+            ty0, ty1 = self.w_eff.imag - rad, self.w_eff.imag + rad
+        full = max(x1 - x0, y1 - y0)
+        tight = max(tx1 - tx0, ty1 - ty0)
+        k = 0
+        while k < 60 and full / 2 ** (k + 1) >= tight / 0.75:
+            k += 1
+        size = full / 2**k
+        snap = size / 4
+        cx = round(0.5 * (tx0 + tx1) / snap) * snap
+        cy = round(0.5 * (ty0 + ty1) / snap) * snap
+        cx = min(max(cx, x0 + size / 2), x1 - size / 2)
+        cy = min(max(cy, y0 + size / 2), y1 - size / 2)
+        return (cx - size / 2, cx + size / 2, cy - size / 2, cy + size / 2)
+
+    def _corner_grid(self, t: float):
+        """(xs, ys, vals) of the corner grid over the box of level t."""
+        if not (t < 0):
+            raise LevelAbovePeak(f"need t < 0, got {t}")
+        bbox = self._bbox(t)
+        if self._grid is None or self._grid[0] != bbox:
+            self._grid = (bbox, *_grid_field(self.core, self.w_eff, bbox, self.resolution + 1))
+        return self._grid[1:]
+
+    def area(self, t: float) -> AreaEstimate:
+        """Area of the sublevel set {G(., w) < t} with an attached error estimate."""
+        xs, ys, vals = self._corner_grid(t)
+        hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+        full, (si, sj) = _straddling_cells(vals, t)
+        cell_area = hx * hy
+        coeffs = self.coeffs
+        if coeffs is None:
+            area = float(np.count_nonzero(full)) * cell_area
+        else:
+            ci, cj = np.nonzero(full)
+            centers = (xs[ci] + 0.5 * hx) + 1j * (ys[cj] + 0.5 * hy)
+            area = float(np.sum(np.abs(geo.moebius_fprime(coeffs, centers)) ** 2)) * cell_area
+        err = 0.0
+        if len(si):
+            # One refinement level: 4x4 subcells with exact polygon fractions.
+            n = _REFINE
+            fx = np.linspace(0, 1, n + 1)
+            ones = np.ones((1, n + 1, n + 1))
+            sub_x = xs[si][:, None, None] + (fx[None, :, None] * hx) * ones
+            sub_y = ys[sj][:, None, None] + (fx[None, None, :] * hy) * ones
+            sub_vals = _masked_field(self.core, self.w_eff, sub_x + 1j * sub_y)
+            f00 = sub_vals[:, :-1, :-1].ravel()
+            f10 = sub_vals[:, 1:, :-1].ravel()
+            f11 = sub_vals[:, 1:, 1:].ravel()
+            f01 = sub_vals[:, :-1, 1:].ravel()
+            frac = cell_inside_fraction(f00, f10, f11, f01, t)
+            sub_area = cell_area / (n * n)
+            if coeffs is None:
+                area += float(np.sum(frac)) * sub_area
+                err = 0.05 * float(np.count_nonzero((frac > 0) & (frac < 1))) * sub_area
+            else:
+                cx = (sub_x[:, :-1, :-1] + 0.5 * hx / n).ravel()
+                cy = (sub_y[:, :-1, :-1] + 0.5 * hy / n).ravel()
+                wgt = np.abs(geo.moebius_fprime(coeffs, cx + 1j * cy)) ** 2
+                area += float(np.sum(frac * wgt)) * sub_area
+                err = 0.05 * float(np.sum(wgt[(frac > 0) & (frac < 1)])) * sub_area
+        return AreaEstimate(value=area, err_est=err)
+
+    def _critical(self) -> list[tuple[float, float]]:
+        """(level, |f''|) of each critical point, the point pulled back to the core."""
+        if self._saddles is None:
+            cps = [] if isinstance(self.core, Disc) else gr.critical_points(self.domain, self.w)
+            self._saddles = []
+            for cp in cps:
+                zc = cp.location if self.coeffs is None else geo.moebius_inverse(self.coeffs, cp.location)
+                f2 = abs(complex(gr.green_fsecond_raw(self.core, self.w_eff, np.asarray(zc))))
+                self._saddles.append((cp.level, f2))
+        return self._saddles
+
+    def coarea(self, t: float) -> float:
+        """gamma'(t): the level-curve integral of 1 / |grad G| at level t.
+
+        Raises CriticalLevel when t is so close to a critical value that the
+        saddle pinch of {G = t} cannot be resolved by the grid (half-width
+        sqrt(|t - t0| / |f''|) under two cells); the integrand degenerates
+        there and the true integral diverges logarithmically.
+        """
+        xs, ys, vals = self._corner_grid(t)
+        hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+        for level, f2 in self._critical():
+            band = 25.0 * (hx * hx + hy * hy) * f2
+            if abs(t - level) < band:
+                raise CriticalLevel(f"level {t} within {band} of critical level {level}")
+        starts, ends = _grid_segments(xs, ys, vals, t)
+        if len(starts) == 0:
+            return 0.0
+        seg_len = np.abs(ends - starts)
+        keep = seg_len > 1e-300
+        starts, ends, seg_len = starts[keep], ends[keep], seg_len[keep]
+        mids = 0.5 * (starts + ends)
+        grad = np.abs(gr.green_fprime_raw(self.core, self.w_eff, mids))
+        if self.coeffs is None:
+            return float(np.sum(seg_len / grad))
+        wgt = np.abs(geo.moebius_fprime(self.coeffs, mids)) ** 2
+        return float(np.sum(seg_len * wgt / grad))
+
+    def contours(self, t: float) -> list[np.ndarray]:
+        """Level curves of G at level t as closed polylines in image coordinates."""
+        xs, ys, vals = self._corner_grid(t)
+        starts, ends = _grid_segments(xs, ys, vals, t)
+        polylines = _chain_segments(starts, ends, tol=1e-9 * max(xs[1] - xs[0], ys[1] - ys[0]))
+        if self.coeffs is not None:
+            polylines = [geo.moebius_forward(self.coeffs, p) for p in polylines]
+        return polylines
+
+    def profile(self, t_min: float, t_max: float, steps: int, with_gamma: bool = True) -> SublevelProfile:
+        """Uniform t grid with areas, co-area derivatives and convexity data."""
+        if not (t_min < t_max < 0):
+            raise LevelAbovePeak(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
+        if steps < 8:
+            raise ValueError("need at least 8 profile steps")
+        ts = np.linspace(t_min, t_max, steps)
+        lam = np.empty(steps)
+        err = np.empty(steps)
+        gp = np.full(steps, np.nan)
+        for i, t in enumerate(ts):
+            est = self.area(float(t))
+            lam[i] = est.value
+            err[i] = est.err_est
+            if with_gamma:
+                try:
+                    gp[i] = self.coarea(float(t))
+                except CriticalLevel:
+                    pass  # marked by nan, skipped
+        ll = np.log(lam)
+        d2 = np.full(steps, np.nan)
+        dt = ts[1] - ts[0]
+        d2[1:-1] = (ll[:-2] - 2 * ll[1:-1] + ll[2:]) / (dt * dt)
+        return SublevelProfile(
+            t_samples=ts,
+            lam=lam,
+            err_est=err,
+            gamma_prime=gp,
+            log_lambda=ll,
+            second_diff=d2,
+            e2t_lambda=np.exp(-2 * ts) * lam,
+            domain=self.domain,
+            pole=self.w,
+            resolution=self.resolution,
+        )
+
+
+def sublevel_area(domain: Domain, w: Point, t: float, resolution: int = 1024) -> AreaEstimate:
+    """Area of the sublevel set {G(., w) < t} with an attached error estimate."""
+    return LevelField(domain, w, resolution).area(t)
+
+
+def coarea_derivative(domain: Domain, w: Point, t: float, resolution: int = 1024) -> float:
+    """gamma'(t) at one level; see LevelField.coarea."""
+    return LevelField(domain, w, resolution).coarea(t)
+
+
+def extract_contours(domain: Domain, w: Point, t: float, resolution: int = 512) -> list[np.ndarray]:
+    """Level curves of G at level t as closed polylines in image coordinates."""
+    return LevelField(domain, w, resolution).contours(t)
+
+
+# ---------------------------------------------------------------------------
 # Profiles and their diagnostics
 # ---------------------------------------------------------------------------
 
@@ -554,41 +548,7 @@ def profile_scan(
     with_gamma: bool = True,
 ) -> SublevelProfile:
     """Uniform t grid with areas, co-area derivatives and convexity data."""
-    if not (t_min < t_max < 0):
-        raise LevelAbovePeak(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
-    if steps < 8:
-        raise ValueError("need at least 8 profile steps")
-    _setup(domain, w)  # validate inputs up front
-    ts = np.linspace(t_min, t_max, steps)
-    critical = _critical_levels(domain, w) if with_gamma else []
-    lam = np.empty(steps)
-    err = np.empty(steps)
-    gp = np.full(steps, np.nan)
-    for i, t in enumerate(ts):
-        est = sublevel_area(domain, w, float(t), resolution)
-        lam[i] = est.value
-        err[i] = est.err_est
-        if with_gamma:
-            try:
-                gp[i] = coarea_derivative(domain, w, float(t), resolution, critical=critical)
-            except CriticalLevel:
-                pass  # marked by nan, skipped
-    ll = np.log(lam)
-    d2 = np.full(steps, np.nan)
-    dt = ts[1] - ts[0]
-    d2[1:-1] = (ll[:-2] - 2 * ll[1:-1] + ll[2:]) / (dt * dt)
-    return SublevelProfile(
-        t_samples=ts,
-        lam=lam,
-        err_est=err,
-        gamma_prime=gp,
-        log_lambda=ll,
-        second_diff=d2,
-        e2t_lambda=np.exp(-2 * ts) * lam,
-        domain=domain,
-        pole=w,
-        resolution=resolution,
-    )
+    return LevelField(domain, w, resolution).profile(t_min, t_max, steps, with_gamma)
 
 
 def convexity_report(profile: SublevelProfile, t0: float) -> ConvexityReport:
@@ -614,7 +574,7 @@ def convexity_report(profile: SublevelProfile, t0: float) -> ConvexityReport:
         with_gamma=False,
     )
     diff = np.abs(profile.second_diff[inner] - half.second_diff[inner])
-    floor = 3.0 * float(np.max(diff)) + 1e-9
+    floor = 3.0 * float(np.max(diff))
     d2 = profile.second_diff[inner]
     i = int(np.argmin(d2))
     verdict = "NonConvexDetected" if d2[i] < -floor else "ConvexWithinTolerance"

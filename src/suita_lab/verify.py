@@ -387,7 +387,7 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
     if want("blb"):
         for literal, w, t_min, t_max in config.blb_entries:
             domain = geo.parse_domain(literal)
-            profile = sl.profile_scan(domain, w, t_min, t_max, config.profile_steps, config.grid)
+            profile = sl.profile_scan(domain, w, t_min, t_max, config.profile_steps, config.grid, with_gamma=False)
             checks += blb_check(domain, w, profile, overrides)
 
     if want("thm4"):

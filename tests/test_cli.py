@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from suita_lab import cli
+from suita_lab import sublevel as sl
 from suita_lab import verify as vf
 from suita_lab.errors import ConfigError
 from suita_lab.geometry import Disc
@@ -167,7 +169,7 @@ class TestVerifyCommand:
 class TestSvg:
     def test_disc_contours_are_three_circles(self, tmp_path):
         path = tmp_path / "disc.svg"
-        cli.emit_contours(Disc(0j, 1.0), 0j, [-2.0, -1.0, -0.5], str(path), resolution=256)
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 256), [-2.0, -1.0, -0.5], str(path))
         text = path.read_text()
         assert text.count("<circle") == 1  # the outline
         assert text.count("<polyline") == 3  # one closed level curve per t
@@ -175,15 +177,15 @@ class TestSvg:
 
     def test_empty_levels_outline_only(self, tmp_path):
         path = tmp_path / "outline.svg"
-        cli.emit_contours(Disc(0j, 1.0), 0j, [], str(path), resolution=64)
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 64), [], str(path))
         text = path.read_text()
         assert "<polyline" not in text
         assert "<circle" in text
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        cli.emit_contours(Disc(0j, 1.0), 0j, [-1.0], str(a), resolution=128)
-        cli.emit_contours(Disc(0j, 1.0), 0j, [-1.0], str(b), resolution=128)
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 128), [-1.0], str(a))
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 128), [-1.0], str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_saddle_level_shows_two_lobes(self, tmp_path, annulus_half):
@@ -191,11 +193,27 @@ class TestSvg:
 
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
         path = tmp_path / "saddle.svg"
-        cli.emit_contours(annulus_half, 0.7 + 0j, [t0 + 0.4e-6], str(path), resolution=512)
+        cli.emit_contours(sl.LevelField(annulus_half, 0.7 + 0j, 512), [t0 + 0.4e-6], str(path))
         # two collar curves just above the saddle level plus two outline circles
         text = path.read_text()
         assert text.count("<circle") == 2
         assert text.count("<polyline") == 2
+
+
+class TestSublevelCommand:
+    ARGS = ["sublevel", "--domain", "annulus:0.5", "--pole", "0.7,0", "--tmin", "-2", "--tmax", "-0.2"]
+
+    def test_profile_csv_and_svg(self, tmp_path, capsys):
+        svgs = [tmp_path / "a.svg", tmp_path / "b.svg"]
+        for svg in svgs:
+            assert run_cli(self.ARGS + ["--steps", "8", "--grid", "256", "--svg", str(svg)]) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert lines[0] == "t,lambda,log_lambda,gamma_prime,second_diff,e2t_lambda,err_est"
+            assert len(lines) == 9
+        text = svgs[0].read_text()
+        colours = set(re.findall(r'<polyline fill="none" stroke="(#[0-9a-f]{6})"', text)) - {"#000000"}
+        assert colours == set(cli._PALETTE[:8])  # one colour per level
+        assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
 
 class TestEntryPoint:

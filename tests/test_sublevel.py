@@ -163,6 +163,19 @@ class TestConvexityReport:
         report = sl.convexity_report(profile, -1.5)
         assert report.verdict == "ConvexWithinTolerance"
 
+    def test_noise_floor_has_no_absolute_term(self, unit_disc, monkeypatch):
+        # A half-resolution profile identical to the main one leaves no grid
+        # error, so a second difference of -5e-10 is a real concavity: the
+        # floor is relative to the measured noise and has no absolute part.
+        profile = sl.profile_scan(unit_disc, 0j, -1.2, -0.4, 24, 64, with_gamma=False)
+        d2 = np.full(24, -5e-10)
+        d2[0] = d2[-1] = np.nan
+        profile = dataclasses.replace(profile, second_diff=d2)
+        monkeypatch.setattr(sl, "profile_scan", lambda *args, **kwargs: profile)
+        report = sl.convexity_report(profile, -0.8)
+        assert report.noise_floor == 0.0
+        assert report.verdict == "NonConvexDetected"
+
 
 class TestContours:
     def test_disc_levels_are_circles(self, unit_disc):
@@ -180,3 +193,36 @@ class TestContours:
         above = sl.extract_contours(annulus_half, 0.7 + 0j, t0 + 0.5e-6, 1024)
         assert len(below) == 1
         assert len(above) == 2
+
+
+class TestLevelField:
+    def test_profile_runs_one_coarse_scan(self, unit_disc, monkeypatch):
+        # centred pole: the analytic shell covers the whole coarse scan, so
+        # each scan is one field call of exactly 256^2 points
+        sizes = []
+        raw = gr.green_values_raw
+
+        def counted(core, w, z):
+            sizes.append(np.size(z))
+            return raw(core, w, z)
+
+        monkeypatch.setattr(gr, "green_values_raw", counted)
+        sl.profile_scan(unit_disc, 0j, -3.0, -0.1, 16, RES, with_gamma=True)
+        assert sizes.count(sl._COARSE**2) == 1
+
+    @pytest.mark.parametrize(
+        "fixture, w, t_min, t_max",
+        [
+            ("unit_disc", 0.3 + 0.2j, -3.0, -0.1),
+            ("annulus_half", 0.7 + 0j, -1.2, -0.2),
+            ("moebius_annulus", 0.75 + 0j, -1.2, -0.2),
+        ],
+    )
+    def test_profile_levels_match_single_calls(self, request, fixture, w, t_min, t_max):
+        domain = request.getfixturevalue(fixture)
+        res = 256
+        profile = sl.profile_scan(domain, w, t_min, t_max, 8, res)
+        for t, lam, err, gp in zip(profile.t_samples, profile.lam, profile.err_est, profile.gamma_prime):
+            est = sl.sublevel_area(domain, w, float(t), res)
+            assert (est.value, est.err_est) == (lam, err)
+            assert sl.coarea_derivative(domain, w, float(t), res) == gp
