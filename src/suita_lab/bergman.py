@@ -175,13 +175,12 @@ def build_frame(domain: Domain, w: Point, j: int, half_n: int = 64) -> Orthonorm
     )
 
 
-def kernel_j(domain: Domain, w: Point, j: int, rel_tol: float = 1e-11, half_n: int | None = None) -> KernelResult:
+def kernel_j(domain: Domain, w: Point, j: int, rel_tol: float = 1e-11) -> KernelResult:
     """K_j(w): the order-j extremal kernel value.
 
     The basis cutoff doubles until the value settles to rel_tol; the
-    reported tail bound dominates the next doubling step.  Passing half_n
-    pins the cutoff (used by the finite-difference identity check so the
-    whole stencil shares one truncation).
+    reported tail bound dominates the next doubling step.  pinned_kernel
+    evaluates the same extremal problem at a fixed cutoff.
     """
     if j < 0 or j > MAX_ORDER:
         raise ValueError(f"derivative order must be 0..{MAX_ORDER}, got {j}")
@@ -193,13 +192,6 @@ def kernel_j(domain: Domain, w: Point, j: int, rel_tol: float = 1e-11, half_n: i
         raise UnsupportedDomain("no kernel machinery for polygons")
     if not geo.contains(domain, w):
         raise PointOutsideDomain(f"{w} outside domain")
-    if half_n is not None:
-        return KernelResult(
-            order=j,
-            value=_qr_residual_sq(_frame_rows(domain, w, j, half_n)),
-            truncation_order=half_n,
-            tail_bound=math.nan,
-        )
     n = max(32, 8 * (j + 1))
     value = _qr_residual_sq(_frame_rows(domain, w, j, n))
     while True:

@@ -53,7 +53,7 @@ def _nonneg_int(text: str) -> int:
 # Config files: plain key=value with # comments, unknown keys rejected
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {"domains", "poles", "seeds", "grid", "steps", "out"}
+_KNOWN_KEYS = {"domains", "poles", "seeds", "grid", "steps"}
 
 
 def parse_config(text: str) -> dict:
@@ -225,17 +225,7 @@ def _outline_elements(domain: Domain, scale, span: float, size: float) -> list[s
         pts = np.array(domain.vertices + (domain.vertices[0],))
         return [_svg_path(pts, scale, "#000000")]
     if isinstance(domain, geo.MoebiusImage):
-        samples = geo.boundary_sample(domain, 512)
-        core, _ = geo.flatten_moebius(domain)
-        n_comp = 2 if isinstance(core, geo.Annulus) else 1
-        out = []
-        per = len(samples) // n_comp if n_comp == 2 else len(samples)
-        comps = [samples[:per], samples[per:]] if n_comp == 2 else [samples]
-        for comp in comps:
-            if comp:
-                pts = np.array([p for p, _ in comp] + [comp[0][0]])
-                out.append(_svg_path(pts, scale, "#000000"))
-        return out
+        return [circle(center, radius) for center, radius in geo.moebius_circles(domain)]
     return []
 
 

@@ -294,7 +294,12 @@ def _core_boundary_points(core: Domain, m: int) -> list[np.ndarray]:
 
 
 def _moebius_boundary_distance(domain: MoebiusImage, w: Point) -> float:
-    """Distance to the image circles, shrunk by 1e-12 to stay a lower bound.
+    """Distance to the image circles, shrunk by 1e-12 to stay a lower bound."""
+    return min(abs(abs(w - center) - radius) for center, radius in moebius_circles(domain)) * (1.0 - 1e-12)
+
+
+def moebius_circles(domain: MoebiusImage) -> list[tuple[complex, float]]:
+    """(center, radius) of each boundary circle, in the core's component order.
 
     The pole -d/c of F stays off every base circle (c0, rho), so each maps
     to a circle.  Its center is F(zeta*), zeta* = c0 + rho^2 / conj(-d/c - c0)
@@ -305,14 +310,13 @@ def _moebius_boundary_distance(domain: MoebiusImage, w: Point) -> float:
     """
     core, (a, b, c, d) = flatten_moebius(domain)
     circles = [(core.center, core.radius)] if isinstance(core, Disc) else [(0j, 1.0), (0j, core.q)]
-    best = math.inf
+    out = []
     for c0, rho in circles:
         e = c * c0 + d
         den = abs(e) ** 2 - abs(c) ** 2 * rho * rho
         center = ((a * c0 + b) * e.conjugate() - a * c.conjugate() * rho * rho) / den
-        radius = rho * abs(a * d - b * c) / abs(den)
-        best = min(best, abs(abs(w - center) - radius))
-    return best * (1.0 - 1e-12)
+        out.append((center, rho * abs(a * d - b * c) / abs(den)))
+    return out
 
 
 # ---------------------------------------------------------------------------

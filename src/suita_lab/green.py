@@ -17,9 +17,11 @@ Closed forms used here:
   accuracy where it is tiny: across a thin ring it is of order
   exp(-pi^2 / h), about 1e-19 at q = 0.8.  The term count follows from
   q (annulus_dual_terms).
-  The Robin constant still uses the canonical product
-      P(t) = (1 - t) * prod_{k>=1} (1 - q^{2k} t)(1 - q^{2k}/t),
-  whose O(1) logarithms are accurate at the pole, where it is taken.
+  The Robin constant comes from the same images: the k = 0 term minus
+  log|z - w| tends to log(pi / (2 h |w| sin theta0)), theta0 = pi
+  log(|w|/q) / h, and the other terms are taken at z = w, where the image
+  pairs k and -k add up to log1p(-sin^2 theta0 / (sinh^2(k pi^2 / h) +
+  sin^2 theta0)).
 * MoebiusImage: pullback, since G is conformally invariant.
 
 Gradients come from term-wise differentiation: writing G = Re f with f
@@ -77,36 +79,6 @@ class CriticalPoint:
     level: float  # G at the critical point
     gradient_residual: float
     order: int  # local normal-form exponent n >= 2
-
-
-# ---------------------------------------------------------------------------
-# Annulus canonical product (Robin constant)
-# ---------------------------------------------------------------------------
-
-
-def annulus_truncation_order(q: float) -> int:
-    """Smallest K with q^(2K-2) below 1e-15.
-
-    The factors (1 - q^{2k} t) with k > K then perturb log P by less than
-    ~1e-14 for every argument t that the Robin assembly uses (|t| between
-    about q and 1/q).
-    """
-    return max(4, int(math.ceil(1.0 + 7.5 * math.log(10) / (-math.log(q)))))
-
-
-def _prime_log_abs(t: np.ndarray, q: float, order: int) -> np.ndarray:
-    """log |P(t)| truncated at the given product order."""
-    acc = np.log(np.abs(1.0 - t))
-    for k in range(1, order + 1):
-        s = q ** (2 * k)
-        acc += np.log(np.abs(1.0 - s * t)) + np.log(np.abs(1.0 - s / t))
-    return acc
-
-
-def _prime_tail_bound(t_abs: np.ndarray, q: float, order: int) -> np.ndarray:
-    """Bound on the dropped log-product tail for |t| in the working shell."""
-    s = q ** (2 * (order + 1))
-    return 1.4 * s * (t_abs + 1.0 / t_abs) / (1.0 - q * q)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +301,9 @@ def green_eval(domain: Domain, w: Point, z: Point) -> GreenValue:
 def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
     """Logarithmic capacity c(w) = exp(Robin constant) of the complement.
 
-    The log singularity is cancelled inside the series (the (1 - t) factor
-    of the canonical product is dropped at t = 1), never by subtracting two
-    nearly equal logarithms.
+    The log singularity is cancelled inside the series (the k = 0 image is
+    taken to its limit in closed form), never by subtracting two nearly
+    equal logarithms.
     """
     if isinstance(domain, PolarComplement):
         if not geo.contains(domain, w):
@@ -352,20 +324,19 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
         d2 = abs(w - core.center) ** 2
         c = core.radius / (core.radius**2 - d2)
         return CapacityResult(capacity=c, robin_constant=math.log(c), truncation_bound=0.0)
-    q = core.q
-    order = annulus_truncation_order(q)
-    lw, lq = math.log(abs(w)), math.log(q)
-    x = abs(w) ** 2
-    log_regular = 0.0
-    for k in range(1, order + 1):
-        s = q ** (2 * k)
-        log_regular += 2.0 * math.log(1.0 - s)
-    log_p = float(_prime_log_abs(np.asarray(x, dtype=complex), q, order))
-    robin = log_regular - log_p - lw * lw / lq
-    # Tail: the dropped factors of the regular part plus those of P(x).
-    tail = 2.0 * q ** (2 * (order + 1)) / (1.0 - q * q) + float(
-        _prime_tail_bound(np.asarray([x]), q, order)[0]
-    )
+    # The k = 0 image gives log|z - w| + log(pi / (2 h |w| sin(theta0)))
+    # as z -> w; every other image pair is taken at z = w, where its
+    # 1/2 log1p(-rho) terms carry no singularity.  sin(theta0) is read from
+    # the nearer circle, log(|w|/q) = log1p((|w| - q)/q) or log(1/|w|), so
+    # it keeps its relative accuracy next to either circle of a thin ring.
+    q, r = core.q, abs(w)
+    h = -math.log(q)
+    s = math.sin(math.pi * min(math.log1p((r - q) / q), -math.log(r)) / h)
+    k = np.arange(1, annulus_dual_terms(q) + 1)
+    with np.errstate(over="ignore"):
+        sh2 = np.sinh(k * (math.pi**2 / h)) ** 2
+    robin = math.log(math.pi / (2.0 * h * r * s)) + float(np.sum(np.log1p(-s * s / (sh2 + s * s))))
+    tail = float(_dual_tail_bound(q, w, np.asarray(w, dtype=complex)))
     return CapacityResult(capacity=math.exp(robin), robin_constant=robin, truncation_bound=tail)
 
 

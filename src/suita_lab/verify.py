@@ -1,12 +1,16 @@
 """Named theorem checks and the verification suite that strings them together.
 
-Every check compares two quantities computed by routes that share no
-series: kernels come from the orthonormal-frame module, capacities from
-the canonical product or closed forms, Green maxima from the dual-nome
-series or closed forms, areas from the grid machinery, and the Monte
-Carlo module supplies statistical referees.  A check records both sides,
-the oriented margin (positive = pass) and its full context, so a failed
-line can be replayed directly.
+Kernels come from the orthonormal-frame module, capacities and Green
+maxima from the dual-nome image series or closed forms, areas from the
+grid machinery, and the Monte Carlo module supplies statistical referees.
+So the kernel checks (suita, thm1, thm2, blb) compare two routes that
+share no series; poisson reads G and c from the same images.  The
+annulus capacity is the closed-form k = 0 limit plus the other images at
+the pole; oracle_robin checks that limit against the numeric limit of the
+same series (angular means of G - log r, extrapolated to r = 0).  Its
+independent referee is the canonical product in the test suite.  A check
+records both sides, the oriented margin (positive = pass) and its full
+context, so a failed line can be replayed directly.
 
 The tolerance table is part of the report.  Margins are compared against
 ``-tol * scale`` with scale = max(|lhs|, |rhs|), except for the Monte
@@ -28,7 +32,7 @@ from . import green as gr
 from . import oracles as oc
 from . import sublevel as sl
 from .errors import ConvergenceFailure, NoCriticalPoint, SkippedDegenerate
-from .geometry import Annulus, Disc, Domain, Point, PolarComplement, Polygon
+from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
 GOLDEN_RADIUS_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0
@@ -338,8 +342,7 @@ def default_plan() -> list[tuple[str, complex]]:
 
 
 def _kernel_supported(domain: Domain) -> bool:
-    core, _ = geo.flatten_moebius(domain) if not isinstance(domain, (Polygon, PolarComplement)) else (domain, None)
-    return isinstance(core, (Disc, Annulus))
+    return isinstance(geo.flatten_moebius(domain)[0], (Disc, Annulus))
 
 
 def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> VerificationReport:

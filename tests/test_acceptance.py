@@ -61,7 +61,7 @@ def test_criterion_02_suita_strict_on_annuli():
     margins = []
     for domain, w in ANNULUS_SAMPLES:
         kernel = bg.kernel_j(domain, w, 0).value  # orthonormal-frame series
-        cap = gr.robin_capacity(domain, w).capacity  # canonical-product series
+        cap = gr.robin_capacity(domain, w).capacity  # dual-nome image series
         margins.append(math.pi * kernel - cap * cap)
     ok = all(m > 0 for m in margins)
     report("2", "pi*K > c^2 on 9 annulus samples", ok, f"min margin {min(margins):.3e}")

@@ -122,8 +122,8 @@ class TestKernel:
 
     def test_truncation_stability(self, annulus_half):
         k = bg.kernel_j(annulus_half, 0.7 + 0j, 2)
-        doubled = bg.kernel_j(annulus_half, 0.7 + 0j, 2, half_n=2 * k.truncation_order)
-        assert abs(doubled.value - k.value) <= k.tail_bound
+        doubled = bg.pinned_kernel(annulus_half, 0.7 + 0j, 2, 0.7 + 0j, 2 * k.truncation_order)
+        assert abs(doubled - k.value) <= k.tail_bound
 
     def test_moebius_scaling(self, unit_disc):
         scaled = MoebiusImage(unit_disc, 2 + 0j, 0j, 0j, 1 + 0j)

@@ -155,6 +155,13 @@ class TestVerifyCommand:
         code = run_cli(["verify", "--config", str(cfg), "--grid", "128"])
         assert code == 1
 
+    def test_out_key_rejected(self, tmp_path, capsys):
+        # the report path is the --out option; a config key for it would be ignored
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text("domains = disc:0,0,1\npoles = 0.5,0\nout = r.csv\n")
+        assert run_cli(["verify", "--suite", "suita", "--config", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_byte_identical_csv(self, tmp_path):
         cfg = tmp_path / "det.cfg"
         cfg.write_text("domains = disc:0,0,1 | annulus:0.5\npoles = 0.7,0\nseeds = 5\n")
@@ -198,6 +205,16 @@ class TestSvg:
         text = path.read_text()
         assert text.count("<circle") == 2
         assert text.count("<polyline") == 2
+
+    def test_moebius_annulus_outline_is_two_circles(self, tmp_path, moebius_annulus):
+        # the outline is the two image circles themselves, with no polyline
+        # jumping from one boundary component to the other
+        path = tmp_path / "moebius.svg"
+        cli.emit_contours(sl.LevelField(moebius_annulus, 0.75 + 0j, 128), [-1.0], str(path))
+        text = path.read_text()
+        assert text.count("<circle") == 2
+        assert 'stroke="#000000" stroke-width="1" points=' not in text
+        assert text.count("<polyline") >= 1
 
 
 class TestSublevelCommand:

@@ -97,6 +97,19 @@ class TestBoundaryDistance:
             assert delta <= sampled
             assert sampled - delta <= 1e-11 * sampled
 
+    @pytest.mark.parametrize("fixture", ["blaschke_disc", "moebius_annulus", "nested_moebius"])
+    def test_moebius_circles_carry_the_mapped_boundary(self, fixture, request):
+        # circle i holds the image of the core's boundary component i
+        domain = request.getfixturevalue(fixture)
+        core, coeffs = geo.flatten_moebius(domain)
+        base = [(core.center, core.radius)] if isinstance(core, Disc) else [(0j, 1.0), (0j, core.q)]
+        images = geo.moebius_circles(domain)
+        assert len(images) == len(base)
+        theta = 2 * np.pi * np.arange(256) / 256
+        for (c0, rho), (center, radius) in zip(base, images):
+            pts = geo.moebius_forward(coeffs, c0 + rho * np.exp(1j * theta))
+            assert np.max(np.abs(np.abs(pts - center) - radius)) <= 1e-13 * radius
+
 
 class TestBoundarySample:
     def test_disc_angles(self, unit_disc):

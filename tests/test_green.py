@@ -5,6 +5,7 @@ import pytest
 
 from suita_lab import geometry as geo
 from suita_lab import green as gr
+from suita_lab import verify as vf
 from suita_lab.errors import (
     CoincidentPoints,
     ConvergenceFailure,
@@ -139,6 +140,20 @@ def _log_prime(t, q):
     return lg, ld, ld2
 
 
+def _product_robin(q, w):
+    """Robin constant of Annulus(q) at w from the canonical product, an
+    independent referee for robin_capacity.  With s = q^2k, carried until
+    s < 1e-17, and x = |w|^2:
+        sum_k [2 log(1 - s) - log(1 - s x) - log(1 - s / x)]
+            - log(1 - x) - log^2|w| / log q,
+    every factor taken as -expm1 of its logarithm, so that it keeps its
+    relative accuracy where it is close to 0 (s near 1 on a thin ring)."""
+    lq, lw = math.log(q), math.log(abs(w))
+    a = 2.0 * lq * np.arange(1, math.ceil(math.log(1e-17) / (2.0 * lq)) + 1)
+    terms = 2.0 * np.log(-np.expm1(a)) - np.log(-np.expm1(a + 2.0 * lw)) - np.log(-np.expm1(a - 2.0 * lw))
+    return math.fsum(terms) - math.log(-math.expm1(2.0 * lw)) - lw * lw / lq
+
+
 def _product_field(q, w, z):
     """G, f' and f'' assembled from the canonical product, an independent
     reference: it sums O(1) logarithms, so it is accurate only where G is."""
@@ -197,6 +212,32 @@ class TestRobinCapacity:
     def test_polygon_unsupported(self, unit_square):
         with pytest.raises(UnsupportedDomain):
             gr.robin_capacity(unit_square, 0.5 + 0.5j)
+
+    @pytest.mark.parametrize(
+        "literal, w", [(lit, w) for lit, w in vf.default_plan() if lit.startswith("annulus:")]
+    )
+    def test_annulus_matches_product_on_plan(self, literal, w):
+        domain = geo.parse_domain(literal)
+        got = gr.robin_capacity(domain, w).capacity
+        ref = math.exp(_product_robin(domain.q, w))
+        assert abs(got - ref) <= 1e-13 * ref
+
+    def test_moebius_annulus_matches_product(self, moebius_annulus):
+        w = 0.75 + 0j
+        zeta, scale = geo.moebius_transport(moebius_annulus, w)
+        got = gr.robin_capacity(moebius_annulus, w).capacity
+        ref = math.exp(_product_robin(0.5, zeta)) / scale
+        assert abs(got - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("q", [0.05, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("frac", [0.02, 0.5, 0.98])
+    def test_annulus_matches_product_across_the_ring(self, q, frac):
+        # poles at 2%, 50% and 98% of the width; on the thin rings the
+        # product needs about 2,000 and 20,000 factors
+        w = (q + frac * (1.0 - q)) * complex(math.cos(1.3), math.sin(1.3))
+        got = gr.robin_capacity(Annulus(q), w).capacity
+        ref = math.exp(_product_robin(q, w))
+        assert abs(got - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("fixture", ["unit_disc", "annulus_half", "blaschke_disc", "moebius_annulus"])
     def test_capacity_delta_product(self, fixture, request):
