@@ -10,6 +10,9 @@ Nothing here shares series machinery with the quantities it validates:
   It reads the series gradient but not the search of
   ``green.critical_points``, which goes straight to the reflection axis
   of the annulus, so it referees that search.
+* ``grid_area`` -- marching-squares sublevel areas on a lattice, which
+  read the series field but none of the slice roots and quadrature of
+  ``sublevel``, so they referee those.
 
 Randomness is counter-based: every variate is a pure function of
 (seed, stream, counter), where the counter encodes the walk index and step.
@@ -36,6 +39,7 @@ from .errors import (
     UnsupportedDomain,
 )
 from .geometry import Annulus, Disc, Domain, MoebiusImage, Point, PolarComplement, Polygon
+from .sublevel import AreaEstimate
 
 CAPTURE_EPS = 1e-6
 MAX_STEPS = 10_000
@@ -295,3 +299,109 @@ def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[co
             points.append(z0)
     points.sort(key=lambda p: abs(complex(gr.green_fprime_raw(domain, w, np.asarray(p)))))
     return points
+
+
+# ---------------------------------------------------------------------------
+# Marching squares
+# ---------------------------------------------------------------------------
+
+_REFINE = 4  # subcells per side in the cells the level line cuts
+_GRID_ROWS = 64  # corner rows per block, which bounds the memory of a fine grid
+
+
+def _masked_field(core: Domain, w: Point, z: np.ndarray) -> np.ndarray:
+    """G by formula out to 45% of the way to the first reflected singularity
+    past the boundary (the reflection of the pole, or a q^2-translate of
+    it), +1 beyond: true values just past the boundary keep the crossings in
+    boundary cells exact, and +1 is above every negative level."""
+    out = np.full(z.shape, 1.0)
+    if isinstance(core, Disc):
+        d = abs(w - core.center) / core.radius
+        pad = 0.45 * core.radius * (1.0 / d - 1.0 if d >= 1e-9 else 1.0)
+        ok = np.abs(z - core.center) < core.radius + pad
+    else:
+        q, r = core.q, abs(w)
+        rz = np.abs(z)
+        ok = (rz > q - 0.45 * (q - q * q / r)) & (rz < 1.0 + 0.45 * (1.0 / r - 1.0))
+    if np.any(ok):
+        out[ok] = gr.green_values_raw(core, w, z[ok])
+    return out
+
+
+# Level-line chords of each marching-squares case, from edge crossing to
+# edge crossing with the inside on the left (b, r, t, l: bottom, right, top,
+# left edge).  The saddle cases depend on the cell centre: inside, outside.
+_CHORDS = {1: ["bl"], 2: ["rb"], 4: ["tr"], 8: ["lt"], 3: ["rl"], 6: ["tb"], 12: ["lr"], 9: ["bt"], 7: ["tl"]}
+_CHORDS.update({11: ["rt"], 13: ["br"], 14: ["lb"]})
+_SADDLE_CHORDS = {5: (["tl", "br"], ["bl", "tr"]), 10: (["lb", "rt"], ["rb", "lt"])}
+
+
+def _cell_inside_fraction(v00, v10, v11, v01, t):
+    """Fraction of each unit cell lying in {field < t}, with the crossings
+    linearly interpolated along the edges (v00 bottom-left, v10
+    bottom-right, v11 top-right, v01 top-left).
+
+    Green's theorem: the area is the integral of x dy around the inside
+    region.  Of the cell's own edges only the right one (x = 1) adds to it,
+    by the length of its inside part; each chord P -> Q adds
+    (x_P + x_Q) (y_Q - y_P) / 2.
+    """
+
+    def crossing(va, vb):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (t - va) / (vb - va)
+        return np.clip(np.nan_to_num(s, nan=0.5), 0.0, 1.0)
+
+    yr = crossing(v10, v11)
+    at = {"b": (crossing(v00, v10), 0.0), "r": (1.0, yr), "t": (crossing(v01, v11), 1.0), "l": (0.0, crossing(v00, v01))}
+    below = [v < t for v in (v00, v10, v11, v01)]
+    case = below[0] + 2 * below[1] + 4 * below[2] + 8 * below[3]
+    frac = np.where(below[1], np.where(below[2], 1.0, yr), np.where(below[2], 1.0 - yr, 0.0))
+    centre_in = (v00 + v10 + v11 + v01) < 4 * t
+    chords = [(case == c, pq) for c, pqs in _CHORDS.items() for pq in pqs]
+    for c, (inside, outside) in _SADDLE_CHORDS.items():
+        chords += [((case == c) & centre_in, pq) for pq in inside] + [((case == c) & ~centre_in, pq) for pq in outside]
+    for mask, (p, q) in chords:
+        (xp, yp), (xq, yq) = at[p], at[q]
+        frac = frac + np.where(mask, 0.5 * (xp + xq) * (yq - yp), 0.0)
+    return frac
+
+
+def grid_area(domain: Domain, w: Point, t: float, resolution: int = 2048) -> AreaEstimate:
+    """Marching-squares area of {G(., w) < t}, the referee of sublevel's slice quadrature.
+
+    A (resolution + 1)^2 corner grid covers the core domain, where cells are
+    weighted by |F'|^2 at their centres (1 unless the domain is an image).
+    Cells wholly below t count in full; each cell the level line cuts is
+    split 4 x 4 and each subcell adds the exact area of the polygon carved
+    out by linearly interpolated crossings.  err_est is 5% of the area of
+    the subcells the line cuts.  The grid is built in blocks of rows.
+    """
+    if not (t < 0):
+        raise LevelAbovePeak(f"need t < 0, got {t}")
+    core, coeffs = geo.flatten_moebius(domain)
+    if not isinstance(core, (Disc, Annulus)):
+        raise UnsupportedDomain("grid_area needs a series Green function")
+    if not geo.contains(domain, w):
+        raise PointOutsideDomain(f"{w} outside domain")
+    w_eff = geo.moebius_inverse(coeffs, w)
+    c, r = (core.center, 1.02 * core.radius) if isinstance(core, Disc) else (0j, 1.02)
+    xs = np.linspace(c.real - r, c.real + r, resolution + 1)
+    ys = np.linspace(c.imag - r, c.imag + r, resolution + 1)
+    h = (xs[1] - xs[0]) * (1 + 1j)  # cell diagonal (the cells are square)
+    sub = np.add.outer(h.real * np.linspace(0, 1, _REFINE + 1), 1j * h.imag * np.linspace(0, 1, _REFINE + 1))
+    area = err = 0.0
+    for i0 in range(0, resolution, _GRID_ROWS):
+        z = xs[i0 : i0 + _GRID_ROWS + 1, None] + 1j * ys[None, :]
+        vals = _masked_field(core, w_eff, z)
+        below = [v < t for v in (vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:])]
+        full = below[0] & below[1] & below[2] & below[3]
+        area += float(np.sum(np.abs(geo.moebius_fprime(coeffs, z[:-1, :-1][full] + 0.5 * h)) ** 2)) * h.real * h.imag
+        cut = z[:-1, :-1][(below[0] | below[1] | below[2] | below[3]) & ~full]
+        sz = cut[:, None, None] + sub
+        sv = _masked_field(core, w_eff, sz)
+        frac = _cell_inside_fraction(sv[:, :-1, :-1], sv[:, 1:, :-1], sv[:, 1:, 1:], sv[:, :-1, 1:], t)
+        wgt = np.abs(geo.moebius_fprime(coeffs, sz[:, :-1, :-1] + 0.5 * h / _REFINE)) ** 2 * (h.real * h.imag / _REFINE**2)
+        area += float(np.sum(frac * wgt))
+        err += 0.05 * float(np.sum(wgt[(frac > 0) & (frac < 1)]))
+    return AreaEstimate(value=float(area), err_est=float(err))

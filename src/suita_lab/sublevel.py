@@ -6,27 +6,25 @@ its derivative gamma'(t) = integral of 1/|grad G| along the level curve
 convexity defect near the critical level of G is one of the phenomena this
 package exists to measure.
 
-Areas come from a tensor grid over a tight bounding box of the sublevel set
-with one level of adaptive refinement: cells cut by the level line are
-subdivided 4x4 and each straddling subcell contributes the exact area of
-the polygon carved out by the linearly interpolated crossing points (the
-standard marching-squares case table, including the two saddle cases
-disambiguated by the cell-center value).  Level curves for the co-area
-integral use the same case table; the integrand 1/|grad G| is evaluated
-with the analytic gradient at segment midpoints, never with grid
-differences.
+An annulus core is cut into slices.  With the pole rotated onto the
+positive axis and z = exp(x + i phi), each slice phi = const meets
+{G < t} in one interval (x_lo, x_hi) around the slice minimum x_m(phi),
+the root of G_x = Re(z f'), which does not depend on t.  G is even in phi
+and the area element is e^{2x} dx dphi, so
 
-For a Moebius image the computation runs in base coordinates: the
-indicator is pulled back and the Jacobian |F'|^2 integrates the area, while
-the co-area integrand picks up the same |F'|^2 factor.
+    lambda(t) = int_0^phi_end (e^{2 x_hi} - e^{2 x_lo}) dphi,
+    gamma'(t) = 2 int_0^phi_end (e^{2 x_hi} / G_x(x_hi) - e^{2 x_lo} / G_x(x_lo)) dphi,
 
-A profile reads many levels of one (domain, pole) pair, so the work that
-does not depend on t is done once per LevelField: input validation, one
-256 x 256 coarse scan from which every level reads its bounding box, and
-the critical points.  The field keeps only the corner grid of the box it
-used last.  The single-level functions (sublevel_area, coarea_derivative,
-extract_contours) and profile_scan each build a field for their one call;
-no state outlives a field.
+with phi_end = pi at and above the saddle level t0 and, below it, the
+angle phi* where the slice minimum m(phi) reaches t.  Both use one
+tanh-sinh rule (Takahasi & Mori 1974), whose nodes cluster at the pole
+line and at the neck next to the saddle; it doubles its nodes until the
+n- and 2n-node sums agree, and err_est is their gap plus rounding.  All
+roots of a profile, at every level and node, are solved together by a
+vectorized safeguarded Newton.  A Moebius image adds the weight |F'|^2
+across each interval (Gauss-Legendre in x).  On a disc core {G < t} =
+M(D(0, e^t)), M the Moebius map of D(0, 1) onto the domain with M(0) = w,
+in closed form.  Level curves come from the same slice roots.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ import numpy as np
 from . import geometry as geo
 from . import green as gr
 from .errors import (
+    ConvergenceFailure,
     CriticalLevel,
     LevelAbovePeak,
     PointOutsideDomain,
@@ -47,8 +46,15 @@ from .errors import (
 )
 from .geometry import Annulus, Disc, Domain, MoebiusImage, Point
 
-_REFINE = 4  # subcells per side in straddling cells
-_COARSE = 256  # points per side of the scan that bounds each sublevel set
+_EPS = float(np.finfo(float).eps)
+_ROUND = 64 * _EPS  # rounding floor of an area, relative
+_TAU = 3.5  # tanh-sinh half-width: the outer nodes sit exp(-pi sinh 3.5) = 2e-23 of phi_end from the ends
+_FIRST = 12  # the first rule has 2 * _FIRST + 1 nodes, and each doubling halves the step
+_LAST = 768  # no rule beyond 2 * _LAST + 1 nodes
+_AREA_TOL = 1e-14  # n- against 2n-node agreement of an area, relative
+_GAMMA_TOL = 1e-6  # the same for gamma', whose tip singularity makes it the less accurate of the two
+_SWEEPS = 200  # Newton sweeps before a root is declared lost
+_FAN = 32  # slices of the t-independent fan of slice minima
 
 
 @dataclass(frozen=True)
@@ -83,239 +89,31 @@ class ConvexityReport:
     verdict: str  # "ConvexWithinTolerance" | "NonConvexDetected"
 
 
-# ---------------------------------------------------------------------------
-# Field evaluation with a safety shell
-# ---------------------------------------------------------------------------
+def _newton(fun, lo, hi, x, tol, noise=0.0):
+    """Roots of increasing functions, one per bracket [lo, hi] with fun(lo) < 0 < fun(hi).
 
-
-def _analytic_pads(core: Domain, w_eff: Point) -> tuple[float, float]:
-    """How far past each boundary the Green formula may be continued.
-
-    The closed forms stay real-analytic until the first reflected
-    singularity (the reflection of the pole, or a q^2-translate of it), so
-    we continue 45% of the way there and mask the rest.
+    fun(x, idx) returns the values and slopes at x of the problems idx; all
+    open problems take one step per sweep.  A step that leaves the bracket
+    becomes a bisection; an exact zero, or a step that rounds to nothing,
+    is kept.  A root is done when its step or its bracket falls to tol, or
+    its value to the rounding noise of fun (an array, or 0 for none).
     """
-    if isinstance(core, Disc):
-        d = abs(w_eff - core.center) / core.radius
-        if d < 1e-9:
-            return 0.45 * core.radius, 0.0
-        return 0.45 * core.radius * (1.0 / d - 1.0), 0.0
-    q = core.q
-    r = abs(w_eff)
-    pad_out = 0.45 * (1.0 / r - 1.0)
-    pad_in = 0.45 * (q - q * q / r)
-    return pad_out, pad_in
-
-
-def _masked_field(core: Domain, w_eff: Point, z: np.ndarray) -> np.ndarray:
-    """G by formula inside the analytic shell, +1 far outside.
-
-    Keeping genuine (small positive) values just past the boundary makes
-    the level-line interpolation exact in boundary cells; +1 is above every
-    negative level, so masked points never join a sublevel set.
-    """
-    out = np.full(z.shape, 1.0)
-    if isinstance(core, Disc):
-        pad, _ = _analytic_pads(core, w_eff)
-        ok = np.abs(z - core.center) < core.radius + pad
-    else:
-        pad_out, pad_in = _analytic_pads(core, w_eff)
-        r = np.abs(z)
-        ok = (r > core.q - pad_in) & (r < 1.0 + pad_out)
-    if np.any(ok):
-        out[ok] = gr.green_values_raw(core, w_eff, z[ok])
-    return out
-
-
-def _core_bbox(core: Domain) -> tuple[float, float, float, float]:
-    if isinstance(core, Disc):
-        c, r = core.center, core.radius * 1.02
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
-    return (-1.02, 1.02, -1.02, 1.02)
-
-
-def _grid_field(core: Domain, w_eff: Point, bbox, points: int):
-    """Axes and masked field values of a points x points grid over bbox."""
-    x0, x1, y0, y1 = bbox
-    xs = np.linspace(x0, x1, points)
-    ys = np.linspace(y0, y1, points)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return xs, ys, _masked_field(core, w_eff, X + 1j * Y)
-
-
-# ---------------------------------------------------------------------------
-# Marching-squares case table
-# ---------------------------------------------------------------------------
-
-
-def _case_index(v00, v10, v11, v01, t):
-    """Marching-squares case of each cell: bit k is set when corner k lies below t."""
-    return (
-        (v00 < t).astype(np.int8)
-        | ((v10 < t).astype(np.int8) << 1)
-        | ((v11 < t).astype(np.int8) << 2)
-        | ((v01 < t).astype(np.int8) << 3)
-    )
-
-
-def _straddling_cells(vals: np.ndarray, t: float):
-    """Cells of a corner grid wholly below t, and the (i, j) indices of the
-    cells the level line cuts."""
-    case = _case_index(vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:], t)
-    return case == 15, np.nonzero((case > 0) & (case < 15))
-
-
-def _crossing(va, vb, t):
-    """Linear crossing offset along an edge, clipped to the cell."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (t - va) / (vb - va)
-    return np.clip(np.nan_to_num(s, nan=0.5), 0.0, 1.0)
-
-
-def cell_inside_fraction(v00, v10, v11, v01, t):
-    """Fraction of each unit cell lying in {field < t}.
-
-    Corner layout: v00 bottom-left, v10 bottom-right, v11 top-right,
-    v01 top-left; crossings are linearly interpolated and the resulting
-    polygon area is exact per case.
-    """
-    case = _case_index(v00, v10, v11, v01, t)
-    xb = _crossing(v00, v10, t)
-    xt = _crossing(v01, v11, t)
-    yl = _crossing(v00, v01, t)
-    yr = _crossing(v10, v11, t)
-    center_in = (v00 + v10 + v11 + v01) < 4 * t
-    frac = np.zeros(np.shape(v00))
-    tri00 = 0.5 * xb * yl
-    tri10 = 0.5 * (1 - xb) * yr
-    tri11 = 0.5 * (1 - xt) * (1 - yr)
-    tri01 = 0.5 * xt * (1 - yl)
-    table = {
-        1: tri00,
-        2: tri10,
-        4: tri11,
-        8: tri01,
-        3: 0.5 * (yl + yr),
-        6: 0.5 * ((1 - xb) + (1 - xt)),
-        12: 0.5 * ((1 - yl) + (1 - yr)),
-        9: 0.5 * (xb + xt),
-        7: 1 - tri01,
-        11: 1 - tri11,
-        13: 1 - tri10,
-        14: 1 - tri00,
-    }
-    for c, expr in table.items():
-        m = case == c
-        if np.any(m):
-            frac[m] = expr[m]
-    for c, own, opp in ((5, tri00 + tri11, tri10 + tri01), (10, tri10 + tri01, tri00 + tri11)):
-        m = case == c
-        if np.any(m):
-            frac[m] = np.where(center_in[m], 1 - opp[m], own[m])
-    frac[case == 15] = 1.0
-    return frac
-
-
-_SEG_TABLE = {
-    # case -> list of ((edge, uses_x), (edge, uses_x)) endpoint descriptors,
-    # oriented with the inside on the left.
-    1: [("b", "l")],
-    2: [("r", "b")],
-    4: [("t", "r")],
-    8: [("l", "t")],
-    3: [("r", "l")],
-    6: [("t", "b")],
-    12: [("l", "r")],
-    9: [("b", "t")],
-    7: [("t", "l")],
-    11: [("r", "t")],
-    13: [("b", "r")],
-    14: [("l", "b")],
-}
-
-
-def cell_segments(v00, v10, v11, v01, t, x, y, hx, hy):
-    """Level-line segments inside each cell, as (start, end) complex pairs.
-
-    x, y are the lower-left corners; arrays are flat and aligned.  Returns
-    (starts, ends) complex arrays covering every straddling cell, with both
-    branches of the saddle cases included.
-    """
-    case = _case_index(v00, v10, v11, v01, t)
-    xb = x + hx * _crossing(v00, v10, t)
-    xt = x + hx * _crossing(v01, v11, t)
-    yl = y + hy * _crossing(v00, v01, t)
-    yr = y + hy * _crossing(v10, v11, t)
-    pt = {
-        "b": xb + 1j * y,
-        "t": xt + 1j * (y + hy),
-        "l": x + 1j * yl,
-        "r": (x + hx) + 1j * yr,
-    }
-    starts, ends = [], []
-    for c, segs in _SEG_TABLE.items():
-        m = case == c
-        if np.any(m):
-            for e0, e1 in segs:
-                starts.append(pt[e0][m])
-                ends.append(pt[e1][m])
-    center_in = (v00 + v10 + v11 + v01) < 4 * t
-    for c, ins, outs in (
-        (5, [("t", "l"), ("b", "r")], [("b", "l"), ("t", "r")]),
-        (10, [("l", "b"), ("r", "t")], [("r", "b"), ("l", "t")]),
-    ):
-        m = case == c
-        if np.any(m):
-            mi, mo = m & center_in, m & ~center_in
-            for sel, pairs in ((mi, ins), (mo, outs)):
-                if np.any(sel):
-                    for e0, e1 in pairs:
-                        starts.append(pt[e0][sel])
-                        ends.append(pt[e1][sel])
-    if starts:
-        return np.concatenate(starts), np.concatenate(ends)
-    return np.array([], dtype=complex), np.array([], dtype=complex)
-
-
-def _grid_segments(xs, ys, vals, t):
-    """Level-line segments of the straddling cells of a corner grid."""
-    _, (si, sj) = _straddling_cells(vals, t)
-    return cell_segments(
-        vals[si, sj],
-        vals[si + 1, sj],
-        vals[si + 1, sj + 1],
-        vals[si, sj + 1],
-        t,
-        xs[si],
-        ys[sj],
-        xs[1] - xs[0],
-        ys[1] - ys[0],
-    )
-
-
-def _chain_segments(starts: np.ndarray, ends: np.ndarray, tol: float) -> list[np.ndarray]:
-    def key(z: complex):
-        return (round(z.real / tol), round(z.imag / tol))
-
-    by_start: dict = {}
-    for i, s in enumerate(starts):
-        by_start.setdefault(key(complex(s)), []).append(i)
-    used = np.zeros(len(starts), dtype=bool)
-    chains = []
-    for i in range(len(starts)):
-        if used[i]:
-            continue
-        chain = [complex(starts[i]), complex(ends[i])]
-        used[i] = True
-        while True:
-            cands = [j for j in by_start.get(key(chain[-1]), []) if not used[j]]
-            if not cands:
-                break
-            j = cands[0]
-            used[j] = True
-            chain.append(complex(ends[j]))
-        chains.append(np.array(chain))
-    return chains
+    noise = np.broadcast_to(noise, np.shape(x))
+    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
+    idx = np.arange(x.size)
+    for _ in range(_SWEEPS):
+        if idx.size == 0:
+            return x
+        cur = x[idx]
+        g, dg = fun(cur, idx)
+        a = lo[idx] = np.where(g < 0, cur, lo[idx])
+        b = hi[idx] = np.where(g > 0, cur, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = cur - g / dg
+        nxt = np.where((g == 0) | (nxt == cur), cur, np.where((nxt > a) & (nxt < b), nxt, 0.5 * (a + b)))
+        x[idx] = nxt
+        idx = idx[~((np.abs(g) <= noise[idx]) | (np.abs(nxt - cur) <= tol) | (b - a <= tol))]
+    raise ConvergenceFailure(f"{idx.size} slice roots not found in {_SWEEPS} Newton sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +122,11 @@ def _chain_segments(starts: np.ndarray, ends: np.ndarray, tol: float) -> list[np
 
 
 class LevelField:
-    """G(., w) on one domain at one grid resolution, read at many levels.
+    """G(., w) on one domain, read at many levels.
 
-    Holds the evaluation frame (core domain, effective pole and, for a
-    Moebius image, the composed coefficients: the grid then lives in base
-    coordinates), the 256 x 256 coarse scan from which every level's
-    bounding box is read, the critical points once the co-area integral
-    needs them, and the corner grid of the box last used.  Each level gets
-    its own box on a geometric size ladder, so nearby levels share a grid
-    while deep levels get boxes scaled to their shrunken sublevel sets; a
-    new box replaces the stored grid.
+    Holds what does not depend on t: for a disc core the map M, for an
+    annulus core the rotated pole, the saddle level and the fan of slice
+    minima.  resolution sets the samples along a level curve, not areas.
     """
 
     def __init__(self, domain: Domain, w: Point, resolution: int):
@@ -342,144 +135,253 @@ class LevelField:
             raise UnsupportedDomain("sublevel machinery supports Disc, Annulus and their Moebius images")
         if not geo.contains(domain, w):
             raise PointOutsideDomain(f"{w} outside domain")
-        self.domain = domain
-        self.w = w
-        self.resolution = resolution
-        self.core = core
-        if isinstance(domain, MoebiusImage):
-            self.w_eff, self.coeffs = geo.moebius_inverse(coeffs, w), coeffs
-        else:
-            self.w_eff, self.coeffs = w, None
-        self._coarse = _grid_field(core, self.w_eff, _core_bbox(core), _COARSE)
-        self._saddles: list[tuple[float, float]] | None = None
-        self._grid = None  # (bbox, xs, ys, vals)
+        self.domain, self.w, self.resolution, self.core = domain, w, resolution, core
+        w_eff = geo.moebius_inverse(coeffs, w)
+        if isinstance(core, Disc):
+            # zeta -> c0 + R (zeta + v) / (1 + conj(v) zeta), v = (w_eff - c0) / R, sends 0 to the pole
+            c0, r = core.center, core.radius
+            v = (w_eff - c0) / r
+            self.disc_map = geo.moebius_compose(coeffs, (r + c0 * v.conjugate(), r * v + c0, v.conjugate(), 1.0))
+            return
+        self.r0 = abs(w_eff)
+        self.log_q = math.log(core.q)
+        # slice coordinates -> image: the rotation, then the image map (if any)
+        self.frame = geo.moebius_compose(coeffs, (w_eff / self.r0, 0.0, 0.0, 1.0))
+        self.moebius = isinstance(domain, MoebiusImage)
+        saddle = gr.critical_points(core, self.r0)[0]
+        self.t0 = saddle.level
+        # The fan: slice minima x_m and levels m on _FAN slices from the pole
+        # (phi = 0, x_m = log r0, m = -inf) to the saddle (phi = pi, m = t0).
+        # They do not depend on t; they start and bracket every later solve.
+        self.fan_phi = np.linspace(0.0, math.pi, _FAN + 1)
+        self.fan_s2 = np.sin(0.5 * self.fan_phi) ** 2
+        x_pole, x_saddle = math.log(self.r0), math.log(abs(saddle.location))
+        self.fan_x = x_pole + (x_saddle - x_pole) * self.fan_s2
+        self.fan_x[1:-1] = self._slice_minimum(self.fan_phi[1:-1], self.fan_x[1:-1])
+        self.fan_m = np.concatenate([[-np.inf], self._values(self.fan_x[1:-1], self.fan_phi[1:-1]), [self.t0]])
 
-    def _bbox(self, t: float):
-        """Bounding box of {G < t} from the coarse scan, snapped to the size ladder."""
-        x0, x1, y0, y1 = _core_bbox(self.core)
-        xs, ys, vals = self._coarse
-        mask = vals < t
-        if np.any(mask):
-            hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-            ii, jj = np.nonzero(mask)
-            tx0 = max(x0, xs[ii.min()] - 2 * hx)
-            tx1 = min(x1, xs[ii.max()] + 2 * hx)
-            ty0 = max(y0, ys[jj.min()] - 2 * hy)
-            ty1 = min(y1, ys[jj.max()] + 2 * hy)
-        else:
-            # Deep level: fall back on the near-pole asymptotics {G<t} ~ disc
-            # of radius e^t / c around the pole.
-            cap = gr.robin_capacity(self.core, self.w_eff).capacity
-            rad = 4.0 * math.exp(t) / cap
-            tx0, tx1 = self.w_eff.real - rad, self.w_eff.real + rad
-            ty0, ty1 = self.w_eff.imag - rad, self.w_eff.imag + rad
-        full = max(x1 - x0, y1 - y0)
-        tight = max(tx1 - tx0, ty1 - ty0)
-        k = 0
-        while k < 60 and full / 2 ** (k + 1) >= tight / 0.75:
-            k += 1
-        size = full / 2**k
-        snap = size / 4
-        cx = round(0.5 * (tx0 + tx1) / snap) * snap
-        cy = round(0.5 * (ty0 + ty1) / snap) * snap
-        cx = min(max(cx, x0 + size / 2), x1 - size / 2)
-        cy = min(max(cy, y0 + size / 2), y1 - size / 2)
-        return (cx - size / 2, cx + size / 2, cy - size / 2, cy + size / 2)
+    # -- the field on slices (rotated frame) ---------------------------------
 
-    def _corner_grid(self, t: float):
-        """(xs, ys, vals) of the corner grid over the box of level t."""
-        if not (t < 0):
-            raise LevelAbovePeak(f"need t < 0, got {t}")
-        bbox = self._bbox(t)
-        if self._grid is None or self._grid[0] != bbox:
-            self._grid = (bbox, *_grid_field(self.core, self.w_eff, bbox, self.resolution + 1))
-        return self._grid[1:]
+    def _values(self, x, phi):
+        return gr.green_values_raw(self.core, self.r0, np.exp(x + 1j * phi))
+
+    def _zfprime(self, x, phi):
+        """z f'(z): G_x = Re, G_phi = -Im."""
+        z = np.exp(x + 1j * phi)
+        return z * gr.green_fprime_raw(self.core, self.r0, z)
+
+    def _slopes(self, x, phi):
+        """G_x = Re(z f') and G_xx = Re(z f' + z^2 f'') on the slices."""
+        z = np.exp(x + 1j * phi)
+        zf = z * gr.green_fprime_raw(self.core, self.r0, z)
+        return zf.real, (zf + z * z * gr.green_fsecond_raw(self.core, self.r0, z)).real
+
+    def _weight(self, x, phi):
+        """Area weight of a slice point, summed over phi and -phi (G is even in phi)."""
+        if not self.moebius:
+            return 2.0 * np.exp(2.0 * x)
+        jac = [np.abs(geo.moebius_fprime(self.frame, np.exp(x + 1j * s * phi))) ** 2 for s in (1, -1)]
+        return np.exp(2.0 * x) * (jac[0] + jac[1])
+
+    def _slice_minimum(self, phi, x0=None):
+        """x_m(phi), the root of G_x on (log q, 0), from the start x0 (by
+        default read off the fan).  Below phi = 1e-8 the start is the root
+        to rounding, and G_x there is rounding noise of the pole term, so
+        no step is taken."""
+        if x0 is None:
+            x0 = np.interp(np.sin(0.5 * phi) ** 2, self.fan_s2, self.fan_x)
+        far = np.nonzero(phi >= 1e-8)[0]
+        out = np.array(x0, dtype=float)
+        fun = lambda x, idx: self._slopes(x, phi[far[idx]])
+        out[far] = _newton(fun, np.full(far.shape, self.log_q), np.zeros(far.shape), out[far], 4 * _EPS)
+        return out
+
+    def _tips(self, ts: np.ndarray) -> np.ndarray:
+        """phi*, where the slice minimum m(phi) reaches t, for levels t < t0.
+
+        Newton on h = sqrt(t0 - m) - sqrt(t0 - t), with dm/dphi = G_phi at
+        the slice minimum.  h is nearly linear in log phi next to the pole
+        and in phi next to the saddle (where t0 - m grows like (pi - phi)^2),
+        so the unknown is y = log phi below phi = 1 and phi - 1 above.  The
+        fan brackets each tip, and a secant through the bracket starts it
+        (next to the pole, m = m_1 + log(phi / phi_1)).  The root is closed
+        by its bracket or by a step below rounding, never by |m - t|: m is
+        flat next to the saddle, so |m - t| says little about phi there.
+        """
+        t0 = self.t0
+        target = np.sqrt(t0 - ts)
+        k = np.searchsorted(self.fan_m, ts)
+        lo, hi = np.maximum(self.fan_phi[k - 1], 1e-300), self.fan_phi[k]
+        h_lo, h_hi = (np.sqrt(t0 - self.fan_m[j]) - target for j in (k - 1, k))
+        with np.errstate(invalid="ignore"):
+            start = np.where(k > 1, lo + (hi - lo) * h_lo / (h_lo - h_hi), hi * np.exp(ts - self.fan_m[1]))
+        phi_of = lambda y: np.where(y < 0, np.exp(np.minimum(y, 0)), 1.0 + y)
+        y_of = lambda phi: np.where(phi < 1, np.log(phi), phi - 1.0)
+        xm = np.interp(np.sin(0.5 * start) ** 2, self.fan_s2, self.fan_x)
+
+        def fun(y, idx):
+            phi = phi_of(y)
+            xm[idx] = self._slice_minimum(phi, xm[idx])
+            gap = np.sqrt(np.maximum(t0 - self._values(xm[idx], phi), 0.0))
+            dm = -self._zfprime(xm[idx], phi).imag
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return target[idx] - gap, dm / (2.0 * gap) * np.minimum(phi, 1.0)
+
+        return phi_of(_newton(fun, y_of(lo), y_of(hi), y_of(np.clip(start, lo, hi)), 4 * _EPS))
+
+    def _roots(self, ts, phi):
+        """(x_lo, x_hi) of {G < t} on the slices phi, t and phi aligned.
+
+        A slice whose minimum is not below t gives the empty interval
+        x_lo = x_hi = x_m.  The circle itself is the root where G there is
+        at most t plus one rounding step in x (4 eps |G_x|): next to the pole
+        an O(1) field rounds to about 1e-17 on the circles, more than |t| on
+        a thin ring.  The other ends come from Newton on expm1(G - t), close
+        to linear in x both next to the pole (where e^G is a distance) and
+        across a thin ring (where G is tiny).  They start at x_m +-
+        sqrt(expm1(2 (t - m)) / G_xx(x_m)): the quadratic model about x_m for
+        t close to m, and the pole's log|z - w| next to the pole.
+        """
+        xm = self._slice_minimum(phi)
+        m = self._values(xm, phi)
+        curv = self._slopes(xm, phi)[1]
+        inner, outer = (
+            self._values(c, phi) - ts <= 4 * _EPS * np.abs(self._zfprime(c, phi).real)
+            for c in (np.full(phi.shape, self.log_q), np.zeros(phi.shape))
+        )
+        open_ = m < ts
+        k = np.nonzero(open_)[0]
+        lo_side, hi_side = k[~inner[k]], k[~outer[k]]
+        sides = np.concatenate([lo_side, hi_side])
+        sign = np.repeat([-1.0, 1.0], [lo_side.size, hi_side.size])
+        a = np.where(sign < 0, self.log_q, xm[sides])
+        b = np.where(sign < 0, xm[sides], 0.0)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            reach = np.sqrt(np.expm1(2.0 * (ts[sides] - m[sides])) / curv[sides])
+        start = np.clip(xm[sides] + sign * np.nan_to_num(reach, nan=1.0, posinf=1.0), a, b)
+        t_side = ts[sides]
+
+        def fun(x, idx):
+            z = np.exp(x + 1j * phi[sides[idx]])
+            g = gr.green_values_raw(self.core, self.r0, z) - t_side[idx]
+            gx = (z * gr.green_fprime_raw(self.core, self.r0, z)).real
+            return sign[idx] * np.expm1(g), sign[idx] * np.exp(g) * gx
+
+        # G carries a rounding error of up to about 20 eps |G| (the thin ring)
+        roots = _newton(fun, a, b, start, 4 * _EPS, 32 * _EPS * np.abs(t_side))
+        x_lo = np.where(open_ & inner, self.log_q, xm)
+        x_hi = np.where(open_ & outer, 0.0, xm)
+        x_lo[lo_side] = roots[: lo_side.size]
+        x_hi[hi_side] = roots[lo_side.size :]
+        return x_lo, x_hi
+
+    def _integrands(self, ts, ends, taus, with_gamma):
+        """Area, gamma' and rounding integrands times dphi/dtau at the nodes
+        taus.  The last is the area moved by 8 eps in x at each end, all the
+        precision a log-radius keeps: it rules sets only ulps across."""
+        u = math.pi * np.sinh(taus)
+        phi = ends[:, None] / (1.0 + np.exp(-u))
+        dphi = ends[:, None] * (math.pi * np.cosh(taus) / ((1.0 + np.exp(-u)) * (1.0 + np.exp(u))))
+        p = phi.ravel()
+        x_lo, x_hi = self._roots(np.broadcast_to(ts[:, None], phi.shape).ravel(), p)
+        if not self.moebius:
+            area = np.exp(2.0 * x_lo) * np.expm1(2.0 * (x_hi - x_lo))
+        else:
+            nodes, weights = np.polynomial.legendre.leggauss(24)  # loaded here: only images need it
+            mid, half = 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
+            area = half * np.sum(self._weight(mid[:, None] + half[:, None] * nodes, p[:, None]) * weights, axis=1)
+        gamma, noise = np.zeros(p.shape), np.zeros(p.shape)
+        ok = x_hi > x_lo
+        for x, s in ((x_hi, 1.0), (x_lo, -1.0)):
+            wgt = self._weight(x[ok], p[ok])
+            noise[ok] += 8 * _EPS * wgt
+            if with_gamma:
+                gamma[ok] += s * wgt / self._zfprime(x[ok], p[ok]).real
+        return (f.reshape(phi.shape) * dphi for f in (area, gamma, noise))
+
+    def _annulus_levels(self, ts: np.ndarray, with_gamma: bool):
+        """lambda, err_est and gamma' (nan where unresolved) at the levels ts.
+
+        The rule starts at 2 * _FIRST + 1 nodes and halves its step, which
+        keeps every old node; a level leaves once its area (and gamma', if
+        asked) agrees with the previous rule.  Each level's numbers depend
+        on that level alone, so a profile returns what single calls return.
+        """
+        ends = np.full(ts.shape, math.pi)
+        ends[ts < self.t0] = self._tips(ts[ts < self.t0])
+        lam, err, gam = (np.full(ts.shape, np.nan) for _ in range(3))
+        want_gamma = with_gamma & (np.abs(ts - self.t0) > 16 * _EPS * abs(self.t0))  # gamma' diverges at t0
+        idx = np.arange(ts.size)
+        n = _FIRST
+        fa, fg, fn = self._integrands(ts, ends, np.arange(-n, n + 1) * (_TAU / n), with_gamma)
+        sa, sg, noise = ((_TAU / n) * np.sum(f, axis=1) for f in (fa, fg, fn))
+        while idx.size:
+            n *= 2
+            step = _TAU / n
+            na, ng, _ = self._integrands(ts[idx], ends[idx], np.arange(1 - n, n, 2) * step, with_gamma)
+            fa, fg = (np.insert(f, np.arange(1, f.shape[1]), new, axis=1) for f, new in ((fa, na), (fg, ng)))
+            prev_a, prev_g = sa, sg
+            sa, sg = step * np.sum(fa, axis=1), step * np.sum(fg, axis=1)
+            gap = np.abs(sa - prev_a)
+            new_a = np.isnan(lam[idx]) & ((gap <= _AREA_TOL * sa + noise[idx]) | (n == _LAST))
+            lam[idx[new_a]] = sa[new_a]
+            err[idx[new_a]] = (gap + _ROUND * sa + noise[idx])[new_a]
+            new_g = want_gamma[idx] & (np.abs(sg - prev_g) <= _GAMMA_TOL * sg)
+            gam[idx[new_g]] = sg[new_g]
+            want_gamma[idx[new_g]] = False
+            keep = (np.isnan(lam[idx]) | want_gamma[idx]) & (n < _LAST)
+            idx, fa, fg, sa, sg = idx[keep], fa[keep], fg[keep], sa[keep], sg[keep]
+        return lam, err, gam
+
+    # -- public reads --------------------------------------------------------
+
+    def _levels(self, ts, with_gamma: bool):
+        ts = np.asarray(ts, dtype=float)
+        if not np.all(ts < 0):
+            raise LevelAbovePeak(f"need t < 0, got {float(np.max(ts))}")
+        if isinstance(self.core, Disc):  # M(D(0, rho)), rho = e^t, for M = (a z + b)/(c z + d)
+            a, b, c, d = self.disc_map
+            rho2 = np.exp(2.0 * ts)
+            d2, c2 = abs(d) ** 2, abs(c) ** 2 * rho2
+            lam = math.pi * rho2 * abs(a * d - b * c) ** 2 / (d2 - c2) ** 2
+            return lam, _ROUND * lam, 2.0 * lam * (d2 + c2) / (d2 - c2) if with_gamma else np.full(ts.shape, np.nan)
+        return self._annulus_levels(ts, with_gamma)
 
     def area(self, t: float) -> AreaEstimate:
         """Area of the sublevel set {G(., w) < t} with an attached error estimate."""
-        xs, ys, vals = self._corner_grid(t)
-        hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-        full, (si, sj) = _straddling_cells(vals, t)
-        cell_area = hx * hy
-        coeffs = self.coeffs
-        if coeffs is None:
-            area = float(np.count_nonzero(full)) * cell_area
-        else:
-            ci, cj = np.nonzero(full)
-            centers = (xs[ci] + 0.5 * hx) + 1j * (ys[cj] + 0.5 * hy)
-            area = float(np.sum(np.abs(geo.moebius_fprime(coeffs, centers)) ** 2)) * cell_area
-        err = 0.0
-        if len(si):
-            # One refinement level: 4x4 subcells with exact polygon fractions.
-            n = _REFINE
-            fx = np.linspace(0, 1, n + 1)
-            ones = np.ones((1, n + 1, n + 1))
-            sub_x = xs[si][:, None, None] + (fx[None, :, None] * hx) * ones
-            sub_y = ys[sj][:, None, None] + (fx[None, None, :] * hy) * ones
-            sub_vals = _masked_field(self.core, self.w_eff, sub_x + 1j * sub_y)
-            f00 = sub_vals[:, :-1, :-1].ravel()
-            f10 = sub_vals[:, 1:, :-1].ravel()
-            f11 = sub_vals[:, 1:, 1:].ravel()
-            f01 = sub_vals[:, :-1, 1:].ravel()
-            frac = cell_inside_fraction(f00, f10, f11, f01, t)
-            sub_area = cell_area / (n * n)
-            if coeffs is None:
-                area += float(np.sum(frac)) * sub_area
-                err = 0.05 * float(np.count_nonzero((frac > 0) & (frac < 1))) * sub_area
-            else:
-                cx = (sub_x[:, :-1, :-1] + 0.5 * hx / n).ravel()
-                cy = (sub_y[:, :-1, :-1] + 0.5 * hy / n).ravel()
-                wgt = np.abs(geo.moebius_fprime(coeffs, cx + 1j * cy)) ** 2
-                area += float(np.sum(frac * wgt)) * sub_area
-                err = 0.05 * float(np.sum(wgt[(frac > 0) & (frac < 1)])) * sub_area
-        return AreaEstimate(value=area, err_est=err)
-
-    def _critical(self) -> list[tuple[float, float]]:
-        """(level, |f''|) of each critical point, the point pulled back to the core."""
-        if self._saddles is None:
-            cps = [] if isinstance(self.core, Disc) else gr.critical_points(self.domain, self.w)
-            self._saddles = []
-            for cp in cps:
-                zc = cp.location if self.coeffs is None else geo.moebius_inverse(self.coeffs, cp.location)
-                f2 = abs(complex(gr.green_fsecond_raw(self.core, self.w_eff, np.asarray(zc))))
-                self._saddles.append((cp.level, f2))
-        return self._saddles
+        lam, err, _ = self._levels([t], with_gamma=False)
+        return AreaEstimate(value=float(lam[0]), err_est=float(err[0]))
 
     def coarea(self, t: float) -> float:
         """gamma'(t): the level-curve integral of 1 / |grad G| at level t.
 
-        Raises CriticalLevel when t is so close to a critical value that the
-        saddle pinch of {G = t} cannot be resolved by the grid (half-width
-        sqrt(|t - t0| / |f''|) under two cells); the integrand degenerates
-        there and the true integral diverges logarithmically.
+        Raises CriticalLevel when t equals the critical level t0 to rounding
+        (the level curve pinches at the saddle and the integral diverges
+        logarithmically), or when the rule's n- and 2n-node values of gamma'
+        do not agree to _GAMMA_TOL, as happens just below t0.
         """
-        xs, ys, vals = self._corner_grid(t)
-        hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-        for level, f2 in self._critical():
-            band = 25.0 * (hx * hx + hy * hy) * f2
-            if abs(t - level) < band:
-                raise CriticalLevel(f"level {t} within {band} of critical level {level}")
-        starts, ends = _grid_segments(xs, ys, vals, t)
-        if len(starts) == 0:
-            return 0.0
-        seg_len = np.abs(ends - starts)
-        keep = seg_len > 1e-300
-        starts, ends, seg_len = starts[keep], ends[keep], seg_len[keep]
-        mids = 0.5 * (starts + ends)
-        grad = np.abs(gr.green_fprime_raw(self.core, self.w_eff, mids))
-        if self.coeffs is None:
-            return float(np.sum(seg_len / grad))
-        wgt = np.abs(geo.moebius_fprime(self.coeffs, mids)) ** 2
-        return float(np.sum(seg_len * wgt / grad))
+        _, _, gam = self._levels([t], with_gamma=True)
+        if np.isnan(gam[0]):
+            raise CriticalLevel(f"gamma' at level {t} not resolved (critical level {self.t0})")
+        return float(gam[0])
 
     def contours(self, t: float) -> list[np.ndarray]:
         """Level curves of G at level t as closed polylines in image coordinates."""
-        xs, ys, vals = self._corner_grid(t)
-        starts, ends = _grid_segments(xs, ys, vals, t)
-        polylines = _chain_segments(starts, ends, tol=1e-9 * max(xs[1] - xs[0], ys[1] - ys[0]))
-        if self.coeffs is not None:
-            polylines = [geo.moebius_forward(self.coeffs, p) for p in polylines]
-        return polylines
+        if not t < 0:
+            raise LevelAbovePeak(f"need t < 0, got {t}")
+        n = max(self.resolution, 8)
+        if isinstance(self.core, Disc):
+            circle = math.exp(t) * np.exp(2j * math.pi * np.arange(n + 1) / n)
+            return [geo.moebius_forward(self.disc_map, circle)]
+        end = math.pi if t >= self.t0 else float(self._tips(np.array([t]))[0])
+        phi = 0.5 * end * (1.0 - np.cos(math.pi * np.arange(n + 1) / n))
+        x_lo, x_hi = self._roots(np.full(phi.shape, t), phi)
+        ring, lo, hi = (np.concatenate([s * v[:0:-1], v]) for s, v in ((-1, phi), (1, x_lo), (1, x_hi)))  # -end..end
+        if t >= self.t0:
+            curves = [np.exp(hi + 1j * ring), np.exp(lo + 1j * ring)]
+        else:
+            curves = [np.exp(np.concatenate([hi, lo[-2::-1]]) + 1j * np.concatenate([ring, ring[-2::-1]]))]
+        return [geo.moebius_forward(self.frame, c) for c in curves]
 
     def profile(self, t_min: float, t_max: float, steps: int, with_gamma: bool = True) -> SublevelProfile:
         """Uniform t grid with areas, co-area derivatives and convexity data."""
@@ -488,18 +390,7 @@ class LevelField:
         if steps < 8:
             raise ValueError("need at least 8 profile steps")
         ts = np.linspace(t_min, t_max, steps)
-        lam = np.empty(steps)
-        err = np.empty(steps)
-        gp = np.full(steps, np.nan)
-        for i, t in enumerate(ts):
-            est = self.area(float(t))
-            lam[i] = est.value
-            err[i] = est.err_est
-            if with_gamma:
-                try:
-                    gp[i] = self.coarea(float(t))
-                except CriticalLevel:
-                    pass  # marked by nan, skipped
+        lam, err, gp = self._levels(ts, with_gamma)
         ll = np.log(lam)
         d2 = np.full(steps, np.nan)
         dt = ts[1] - ts[0]
@@ -554,9 +445,10 @@ def profile_scan(
 def convexity_report(profile: SublevelProfile, t0: float) -> ConvexityReport:
     """Scan second differences of log lambda around t0 and issue a verdict.
 
-    The noise floor is estimated by recomputing the profile at half the
-    grid resolution: the difference of the two second-difference fields
-    isolates the grid error, since the t samples are identical.
+    The noise floor is what the areas' own error estimates allow a second
+    difference: (e[i-1] + 2 e[i] + e[i+1]) / dt^2 with e = err_est / lambda,
+    the largest over the window.  err_est is the gap between the n- and
+    2n-node rules plus rounding, so the floor has no absolute part.
     """
     ts = profile.t_samples
     lo = max(ts[0], t0 - 0.2)
@@ -564,17 +456,10 @@ def convexity_report(profile: SublevelProfile, t0: float) -> ConvexityReport:
     inner = (ts >= lo) & (ts <= hi) & ~np.isnan(profile.second_diff)
     if np.count_nonzero(inner) < 8:
         raise WindowTooNarrow(f"only {np.count_nonzero(inner)} usable samples in [{lo}, {hi}]")
-    half = profile_scan(
-        profile.domain,
-        profile.pole,
-        float(ts[0]),
-        float(ts[-1]),
-        len(ts),
-        max(64, profile.resolution // 2),
-        with_gamma=False,
-    )
-    diff = np.abs(profile.second_diff[inner] - half.second_diff[inner])
-    floor = 3.0 * float(np.max(diff))
+    rel = profile.err_est / profile.lam
+    bound = np.full(len(ts), np.nan)
+    bound[1:-1] = (rel[:-2] + 2 * rel[1:-1] + rel[2:]) / (ts[1] - ts[0]) ** 2
+    floor = float(np.max(bound[inner]))
     d2 = profile.second_diff[inner]
     i = int(np.argmin(d2))
     verdict = "NonConvexDetected" if d2[i] < -floor else "ConvexWithinTolerance"
@@ -594,7 +479,7 @@ def monotonicity_check(profile: SublevelProfile) -> tuple[float, bool]:
     The kernel lower bound 1/(e^{-2t} lambda) is non-increasing in t, i.e.
     e^{-2t} lambda(t) never drops as t rises toward 0.  The tolerance is
     inherited from the per-sample area error estimates, so a genuine drop
-    fails while grid jitter passes.
+    fails while quadrature noise passes.
     """
     e2t = profile.e2t_lambda
     ts = profile.t_samples

@@ -1,8 +1,8 @@
 """Named theorem checks and the verification suite that strings them together.
 
 Kernels come from the orthonormal-frame module, capacities and Green
-maxima from the dual-nome image series or closed forms, areas from the
-grid machinery, and the Monte Carlo module supplies statistical referees.
+maxima from the dual-nome image series or closed forms, areas from slice
+quadrature, and the Monte Carlo module supplies statistical referees.
 So the kernel checks (suita, thm1, thm2, blb) compare two routes that
 share no series; poisson reads G and c from the same images.  The
 annulus capacity is the closed-form k = 0 limit plus the other images at

@@ -233,6 +233,20 @@ class TestSublevelCommand:
         assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
 
+class TestNonconvexityScript:
+    def test_thin_ring_runs(self, tmp_path, monkeypatch, capsys):
+        # the script reads thm4_scan, profile_scan and LevelField contours
+        import runpy
+
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts", "annulus_nonconvexity.py")
+        main = runpy.run_path(script)["main"]
+        svg = tmp_path / "saddle.svg"
+        monkeypatch.setattr(sys, "argv", ["annulus_nonconvexity.py", "0.8", "0.9", str(svg)])
+        assert main() == 0
+        assert "verdict: NonConvexDetected" in capsys.readouterr().out
+        assert svg.read_text().count("<polyline") >= 3  # one curve set per level, three levels
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run(

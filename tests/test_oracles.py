@@ -8,7 +8,8 @@ from suita_lab import geometry as geo
 from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
-from suita_lab.errors import PointOutsideDomain, UnsupportedDomain
+from suita_lab import verify as vf
+from suita_lab.errors import LevelAbovePeak, PointOutsideDomain, UnsupportedDomain
 from suita_lab.geometry import Annulus, MoebiusImage
 
 
@@ -103,6 +104,28 @@ class TestMcArea:
         a = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 50_000, 21)
         b = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 50_000, 21)
         assert a == b
+
+
+class TestGridArea:
+    # The plan's three blb profiles and the Moebius annulus, at both ends of
+    # their windows: the slice quadrature lies inside the grid's error bar.
+    @pytest.mark.parametrize(
+        "literal, w, t_min, t_max",
+        vf.SuiteConfig().blb_entries + [("moebius:1,0.15,0.15,1;base=annulus:0.5", 0.75 + 0j, -1.2, -0.2)],
+    )
+    def test_referees_slice_quadrature(self, literal, w, t_min, t_max):
+        domain = geo.parse_domain(literal)
+        for t in (t_min, t_max):
+            ref = oc.grid_area(domain, w, t, 2048)
+            assert abs(sl.sublevel_area(domain, w, t).value - ref.value) <= ref.err_est
+
+    def test_level_guard(self, annulus_half):
+        with pytest.raises(LevelAbovePeak):
+            oc.grid_area(annulus_half, 0.7 + 0j, 0.0, 64)
+
+    def test_polygon_unsupported(self, unit_square):
+        with pytest.raises(UnsupportedDomain):
+            oc.grid_area(unit_square, 0.5 + 0.5j, -1.0, 64)
 
 
 class TestRobinExtrapolate:

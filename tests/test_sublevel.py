@@ -10,7 +10,7 @@ from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab.errors import CriticalLevel, LevelAbovePeak, UnsupportedDomain
 
-RES = 512  # module tests run at reduced resolution; acceptance uses 1024
+RES = 512  # contour samples; areas and gamma' do not depend on it
 
 
 class TestSublevelArea:
@@ -42,11 +42,24 @@ class TestSublevelArea:
         assert abs(est.value - mc.mean) <= 3 * mc.std_error
 
     def test_moebius_pullback_area(self, unit_disc, blaschke_disc):
-        # Blaschke image of the unit disc is the unit disc: areas agree
-        w = 0.2 + 0.1j
-        direct = sl.sublevel_area(unit_disc, w, -0.8, RES)
-        pulled = sl.sublevel_area(blaschke_disc, w, -0.8, RES)
-        assert pulled.value == pytest.approx(direct.value, rel=1e-4)
+        # Blaschke image of the unit disc is the unit disc: both areas are
+        # the pseudo-hyperbolic disc's, pi (rho (1 - a^2) / (1 - rho^2 a^2))^2
+        w, t = 0.2 + 0.1j, -0.8
+        rho, a = math.exp(t), abs(w)
+        exact = math.pi * (rho * (1 - a * a) / (1 - rho * rho * a * a)) ** 2
+        for domain in (unit_disc, blaschke_disc):
+            assert sl.sublevel_area(domain, w, t, RES).value == pytest.approx(exact, rel=1e-14)
+
+    def test_thin_ring_near_critical_levels(self, annulus_thin):
+        # Next to the pole an O(1) field rounds to about 1e-17 on the
+        # circles, while |t| is about 1e-19: slice roots there must sit on
+        # the circle, or a few percent of the area goes missing.
+        field = sl.LevelField(annulus_thin, 0.9 + 0j, RES)
+        for t in (0.5 * field.t0, 1.5 * field.t0):
+            est = field.area(t)
+            ref = oc.grid_area(annulus_thin, 0.9 + 0j, t, 2048)
+            assert abs(est.value - ref.value) <= ref.err_est
+            assert est.err_est <= 1e-12 * est.value  # the n- and 2n-node rules agree
 
     def test_deep_level_asymptotics(self, annulus_half):
         # lambda(t) e^{-2t} -> pi / c^2 as t -> -inf
@@ -77,13 +90,15 @@ class TestCoareaDerivative:
 
     def test_growth_toward_critical_level(self, annulus_half):
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
-        values = [sl.coarea_derivative(annulus_half, 0.7 + 0j, t0 - gap, RES) for gap in (1e-1, 1e-2, 1e-3)]
-        assert values[0] < values[1] < values[2]
+        gaps = (1e-1, 1e-2, 1e-3, 1e-6, 1e-9)
+        values = [sl.coarea_derivative(annulus_half, 0.7 + 0j, t0 - gap, RES) for gap in gaps]
+        assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_critical_level_guard(self, annulus_half):
+        # at t0 itself the level curve pinches and gamma' diverges
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
         with pytest.raises(CriticalLevel):
-            sl.coarea_derivative(annulus_half, 0.7 + 0j, t0 - 1e-9, RES)
+            sl.coarea_derivative(annulus_half, 0.7 + 0j, t0, RES)
 
 
 @pytest.fixture(scope="module")
@@ -164,14 +179,19 @@ class TestConvexityReport:
         assert report.verdict == "ConvexWithinTolerance"
 
     def test_noise_floor_has_no_absolute_term(self, unit_disc, monkeypatch):
-        # A half-resolution profile identical to the main one leaves no grid
-        # error, so a second difference of -5e-10 is a real concavity: the
-        # floor is relative to the measured noise and has no absolute part.
+        # Areas whose n- and 2n-node rules agree exactly, with no rounding,
+        # carry err_est = 0, so a second difference of -5e-10 is a real
+        # concavity: the floor comes from the profile's own error estimates
+        # alone, has no absolute part, and needs no second profile.
         profile = sl.profile_scan(unit_disc, 0j, -1.2, -0.4, 24, 64, with_gamma=False)
         d2 = np.full(24, -5e-10)
         d2[0] = d2[-1] = np.nan
-        profile = dataclasses.replace(profile, second_diff=d2)
-        monkeypatch.setattr(sl, "profile_scan", lambda *args, **kwargs: profile)
+        profile = dataclasses.replace(profile, second_diff=d2, err_est=np.zeros(24))
+
+        def no_second_profile(*args, **kwargs):
+            raise AssertionError("convexity_report re-profiled")
+
+        monkeypatch.setattr(sl, "profile_scan", no_second_profile)
         report = sl.convexity_report(profile, -0.8)
         assert report.noise_floor == 0.0
         assert report.verdict == "NonConvexDetected"
@@ -196,19 +216,19 @@ class TestContours:
 
 
 class TestLevelField:
-    def test_profile_runs_one_coarse_scan(self, unit_disc, monkeypatch):
-        # centred pole: the analytic shell covers the whole coarse scan, so
-        # each scan is one field call of exactly 256^2 points
-        sizes = []
-        raw = gr.green_values_raw
+    def test_profile_runs_one_saddle_search(self, annulus_half, monkeypatch):
+        # the work that does not depend on t (the saddle, and from it the fan
+        # of slice minima) is done once for all the levels of a profile
+        calls = []
+        search = gr.critical_points
 
-        def counted(core, w, z):
-            sizes.append(np.size(z))
-            return raw(core, w, z)
+        def counted(domain, w):
+            calls.append(w)
+            return search(domain, w)
 
-        monkeypatch.setattr(gr, "green_values_raw", counted)
-        sl.profile_scan(unit_disc, 0j, -3.0, -0.1, 16, RES, with_gamma=True)
-        assert sizes.count(sl._COARSE**2) == 1
+        monkeypatch.setattr(gr, "critical_points", counted)
+        sl.profile_scan(annulus_half, 0.7 + 0j, -1.2, -0.2, 16, RES, with_gamma=True)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "fixture, w, t_min, t_max",
