@@ -54,12 +54,20 @@ class NonConvergence(SuitaLabError):
     """Monte Carlo walks failed to reach the boundary capture rate."""
 
 
+class TooFewSamples(SuitaLabError):
+    """A Monte Carlo estimate needs more samples than were asked for."""
+
+
 class LevelAbovePeak(SuitaLabError):
     """Sublevel queries need a negative level t < 0."""
 
 
 class CriticalLevel(SuitaLabError):
     """Level too close to a critical value of the Green function."""
+
+
+class BelowResolution(SuitaLabError):
+    """Sublevel area smaller than its own error estimate."""
 
 
 class StencilOutsideDomain(SuitaLabError):

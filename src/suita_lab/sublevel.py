@@ -37,6 +37,7 @@ import numpy as np
 from . import geometry as geo
 from . import green as gr
 from .errors import (
+    BelowResolution,
     ConvergenceFailure,
     CriticalLevel,
     LevelAbovePeak,
@@ -336,6 +337,8 @@ class LevelField:
     # -- public reads --------------------------------------------------------
 
     def _levels(self, ts, with_gamma: bool):
+        """lambda, err_est and gamma' at the levels ts; a level whose err_est
+        is not below its lambda is refused (BelowResolution)."""
         ts = np.asarray(ts, dtype=float)
         if not np.all(ts < 0):
             raise LevelAbovePeak(f"need t < 0, got {float(np.max(ts))}")
@@ -344,8 +347,15 @@ class LevelField:
             rho2 = np.exp(2.0 * ts)
             d2, c2 = abs(d) ** 2, abs(c) ** 2 * rho2
             lam = math.pi * rho2 * abs(a * d - b * c) ** 2 / (d2 - c2) ** 2
-            return lam, _ROUND * lam, 2.0 * lam * (d2 + c2) / (d2 - c2) if with_gamma else np.full(ts.shape, np.nan)
-        return self._annulus_levels(ts, with_gamma)
+            err = _ROUND * lam
+            gam = 2.0 * lam * (d2 + c2) / (d2 - c2) if with_gamma else np.full(ts.shape, np.nan)
+        else:
+            lam, err, gam = self._annulus_levels(ts, with_gamma)
+        lost = ~(err < lam)
+        if np.any(lost):
+            i = int(np.argmax(lost))
+            raise BelowResolution(f"area {lam[i]:.3g} at level {ts[i]} does not exceed its error estimate {err[i]:.3g}")
+        return lam, err, gam
 
     def area(self, t: float) -> AreaEstimate:
         """Area of the sublevel set {G(., w) < t} with an attached error estimate."""

@@ -488,9 +488,10 @@ def _oracle_checks(config: SuiteConfig, overrides) -> list[Check]:
         ref = gr.green_eval(ann, 0.7 + 0j, z).value
         stat_check("oracle_wos_green", ann, 0.7 + 0j, f"z={_fmt_pole(z)};walks={est.samples};seed={seed}", est.mean - ref, est.std_error)
 
+    field = sl.LevelField(ann, 0.7 + 0j, config.grid)
     for t in (-0.5, -1.0):
         est = oc.mc_area(ann, 0.7 + 0j, t, config.mc_samples, seed)
-        ref = sl.sublevel_area(ann, 0.7 + 0j, t, config.grid).value
+        ref = field.area(t).value
         stat_check("oracle_mc_area", ann, 0.7 + 0j, f"t={t};samples={est.samples};seed={seed}", est.mean - ref, est.std_error)
 
     for domain, w in ((Disc(0j, 1.0), 0.5 + 0j), (ann, 0.7 + 0j), (geo.parse_domain("moebius:1,-0.3,-0.3,1;base=disc:0,0,1"), 0.2 + 0.1j)):

@@ -54,6 +54,14 @@ class TestParsing:
         out = capsys.readouterr().out.strip()
         assert out.split(",")[0] == "0.333333333333"  # 12 significant digits
 
+    @pytest.mark.parametrize("kind, samples", [("wos", "1"), ("wos", "0"), ("area", "0"), ("area", "-3")])
+    def test_too_few_samples_exit_2(self, capsys, kind, samples):
+        args = ["oracle", kind, "--domain", "disc:0,0,1", "--pole", "0,0", "--at", "0.5,0", "--level", "-1"]
+        assert run_cli(args + ["--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: need at least" in captured.err
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("SUITA_LAB_SEED", "1234")
         run_cli(["oracle", "wos", "--domain", "disc:0,0,1", "--pole", "0,0", "--at", "0.5,0", "--samples", "2000"])

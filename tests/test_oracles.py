@@ -9,8 +9,8 @@ from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
-from suita_lab.errors import LevelAbovePeak, PointOutsideDomain, UnsupportedDomain
-from suita_lab.geometry import Annulus, MoebiusImage
+from suita_lab.errors import LevelAbovePeak, NonConvergence, PointOutsideDomain, TooFewSamples, UnsupportedDomain
+from suita_lab.geometry import Annulus, MoebiusImage, Polygon
 
 
 class TestCounterUniform:
@@ -43,7 +43,85 @@ class TestCounterUniform:
         assert block[5] == single[0]
 
 
+class TestUnitDirections:
+    def test_matches_high_precision_trig(self):
+        # 2 pi u against 120-bit cos and sin, on random counters and on the
+        # edges of the table: u = 0, each table entry +- 1 ulp of u, u < 1
+        mpmath = pytest.importorskip("mpmath")
+        step = 1 << (53 - oc._TABLE_BITS)
+        edges = np.arange(1 << oc._TABLE_BITS, dtype=np.uint64) * np.uint64(step)
+        k = np.concatenate(
+            [
+                oc._key_bits(oc._counter_keys(oc._stream_base(5, 1), np.arange(10_000))),
+                edges,
+                edges[1:] - np.uint64(1),
+                edges + np.uint64(1),
+                np.array([0, (1 << 53) - 1], dtype=np.uint64),
+            ]
+        )
+        cos, sin = oc._unit_directions(k.copy())
+        worst = 0.0
+        with mpmath.workprec(120):
+            for ki, c, s in zip(k.tolist(), cos.tolist(), sin.tolist()):
+                angle = 2 * mpmath.pi * mpmath.mpf(ki) / 2**53
+                worst = max(worst, abs(c - mpmath.cos(angle)), abs(s - mpmath.sin(angle)))
+        assert worst <= 8e-16
+
+    def test_stepped_keys_are_the_step_counters(self):
+        # the walker steps a walk's key by step * golden: that must be the
+        # key of the counter (walk << _STEP_BITS) | step
+        base = oc._stream_base(42, oc._STREAM_WOS)
+        first = np.arange(50, dtype=np.uint64) << np.uint64(oc._STEP_BITS)
+        for step in (0, 1, 7, oc.MAX_STEPS - 1):
+            with np.errstate(over="ignore"):
+                stepped = oc._counter_keys(base, first) + np.uint64(step) * oc._GOLDEN
+            assert np.array_equal(stepped, oc._counter_keys(base, first | np.uint64(step)))
+
+
 class TestWosGreen:
+    # (mean, std_error) of the default plan's four walk-on-spheres calls,
+    # frozen from the walker that drew directions with exp(2 pi i u)
+    PLAN = [
+        (Annulus(0.5), 0.7 + 0j, 0.55 + 0.3j, 100_000, 42, -0.1785200601995981, 0.001150966359231513),
+        (Annulus(0.5), 0.7 + 0j, -0.62 + 0.1j, 100_000, 42, 0.0006505589762011987, 0.000517528528740207),
+        (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), 0.5 + 0.5j, 0.25 + 0.25j, 50_000, 42, -0.44102212590352197, 0.0003704399847705794),
+        (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), 0.25 + 0.25j, 0.5 + 0.5j, 50_000, 43, -0.441166772046783, 0.0020353783846669073),
+    ]
+
+    @pytest.mark.parametrize("call", range(4), ids=["annulus_a", "annulus_b", "square_a", "square_b"])
+    def test_plan_calls_reproduce_frozen_estimates(self, call):
+        domain, w, z, walks, seed, mean, std_error = self.PLAN[call]
+        est = oc.wos_green(domain, w, z, walks, seed)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+    def test_capture_shell_start_scores_on_step_zero(self, unit_disc):
+        # every walk starts inside the shell, so it is projected where it starts
+        z, w = complex(1 - 0.5 * oc.CAPTURE_EPS), 0.3 + 0j
+        est = oc.wos_green(unit_disc, w, z, 1000, 8)
+        assert est.mean == pytest.approx(math.log(abs(z - w)) - math.log(abs(1 - w)), rel=1e-15, abs=1e-16)
+        assert est.std_error <= 1e-16
+
+    @pytest.mark.parametrize("domain", [Annulus(0.5), Polygon((0j, 1 + 0j, 1 + 1j, 1j))], ids=["annulus", "square"])
+    def test_block_size_does_not_change_estimate(self, domain, monkeypatch):
+        # each draw depends on (walk, step) alone, and captured walks are
+        # scored by walk index, so neither the blocks nor the order in
+        # which compaction leaves the live walks can move a bit
+        w, z = (0.7 + 0j, -0.6 + 0.2j) if isinstance(domain, Annulus) else (0.5 + 0.5j, 0.2 + 0.3j)
+        ref = oc.wos_green(domain, w, z, 1000, 17)
+        monkeypatch.setattr(oc, "_BLOCK", 96)
+        assert oc.wos_green(domain, w, z, 1000, 17) == ref
+
+    def test_uncaptured_walks_refused(self, annulus_half, monkeypatch):
+        monkeypatch.setattr(oc, "MAX_STEPS", 3)
+        with pytest.raises(NonConvergence):
+            oc.wos_green(annulus_half, 0.7 + 0j, -0.6 + 0.1j, 1000, 1)
+
+    def test_too_few_walks_refused(self, unit_disc):
+        for walks in (-1, 0, 1):
+            with pytest.raises(TooFewSamples):
+                oc.wos_green(unit_disc, 0j, 0.5 + 0j, walks, 1)
+
     def test_disc_center_exact(self, unit_disc):
         est = oc.wos_green(unit_disc, 0j, 0.5 + 0j, 20_000, 42)
         # score variance is ~0 here: every exit point has |x| = 1
@@ -99,6 +177,12 @@ class TestMcArea:
         est = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 200_000, 12)
         ref = sl.sublevel_area(annulus_half, 0.7 + 0j, -0.5, 512).value
         assert abs(est.mean - ref) <= 3 * est.std_error
+
+    def test_too_few_samples_refused(self, unit_disc):
+        for samples in (-5, 0):
+            with pytest.raises(TooFewSamples):
+                oc.mc_area(unit_disc, 0j, -1.0, samples, 1)
+        assert oc.mc_area(unit_disc, 0j, -1.0, 1, 1).samples == 1
 
     def test_deterministic(self, annulus_half):
         a = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 50_000, 21)

@@ -8,7 +8,7 @@ from suita_lab import bergman as bg
 from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
-from suita_lab.errors import CriticalLevel, LevelAbovePeak, UnsupportedDomain
+from suita_lab.errors import BelowResolution, CriticalLevel, LevelAbovePeak, UnsupportedDomain
 
 RES = 512  # contour samples; areas and gamma' do not depend on it
 
@@ -70,6 +70,18 @@ class TestSublevelArea:
     def test_level_guard(self, unit_disc):
         with pytest.raises(LevelAbovePeak):
             sl.sublevel_area(unit_disc, 0j, 0.1, RES)
+
+    def test_area_below_its_error_estimate_refused(self, annulus_half):
+        # At t = -40 the set is smaller than one ulp of the pole's
+        # coordinates: the slice roots give 2.2e-34 with err_est 6.5e-33,
+        # while pi e^{-80} / c^2 is 5.4e-36.
+        with pytest.raises(BelowResolution):
+            sl.sublevel_area(annulus_half, 0.7 + 0j, -40.0, RES)
+        with pytest.raises(BelowResolution):
+            sl.profile_scan(annulus_half, 0.7 + 0j, -40.0, -20.0, 8, RES, with_gamma=False)
+        for t in (-20.0, -6.0):
+            est = sl.sublevel_area(annulus_half, 0.7 + 0j, t, RES)
+            assert 0 < est.err_est < est.value
 
     def test_polygon_unsupported(self, unit_square):
         with pytest.raises(UnsupportedDomain):

@@ -203,6 +203,22 @@ class TestRunSuite:
         assert report.checks
         assert all(c.name.startswith("thm1") for c in report.checks)
 
+    def test_oracle_area_references_share_one_field(self, monkeypatch):
+        # both oracle_mc_area references are read from one LevelField, so
+        # the saddle search and its fan of slice minima run once
+        built = []
+
+        class Counted(sl.LevelField):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sl, "LevelField", Counted)
+        cfg = vf.SuiteConfig(wos_walks=1000, mc_samples=1000)
+        checks = vf._oracle_checks(cfg, {})
+        assert [c.params.split(";")[0] for c in checks if c.name == "oracle_mc_area"] == ["t=-0.5", "t=-1.0"]
+        assert len(built) == 1
+
     def test_default_plan_shape(self):
         plan = vf.default_plan()
         assert len(plan) == 16
