@@ -28,8 +28,10 @@ Gradients come from term-wise differentiation: writing G = Re f with f
 holomorphic in z, grad G = (Re f', -Im f').  The same f'' feeds the Newton
 refinement of critical points.
 
-Everything is vectorized over numpy arrays of complex z; the scalar public
-operations wrap the array kernels.
+Everything is vectorized over numpy arrays of complex z.  One pass of the
+annulus series serves every query: it forms the strip coordinates once,
+holds the images on the leading array axis, and takes z in fixed-size
+blocks, returning whichever of G, f', f'' and the tail bound are asked for.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ class CriticalPoint:
 # ---------------------------------------------------------------------------
 
 
+# Points per block of the dual-nome pass: the image axis holds at most
+# (2K + 1) * _BLOCK values, however many points are asked for.
+_BLOCK = 8192
+
+
 def _dual_log_nome(q: float) -> float:
     """log p for the dual nome p = exp(-2 pi^2 / log(1/q))."""
     return -2.0 * math.pi**2 / -math.log(q)
@@ -104,92 +111,91 @@ def annulus_dual_terms(q: float) -> int:
     return max(1, int(math.ceil(math.log(target) / log_p)))
 
 
-def _strip_coords(q: float, w: Point, z: np.ndarray):
-    """Angles across the ring and the image offsets along it.
-
-    theta = pi log(|z|/q) / h lies in (0, pi) inside the annulus
-    (h = log(1/q)); the image k sits at the offset L_k = pi (arg(z/w) +
-    2 pi k) / h along the strip, with the principal arg(z/w), so
-    |L_0| <= pi^2 / h.
-    """
-    h = -math.log(q)
-    theta = math.pi * np.log(np.abs(z) / q) / h
-    theta0 = math.pi * math.log(abs(w) / q) / h
-    l0 = math.pi * np.angle(z * np.conj(w)) / h
-    n = annulus_dual_terms(q)
-    offsets = [l0 + k * (2.0 * math.pi**2 / h) for k in range(-n, n + 1)]
-    return h, theta, theta0, offsets
-
-
-def _dual_values(q: float, w: Point, z: np.ndarray) -> np.ndarray:
-    """G = sum_k 1/2 log((sinh^2(L_k/2) + sin^2((theta - theta0)/2)) /
-    (sinh^2(L_k/2) + sin^2((theta + theta0)/2))).
-
-    Each term is evaluated as 1/2 log1p(-rho) with rho = sin(theta)
-    sin(theta0) / (sinh^2(L_k/2) + sin^2((theta + theta0)/2)), which
-    involves no cancellation however small the term; only next to the
-    pole (rho > 1/2) is the quotient itself taken.
-    """
-    _, theta, theta0, offsets = _strip_coords(q, w, z)
-    num = np.sin(theta) * math.sin(theta0)
-    a_minus = np.sin(0.5 * (theta - theta0)) ** 2
-    a_plus = np.sin(0.5 * (theta + theta0)) ** 2
-    acc = np.zeros(np.shape(z))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for lk in offsets:
-            sh2 = np.sinh(0.5 * lk) ** 2
-            rho = num / (sh2 + a_plus)
-            term = np.log1p(-rho)
-            near = rho > 0.5
-            if np.any(near):
-                term = np.where(near, np.log((sh2 + a_minus) / (sh2 + a_plus)), term)
-            acc += 0.5 * term
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the image axis from 0.0, one image after another (np.sum
+    would add runs of them pairwise, which moves the last bit)."""
+    acc = 0.0 + rows[0]
+    for row in rows[1:]:
+        acc += row
     return acc
 
 
-def _dual_images(q: float, w: Point, z: np.ndarray):
-    """Per image: v_k = exp(-|L_k| +- i theta) with |v_k| <= 1, the sign
-    eps_k = +-1 of L_k, and D_k = (1 - v_k e^{i theta0})(1 - v_k e^{-i theta0}).
+def _dual_field(q: float, w: Point, z: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
+    """The parts of the field of Annulus(q) at z, in the order asked: "g"
+    (G), "f1" (f'), "f2" (f'') and "tail" (the truncation bound of G).
 
-    The image term of f' is proportional to v/D; v is the image point of
-    the upper half-plane model or its inverse, whichever lies in the unit
-    disc, so nothing overflows however far the image sits.
+    theta = pi log(|z|/q) / h in (0, pi) crosses the ring, and the image k
+    sits at the offset L_k = pi (arg(z/w) + 2 pi k) / h along the strip,
+    with the principal arg(z/w), so |L_0| <= pi^2 / h.
+
+    G = sum_k 1/2 log((sinh^2(L_k/2) + sin^2((theta - theta0)/2)) /
+    (sinh^2(L_k/2) + sin^2((theta + theta0)/2))), each term taken as
+    1/2 log1p(-rho), rho = sin(theta) sin(theta0) / (sinh^2(L_k/2) +
+    sin^2((theta + theta0)/2)), which has no cancellation however small the
+    term; only next to the pole (rho > 1/2) is the quotient itself taken.
+
+    f' = C S / z and f'' = (C / z^2) (-S + (i pi / h) sum_k eps_k v_k (1 -
+    v_k^2) / D_k^2), with C = -2 pi sin(theta0) / h, S = sum_k v_k / D_k,
+    v_k = exp(-|L_k| +- i theta), eps_k = +-1 the sign of L_k and D_k =
+    (1 - v_k e^{i theta0})(1 - v_k e^{-i theta0}).  |v_k| <= 1: v is the
+    image point of the upper half-plane model or its inverse, whichever
+    lies in the unit disc, so nothing overflows however far the image sits.
+
+    The dropped images |k| > K are each below 2.2 |sin(theta) sin(theta0)|
+    exp(-|L_k|), and beyond k = +-(K+1) they fall off by the factor p.
     """
-    h, theta, theta0, offsets = _strip_coords(q, w, z)
-    e0 = complex(math.cos(theta0), math.sin(theta0))
-    out = []
-    for lk in offsets:
-        eps = np.where(lk >= 0, 1.0, -1.0)
-        v = np.exp(-np.abs(lk) + 1j * eps * theta)
-        out.append((v, eps, (1.0 - v * e0) * (1.0 - v * e0.conjugate())))
-    return h, theta0, out
-
-
-def _dual_fprime(q: float, w: Point, z: np.ndarray) -> np.ndarray:
-    """f' = -(2 pi sin(theta0) / (h z)) sum_k v_k / D_k."""
-    h, theta0, images = _dual_images(q, w, z)
-    acc = sum(v / d for v, _, d in images)
-    return -(2.0 * math.pi * math.sin(theta0) / h) * acc / z
-
-
-def _dual_fsecond(q: float, w: Point, z: np.ndarray) -> np.ndarray:
-    """f'' from f' = C(z) S with C = -2 pi sin(theta0) / (h z):
-    f'' = (C / z) (-S + (i pi / h) sum_k eps_k v_k (1 - v_k^2) / D_k^2)."""
-    h, theta0, images = _dual_images(q, w, z)
-    s = sum(v / d for v, _, d in images)
-    t = sum(eps * v * (1.0 - v * v) / (d * d) for v, eps, d in images)
-    c = -2.0 * math.pi * math.sin(theta0) / h
-    return c * (-s + (1j * math.pi / h) * t) / (z * z)
-
-
-def _dual_tail_bound(q: float, w: Point, z: np.ndarray) -> np.ndarray:
-    """Bound on the dropped images |k| > K: each is below 2.2 |sin(theta)
-    sin(theta0)| exp(-|L_k|), and beyond k = +-(K+1) they fall off by
-    the factor p per image."""
-    h, theta, theta0, offsets = _strip_coords(q, w, z)
+    h = -math.log(q)
+    theta0 = math.pi * math.log(abs(w) / q) / h
+    sin0 = math.sin(theta0)
+    e0 = complex(math.cos(theta0), sin0)
+    c = -2.0 * math.pi * sin0 / h
     step = 2.0 * math.pi**2 / h
-    edge = np.exp(-np.abs(offsets[-1] + step)) + np.exp(-np.abs(offsets[0] - step))
-    return 2.2 * np.abs(np.sin(theta) * math.sin(theta0)) * edge / (1.0 - math.exp(_dual_log_nome(q)))
+    n = annulus_dual_terms(q)
+    shifts = np.arange(-n, n + 1) * step
+    if z.ndim:  # a 0-d z is one block, whose images lie on a 1-D array
+        shifts = shifts[:, None]
+    blocks = [z] if z.ndim == 0 else [z.reshape(-1)[b : b + _BLOCK] for b in range(0, max(z.size, 1), _BLOCK)]
+    cw = np.conj(w)
+    results = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for zb in blocks:
+            zw = zb * cw
+            theta = math.pi * np.log(np.abs(zb) / q) / h
+            offsets = math.pi * np.arctan2(zw.imag, zw.real) / h + shifts
+            out = {}
+            if "g" in parts or "tail" in parts:
+                neg_num = np.sin(theta) * -sin0
+            if "g" in parts:
+                s_plus = np.sin(0.5 * (theta + theta0))
+                a_plus = s_plus * s_plus  # not ** 2, which is pow() on a numpy scalar
+                sh2 = np.sinh(0.5 * offsets) ** 2
+                neg_rho = neg_num / (sh2 + a_plus)
+                terms = np.log1p(neg_rho)
+                near = neg_rho < -0.5
+                if near.any():
+                    s_minus = np.sin(0.5 * (theta - theta0))
+                    a_minus = s_minus * s_minus
+                    terms = np.where(near, np.log((sh2 + a_minus) / (sh2 + a_plus)), terms)
+                out["g"] = _row_sum(0.5 * terms)
+            if "f1" in parts or "f2" in parts:
+                # eps (i theta - L) = -|L| +- i theta exactly: L_k is never -0.0
+                eps = np.copysign(1.0, offsets)
+                v = np.exp(eps * (1j * theta - offsets))
+                d = (1.0 - v * e0) * (1.0 - v * e0.conjugate())
+                s = _row_sum(v / d)
+                out["f1"] = c * s / zb
+            if "f2" in parts:
+                t = _row_sum(eps * v * (1.0 - v * v) / (d * d))
+                out["f2"] = c * (-s + (1j * math.pi / h) * t) / (zb * zb)
+            if "tail" in parts:
+                # exp(-|L|) at L_{K+1} = L_K + step > 0 and L_{-K-1} = L_{-K} - step < 0
+                edge = np.exp(-step - offsets[-1]) + np.exp(offsets[0] - step)
+                out["tail"] = 2.2 * np.abs(neg_num) * edge / (1.0 - math.exp(_dual_log_nome(q)))
+            results.append([out[p] for p in parts])
+    if z.ndim == 0:
+        return results[0]
+    columns = results[0] if len(results) == 1 else [np.concatenate(col) for col in zip(*results)]
+    return [col.reshape(z.shape) for col in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +203,49 @@ def _dual_tail_bound(q: float, w: Point, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _require_series_domain(domain: Domain) -> tuple[Domain, tuple[complex, complex, complex, complex]]:
+def _pull_back(domain: Domain, w: Point, z) -> tuple:
+    """(core, Moebius coefficients or None, w and z pulled back to the core,
+    z as an array).  Points of z at the image of infinity pull back to
+    infinity; w there raises ZeroDivisionError."""
     core, coeffs = geo.flatten_moebius(domain)
-    if isinstance(core, (Polygon, PolarComplement)):
+    z = np.asarray(z, dtype=complex)
+    if not isinstance(domain, MoebiusImage):
+        return core, None, w, z, z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta = np.asarray(geo.moebius_inverse(coeffs, z))
+    return core, coeffs, geo.moebius_inverse(coeffs, w), zeta, z
+
+
+def _field(core: Domain, coeffs, w: Point, zeta: np.ndarray, z: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
+    """The parts (see _dual_field) of G at z, from the field of the core
+    with pole w at the pulled-back points zeta; f' and f'' are pushed
+    through the inverse of the Moebius map when coeffs is not None."""
+    inner = parts
+    if coeffs is not None and "f2" in parts and "f1" not in parts:
+        inner = parts + ("f1",)  # the push of f'' needs f'
+    if isinstance(core, Annulus):
+        out = dict(zip(inner, _dual_field(core.q, w, zeta, inner)))
+    elif isinstance(core, Disc):
+        u, v, r2 = zeta - core.center, w - core.center, core.radius * core.radius
+        forms = {
+            "g": lambda: np.log(core.radius * np.abs(zeta - w) / np.abs(r2 - np.conj(v) * u)),
+            "f1": lambda: 1.0 / (zeta - w) + np.conj(v) / (r2 - np.conj(v) * u),
+            "f2": lambda: -1.0 / (zeta - w) ** 2 + np.conj(v) ** 2 / (r2 - np.conj(v) * u) ** 2,
+            "tail": lambda: np.zeros(zeta.shape),
+        }
+        with np.errstate(divide="ignore"):  # log(0) = -inf at the pole is correct
+            out = {p: forms[p]() for p in inner}
+    else:
         raise UnsupportedDomain(f"no series Green function for {type(core).__name__}; use the Monte Carlo oracle")
-    return core, coeffs
+    if coeffs is not None and ("f1" in out or "f2" in out):
+        a, b, c, d = coeffs
+        det = a * d - b * c
+        ip = det / (a - c * z) ** 2  # derivative of the inverse map
+        if "f2" in out:
+            ipp = 2.0 * c * det / (a - c * z) ** 3
+            out["f2"] = out["f2"] * ip * ip + out["f1"] * ipp
+        out["f1"] = out["f1"] * ip
+    return [out[p] for p in parts]
 
 
 def green_values_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
@@ -211,69 +255,17 @@ def green_values_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     distance past the boundary, which the grid machinery exploits so that
     level-line interpolation stays exact near the boundary.
     """
-    core, coeffs = _require_series_domain(domain)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        zeta_z = geo.moebius_inverse(coeffs, z)
-        return green_values_raw(core, zeta_w, zeta_z)
-    with np.errstate(divide="ignore"):  # log(0) = -inf at the pole is correct
-        if isinstance(core, Disc):
-            u = z - core.center
-            v = w - core.center
-            r2 = core.radius * core.radius
-            return np.log(core.radius * np.abs(z - w) / np.abs(r2 - np.conj(v) * u))
-        return _dual_values(core.q, w, z)
+    return _field(*_pull_back(domain, w, z), ("g",))[0]
 
 
 def green_fprime_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     """f'(z) where G = Re f; grad G = (Re f', -Im f')."""
-    core, coeffs = _require_series_domain(domain)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        zeta_z = geo.moebius_inverse(coeffs, z)
-        a, b, c, d = coeffs
-        det = a * d - b * c
-        inv_prime = det / (a - c * z) ** 2  # derivative of the inverse map
-        return green_fprime_raw(core, zeta_w, zeta_z) * inv_prime
-    if isinstance(core, Disc):
-        v = w - core.center
-        r2 = core.radius * core.radius
-        return 1.0 / (z - w) + np.conj(v) / (r2 - np.conj(v) * (z - core.center))
-    return _dual_fprime(core.q, w, z)
+    return _field(*_pull_back(domain, w, z), ("f1",))[0]
 
 
 def green_fsecond_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     """f''(z); the full Hessian of G follows since G is harmonic."""
-    core, coeffs = _require_series_domain(domain)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        zeta_z = geo.moebius_inverse(coeffs, z)
-        a, b, c, d = coeffs
-        det = a * d - b * c
-        ip = det / (a - c * z) ** 2
-        ipp = 2.0 * c * det / (a - c * z) ** 3
-        return green_fsecond_raw(core, zeta_w, zeta_z) * ip * ip + green_fprime_raw(core, zeta_w, zeta_z) * ipp
-    if isinstance(core, Disc):
-        v = w - core.center
-        r2 = core.radius * core.radius
-        return -1.0 / (z - w) ** 2 + np.conj(v) ** 2 / (r2 - np.conj(v) * (z - core.center)) ** 2
-    return _dual_fsecond(core.q, w, z)
-
-
-def green_truncation_bound(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
-    """Reported bound on the series truncation error of G (0 for closed forms)."""
-    core, coeffs = _require_series_domain(domain)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        zeta_z = geo.moebius_inverse(coeffs, z)
-        return green_truncation_bound(core, zeta_w, zeta_z)
-    if isinstance(core, Disc):
-        return np.zeros(z.shape)
-    return _dual_tail_bound(core.q, w, z)
+    return _field(*_pull_back(domain, w, z), ("f2",))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +274,24 @@ def green_truncation_bound(domain: Domain, w: Point, z: np.ndarray) -> np.ndarra
 
 
 def green_eval(domain: Domain, w: Point, z: Point) -> GreenValue:
-    """Value and gradient of the Green function G(., w) at z."""
+    """Value and gradient of the Green function G(., w) at z, with a bound
+    on the series truncation error of G (0 for closed forms)."""
     if isinstance(domain, (Polygon, PolarComplement)):
         raise UnsupportedDomain("green_eval supports Disc, Annulus and their Moebius images")
     if z == w:
         raise CoincidentPoints("Green function pole: z == w")
-    if not geo.contains(domain, w):
+    try:
+        pulled = _pull_back(domain, w, z)
+    except ZeroDivisionError:  # w is the image of infinity
+        raise PointOutsideDomain(f"pole {w} outside domain") from None
+    core, _, zeta_w, zeta, _ = pulled
+    if not geo.contains(core, zeta_w):
         raise PointOutsideDomain(f"pole {w} outside domain")
-    if not geo.contains(domain, z):
+    if not geo.contains(core, zeta):
         raise PointOutsideDomain(f"evaluation point {z} outside domain")
-    za = np.asarray(z, dtype=complex)
-    value = float(green_values_raw(domain, w, za))
-    fp = complex(green_fprime_raw(domain, w, za))
-    bound = float(green_truncation_bound(domain, w, za))
-    return GreenValue(value=value, grad_x=fp.real, grad_y=-fp.imag, truncation_bound=bound)
+    value, fp, bound = _field(*pulled, ("g", "f1", "tail"))
+    fp = complex(fp)
+    return GreenValue(value=float(value), grad_x=fp.real, grad_y=-fp.imag, truncation_bound=float(bound))
 
 
 def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
@@ -336,7 +332,7 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
     with np.errstate(over="ignore"):
         sh2 = np.sinh(k * (math.pi**2 / h)) ** 2
     robin = math.log(math.pi / (2.0 * h * r * s)) + float(np.sum(np.log1p(-s * s / (sh2 + s * s))))
-    tail = float(_dual_tail_bound(q, w, np.asarray(w, dtype=complex)))
+    tail = float(_dual_field(q, w, np.asarray(w, dtype=complex), ("tail",))[0])
     return CapacityResult(capacity=math.exp(robin), robin_constant=robin, truncation_bound=tail)
 
 

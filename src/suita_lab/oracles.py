@@ -56,8 +56,9 @@ from .sublevel import AreaEstimate
 CAPTURE_EPS = 1e-6
 MAX_STEPS = 10_000
 _STEP_BITS = 14  # 2^14 > MAX_STEPS; walk index shifted past it
-_BLOCK = 8192  # walks moved per block: 64 KB temporaries stay in cache and come from the heap,
-# where whole-array ones were returned to the system after each step and faulted in again
+_BLOCK = 8192  # walks moved, or area samples drawn, per block: the walker's 64 KB temporaries stay
+# in cache and come from the heap, where whole-array ones were returned to the system after each
+# step and faulted in again; mc_area's memory stays flat in the sample count
 
 _STREAM_WOS = 0x1
 _STREAM_AREA_X = 0x2
@@ -316,16 +317,17 @@ def mc_area(domain: Domain, w: Point, t: float, samples: int, seed: int) -> McEs
     if not geo.contains(domain, w):
         raise PointOutsideDomain(f"{w} outside domain")
     x0, x1, y0, y1 = geo.bounding_box(domain)
-    idx = np.arange(samples, dtype=np.uint64)
-    xs = x0 + (x1 - x0) * counter_uniform(seed, _STREAM_AREA_X, idx)
-    ys = y0 + (y1 - y0) * counter_uniform(seed, _STREAM_AREA_Y, idx)
-    pts = xs + 1j * ys
-    inside = geo.contains_mask(domain, pts)
-    hits = np.zeros(samples, dtype=bool)
-    if np.any(inside):
-        hits[inside] = gr.green_values_raw(domain, w, pts[inside]) < t
+    hits = 0
+    for b in range(0, samples, _BLOCK):  # each sample is a function of its index alone
+        idx = np.arange(b, min(b + _BLOCK, samples), dtype=np.uint64)
+        xs = x0 + (x1 - x0) * counter_uniform(seed, _STREAM_AREA_X, idx)
+        ys = y0 + (y1 - y0) * counter_uniform(seed, _STREAM_AREA_Y, idx)
+        pts = xs + 1j * ys
+        inside = geo.contains_mask(domain, pts)
+        if np.any(inside):
+            hits += int(np.count_nonzero(gr.green_values_raw(domain, w, pts[inside]) < t))
     box = (x1 - x0) * (y1 - y0)
-    p = float(np.count_nonzero(hits)) / samples
+    p = float(hits) / samples
     return McEstimate(
         mean=box * p,
         std_error=box * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples),

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from suita_lab.errors import (
     RadiusTooLarge,
     UnsupportedDomain,
 )
-from suita_lab.geometry import Annulus, Disc, PolarComplement
+from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement
 
 from conftest import interior_points
 
@@ -41,6 +44,18 @@ class TestGreenEval:
     def test_outside_raises(self, annulus_half):
         with pytest.raises(PointOutsideDomain):
             gr.green_eval(annulus_half, 0.7 + 0j, 0.2 + 0j)
+
+    def test_moebius_outside_raises(self, annulus_half):
+        # membership is read on the base; 2 is the image of infinity, where
+        # the inverse map divides by zero
+        domain = MoebiusImage(annulus_half, 1 + 0j, 0j, 0.5 + 0j, 1 + 0j)
+        for w, z, message in (
+            (2 + 0j, 0.55 + 0j, "pole (2+0j) outside domain"),
+            (0.55 + 0j, 2 + 0j, "evaluation point (2+0j) outside domain"),
+            (0.1 + 0j, 0.55 + 0j, "pole (0.1+0j) outside domain"),
+        ):
+            with pytest.raises(PointOutsideDomain, match=re.escape(message)):
+                gr.green_eval(domain, w, z)
 
     @pytest.mark.parametrize("fixture", ["unit_disc", "annulus_half", "blaschke_disc", "moebius_annulus", "annulus_thin"])
     def test_symmetry_invariant(self, fixture, request):
@@ -126,6 +141,76 @@ class TestGreenEval:
         assert a.value == pytest.approx(b.value, abs=1e-13)
         assert a.grad_x == pytest.approx(b.grad_x, rel=1e-12)
         assert a.grad_y == pytest.approx(b.grad_y, rel=1e-12)
+
+
+# G, f' and f'' on arrays, and the truncation bound of green_eval, as the
+# per-image evaluator that preceded the one-pass field (commit a83d0f1)
+# computed them, in float.hex: 16 points on each of seven domains, two of
+# them next to the pole, where G takes the quotient form.
+FROZEN = json.loads((Path(__file__).parent / "green_frozen_values.json").read_text())
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _ring_points(n, q=0.05):
+    """n points spread over Annulus(q) by two golden-ratio sequences."""
+    k = np.arange(n)
+    r = q + (1.0 - q) * (0.01 + 0.98 * ((k * 0.6180339887498949) % 1.0))
+    return r * np.exp(2j * np.pi * ((k * 0.7548776662466927) % 1.0))
+
+
+RAW = (gr.green_values_raw, gr.green_fprime_raw, gr.green_fsecond_raw)
+
+
+class TestOnePassField:
+    @pytest.mark.parametrize("literal", list(FROZEN))
+    def test_raw_functions_keep_frozen_bits(self, literal):
+        domain, case = geo.parse_domain(literal), FROZEN[literal]
+        z, g, f1_re, f1_im, f2_re, f2_im, _ = map(list, zip(*case["rows"]))
+        got_g, got_f1, got_f2 = (f(domain, complex(case["w"]), np.array([complex(x) for x in z])) for f in RAW)
+        assert _hex(got_g) == g
+        assert (_hex(got_f1.real), _hex(got_f1.imag)) == (f1_re, f1_im)
+        assert (_hex(got_f2.real), _hex(got_f2.imag)) == (f2_re, f2_im)
+
+    @pytest.mark.parametrize("literal", list(FROZEN))
+    def test_green_eval_is_the_raw_field(self, literal):
+        # the value bit for bit, the gradient to 4 ulps, and the frozen bound
+        domain, case = geo.parse_domain(literal), FROZEN[literal]
+        w = complex(case["w"])
+        for row in case["rows"]:
+            z = complex(row[0])
+            v = gr.green_eval(domain, w, z)
+            assert float(v.value).hex() == float(gr.green_values_raw(domain, w, np.asarray(z))).hex()
+            fp = complex(gr.green_fprime_raw(domain, w, np.asarray(z)))
+            assert abs(v.gradient - fp.conjugate()) <= 4 * math.ulp(abs(fp))
+            assert float(v.truncation_bound).hex() == row[6]
+
+    @pytest.mark.parametrize("shape", [(1,), (8191,), (8192,), (8193,), (97, 91)])
+    def test_blocks_do_not_move_a_bit(self, shape):
+        # sizes around the block of 8192 points and a grid of two blocks on
+        # Annulus(0.05), with 13 images: the whole array, chunks of 1000
+        # points, and single points around the block edges give the same bits
+        domain, w = Annulus(0.05), 0.4 + 0.2j
+        n = math.prod(shape)
+        z = _ring_points(n).reshape(shape)
+        flat = z.reshape(-1)
+        probe = sorted({0, n - 1, 8190, 8191, 8192, 8193} & set(range(n)) | set(range(0, n, 997)))
+        for f in RAW:
+            whole = f(domain, w, z)
+            assert whole.shape == shape
+            chunks = np.concatenate([f(domain, w, flat[i : i + 1000]) for i in range(0, n, 1000)])
+            assert whole.tobytes() == chunks.tobytes()
+            single = np.array([f(domain, w, np.asarray(flat[i])) for i in probe])
+            assert whole.reshape(-1)[probe].tobytes() == single.tobytes()
+
+    def test_block_size_does_not_change_the_field(self, monkeypatch):
+        domain, w = Annulus(0.05), 0.4 + 0.2j
+        z = _ring_points(1000).reshape(40, 25)
+        ref = [f(domain, w, z) for f in RAW]
+        monkeypatch.setattr(gr, "_BLOCK", 96)
+        assert [f(domain, w, z).tobytes() for f in RAW] == [r.tobytes() for r in ref]
 
 
 def _log_prime(t, q):

@@ -189,6 +189,13 @@ class TestMcArea:
         b = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 50_000, 21)
         assert a == b
 
+    def test_block_size_does_not_change_estimate(self, annulus_half, monkeypatch):
+        # each sample is a function of its index, and the hits are counted
+        # per block, so the blocks cannot move the estimate
+        ref = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 20_000, 9)
+        monkeypatch.setattr(oc, "_BLOCK", 96)
+        assert oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 20_000, 9) == ref
+
 
 class TestGridArea:
     # The plan's three blb profiles and the Moebius annulus, at both ends of
