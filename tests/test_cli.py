@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,13 @@ class TestVerifyCommand:
             assert run_cli(["verify", "--suite", "suita", "--config", str(cfg), "--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+    def test_default_plan_matches_golden_report(self):
+        # tests/default_report.csv holds the default plan's report.csv; a
+        # change that moves a line regenerates it and names the line
+        golden = (Path(__file__).parent / "default_report.csv").read_bytes()
+        assert cli.report_csv_text(vf.run_suite()).encode() == golden
 
 
 class TestSvg:

@@ -1,0 +1,117 @@
+"""Every public operation on every domain family: success or its exact refusal.
+
+The families are a disc, an annulus, a Moebius image of each, a nested
+image (whose map pole lies in the hole, so the inner circle becomes the
+outer boundary), a polygon and the polar complement.  Each is paired with
+an interior pole w and a second interior point z.  An entry of EXPECTED
+names the refusal class of an operation on a family; every pair not
+listed must succeed.  A second matrix puts the pole outside the domain.
+The inputs are small, so both run in well under a second.
+"""
+
+import numpy as np
+import pytest
+
+from suita_lab import bergman as bg
+from suita_lab import geometry as geo
+from suita_lab import green as gr
+from suita_lab import oracles as oc
+from suita_lab import sublevel as sl
+from suita_lab.errors import PointOutsideDomain, UnsupportedDomain
+from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement, Polygon
+
+_DISC = Disc(0j, 1.0)
+_RING = Annulus(0.5)
+_IMAGE_RING = MoebiusImage(_RING, 1 + 0j, 0.15 + 0j, 0.15 + 0j, 1 + 0j)
+
+# family -> (domain, pole w, second point z, a point outside)
+FAMILIES = {
+    "disc": (_DISC, 0.3 + 0.1j, -0.4 + 0.2j, 1.5 + 0j),
+    "annulus": (_RING, 0.7 + 0.1j, -0.6 - 0.2j, 0.2 + 0j),
+    "disc image": (MoebiusImage(_DISC, 1 + 0j, -0.3 + 0j, -0.3 + 0j, 1 + 0j), 0.2 + 0.1j, -0.5 + 0.3j, 1.5 + 0j),
+    "annulus image": (_IMAGE_RING, 0.75 + 0j, -0.7 + 0.1j, 0.1 + 0j),
+    "nested image": (MoebiusImage(_IMAGE_RING, 0j, 1 + 0j, 1 + 0j, -0.1 + 0j), 1 / 0.65 + 0j, -1.2 + 0.3j, 0.5 + 0j),
+    "polygon": (Polygon([0, 1, 1 + 1j, 1j]), 0.5 + 0.5j, 0.25 + 0.3j, 2 + 2j),
+    "polar complement": (PolarComplement(), 1 + 0j, 0.5 - 0.5j, 0j),
+}
+
+
+def _literal_round_trip(domain, w, z):
+    assert geo.parse_domain(geo.domain_literal(domain)) == domain
+
+
+def _disc_max(domain, w, z):
+    r = 0.5 * geo.boundary_distance(domain, w) if geo.contains(domain, w) else 0.1
+    return gr.disc_max_green(domain, w, r)
+
+
+OPERATIONS = {
+    "contains": lambda d, w, z: geo.contains(d, w),
+    "boundary_distance": lambda d, w, z: geo.boundary_distance(d, w),
+    "boundary_sample": lambda d, w, z: geo.boundary_sample(d, 64),
+    "bounding_box": lambda d, w, z: geo.bounding_box(d),
+    "domain_literal": _literal_round_trip,
+    "green_eval": lambda d, w, z: gr.green_eval(d, w, z),
+    "robin_capacity": lambda d, w, z: gr.robin_capacity(d, w),
+    "critical_points": lambda d, w, z: gr.critical_points(d, w),
+    "disc_max_green": _disc_max,
+    "boundary_flux": lambda d, w, z: gr.boundary_flux(d, w, 64),
+    "kernel_j": lambda d, w, z: bg.kernel_j(d, w, 0),
+    "sublevel_area": lambda d, w, z: sl.sublevel_area(d, w, -1.5),
+    "wos_green": lambda d, w, z: oc.wos_green(d, w, z, 64, 1),
+    "mc_area": lambda d, w, z: oc.mc_area(d, w, -1.5, 1000, 1),
+    "grid_area": lambda d, w, z: oc.grid_area(d, w, -1.5, 32),
+    "grid_min_gradient": lambda d, w, z: oc.grid_min_gradient(d, w, 48),
+}
+
+_SERIES = ("green_eval", "robin_capacity", "critical_points", "disc_max_green", "boundary_flux", "kernel_j")
+_LEVELS = ("sublevel_area", "mc_area", "grid_area", "grid_min_gradient")
+
+# (operation, family) -> refusal class; every other pair succeeds
+EXPECTED = {
+    **{(op, family): UnsupportedDomain for op in ("boundary_flux", "wos_green") for family in ("disc image", "annulus image", "nested image")},
+    **{(op, "polygon"): UnsupportedDomain for op in _SERIES + _LEVELS},
+    **{(op, "polar complement"): UnsupportedDomain for op in _SERIES + _LEVELS + ("boundary_sample", "bounding_box", "wos_green")},
+}
+del EXPECTED[("robin_capacity", "polar complement")]  # c = 0: the complement is polar
+del EXPECTED[("kernel_j", "polar complement")]  # K_j = 0: no square-integrable holomorphic function
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("operation", list(OPERATIONS))
+def test_operation_on_family(operation, family):
+    domain, w, z, _ = FAMILIES[family]
+    assert geo.contains(domain, w) and geo.contains(domain, z)
+    expected = EXPECTED.get((operation, family))
+    if expected is None:
+        OPERATIONS[operation](domain, w, z)
+        return
+    with pytest.raises(expected) as info:
+        OPERATIONS[operation](domain, w, z)
+    assert type(info.value) is expected
+
+
+# The operations that take a pole refuse one outside the domain, after
+# refusing the family.  grid_min_gradient, a lattice scan, is left out: a
+# scan seeded from an outside pole has been allowed to run.
+_POLE_FREE = ("contains", "boundary_sample", "bounding_box", "domain_literal", "grid_min_gradient")
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("operation", [op for op in OPERATIONS if op not in _POLE_FREE])
+def test_pole_outside(operation, family):
+    domain, _, z, outside = FAMILIES[family]
+    assert not geo.contains(domain, outside)
+    expected = EXPECTED.get((operation, family)) or PointOutsideDomain
+    with pytest.raises(expected) as info:
+        OPERATIONS[operation](domain, outside, z)
+    assert type(info.value) is expected
+
+
+def test_polar_complement_values():
+    # the two operations that succeed on the polar complement return its zeros
+    domain, w, _, _ = FAMILIES["polar complement"]
+    cap = gr.robin_capacity(domain, w)
+    assert (cap.capacity, cap.robin_constant) == (0.0, -np.inf)
+    assert bg.kernel_j(domain, w, 2).value == 0.0
+    assert geo.boundary_distance(domain, w) == np.inf
