@@ -29,13 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import (
-    PointOutsideDomain,
-    StencilOutsideDomain,
-    TruncationFailure,
-    UnsupportedDomain,
-)
-from .geometry import Annulus, Disc, Domain, MoebiusImage, Point, PolarComplement, Polygon
+from .errors import PointOutsideDomain, StencilOutsideDomain, TruncationFailure, UnsupportedDomain
+from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 MAX_ORDER = 12  # factorial growth makes higher orders pointless in doubles
 _MAX_BASIS = 10_000
@@ -88,7 +83,7 @@ def _derivative_rows(core: Domain, w_eff: complex, j: int, n_lo: int, n_hi: int)
     """Rows i = 0..j of e_n^(i)(w) for the normalized monomial basis."""
     n = np.arange(n_lo, n_hi + 1)
     norms = basis_norms(core, n_lo, n_hi)
-    u = w_eff - core.center if isinstance(core, Disc) else w_eff
+    u = w_eff - core.center
     rows = np.empty((j + 1, len(n)), dtype=complex)
     # falling factorial n (n-1) ... (n-i+1), valid for negative n as well
     fall = np.ones(len(n))
@@ -152,24 +147,26 @@ def _composition_matrix(coeffs, w: complex, j: int) -> np.ndarray:
     return A
 
 
-def _frame_rows(domain: Domain, w: Point, j: int, half_n: int) -> np.ndarray:
-    """Constraint rows v_0..v_j over a basis cutoff of half-width half_n."""
-    core, coeffs = geo.flatten_moebius(domain)
-    n_lo, n_hi = (0, half_n) if isinstance(core, Disc) else (-half_n, half_n)
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        base_rows = _derivative_rows(core, zeta_w, j, n_lo, n_hi)
-        return _composition_matrix(coeffs, w, j) @ base_rows
-    return _derivative_rows(core, w, j, n_lo, n_hi)
+def _n_range(core: Domain, half_n: int) -> tuple[int, int]:
+    """Basis exponents: z^n, n >= 0, on a disc; Laurent, n in Z, on an annulus."""
+    return (0, half_n) if isinstance(core, Disc) else (-half_n, half_n)
+
+
+def _frame_rows(pb: geo.PullBack, w: Point, j: int, half_n: int) -> np.ndarray:
+    """Constraint rows v_0..v_j at w over a basis cutoff of half-width
+    half_n, from the core's rows at pb.zeta_w."""
+    core, coeffs, zeta_w = pb
+    rows = _derivative_rows(core, zeta_w, j, *_n_range(core, half_n))
+    return rows if coeffs is None else _composition_matrix(coeffs, w, j) @ rows
 
 
 def build_frame(domain: Domain, w: Point, j: int, half_n: int = 64) -> OrthonormalFrame:
     """Expose the derivative matrix and norms backing kernel_j (for tests)."""
-    core, _ = geo.flatten_moebius(domain)
-    n_lo, n_hi = (0, half_n) if isinstance(core, Disc) else (-half_n, half_n)
+    pb = geo.pull_back(domain, w)
+    n_lo, n_hi = _n_range(pb.core, half_n)
     return OrthonormalFrame(
-        derivative_matrix=_frame_rows(domain, w, j, half_n),
-        basis_norms=basis_norms(core, n_lo, n_hi),
+        derivative_matrix=_frame_rows(pb, w, j, half_n),
+        basis_norms=basis_norms(pb.core, n_lo, n_hi),
         n_lo=n_lo,
         n_hi=n_hi,
     )
@@ -188,17 +185,14 @@ def kernel_j(domain: Domain, w: Point, j: int, rel_tol: float = 1e-11) -> Kernel
         if not geo.contains(domain, w):
             raise PointOutsideDomain(f"{w} outside domain")
         return KernelResult(order=j, value=0.0, truncation_order=0, tail_bound=0.0)
-    if isinstance(domain, Polygon):
-        raise UnsupportedDomain("no kernel machinery for polygons")
-    if not geo.contains(domain, w):
-        raise PointOutsideDomain(f"{w} outside domain")
+    pb = geo.pull_back(domain, w)
     n = max(32, 8 * (j + 1))
-    value = _qr_residual_sq(_frame_rows(domain, w, j, n))
+    value = _qr_residual_sq(_frame_rows(pb, w, j, n))
     while True:
         n2 = 2 * n
         if n2 > _MAX_BASIS:
             raise TruncationFailure(f"kernel tail target unreachable below basis size {_MAX_BASIS}")
-        v2 = _qr_residual_sq(_frame_rows(domain, w, j, n2))
+        v2 = _qr_residual_sq(_frame_rows(pb, w, j, n2))
         delta = abs(v2 - value)
         if delta <= rel_tol * max(v2, 1e-300):
             tail = max(4.0 * delta, 8.0 * np.finfo(float).eps * v2)
@@ -214,11 +208,11 @@ def pinned_kernel(domain: Domain, w: Point, j: int, z: Point, half_n: int) -> fl
     curvature identity differentiates (for j = 0 it reduces to the plain
     diagonal kernel, constraints being absent).
     """
-    objective = _frame_rows(domain, z, j, half_n)[j : j + 1]
+    objective = _frame_rows(geo.pull_back(domain, z), z, j, half_n)[j : j + 1]
     if j == 0:
         rows = objective
     else:
-        rows = np.vstack([_frame_rows(domain, w, j - 1, half_n), objective])
+        rows = np.vstack([_frame_rows(geo.pull_back(domain, w), w, j - 1, half_n), objective])
     return _qr_residual_sq(rows)
 
 

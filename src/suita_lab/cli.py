@@ -27,7 +27,6 @@ from . import sublevel as sl
 from . import verify as vf
 from . import weights as wt
 from .errors import ConfigError, SuitaLabError
-from .geometry import Domain
 from .verify import Check, SuiteConfig, VerificationReport
 
 
@@ -201,7 +200,10 @@ def emit_contours(field: sl.LevelField, t_list, path: str) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
         f'viewBox="0 0 {size:.0f} {size:.0f}">'
     ]
-    parts.extend(_outline_elements(domain, scale, span, size))
+    for center, radius in domain.circles:  # the outline
+        cx, cy = scale(center)
+        r = radius / span * size
+        parts.append(f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="{r:.6f}" fill="none" stroke="#000000" stroke-width="1.5"/>')
     for i, t in enumerate(t_list):
         color = _PALETTE[i % len(_PALETTE)]
         for line in field.contours(float(t)):
@@ -209,24 +211,6 @@ def emit_contours(field: sl.LevelField, t_list, path: str) -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def _outline_elements(domain: Domain, scale, span: float, size: float) -> list[str]:
-    def circle(center: complex, radius: float) -> str:
-        cx, cy = scale(center)
-        r = radius / span * size
-        return f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="{r:.6f}" fill="none" stroke="#000000" stroke-width="1.5"/>'
-
-    if isinstance(domain, geo.Disc):
-        return [circle(domain.center, domain.radius)]
-    if isinstance(domain, geo.Annulus):
-        return [circle(0j, 1.0), circle(0j, domain.q)]
-    if isinstance(domain, geo.Polygon):
-        pts = np.array(domain.vertices + (domain.vertices[0],))
-        return [_svg_path(pts, scale, "#000000")]
-    if isinstance(domain, geo.MoebiusImage):
-        return [circle(center, radius) for center, radius in geo.moebius_circles(domain)]
-    return []
 
 
 # ---------------------------------------------------------------------------

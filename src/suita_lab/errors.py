@@ -22,10 +22,6 @@ class UnsupportedDomain(SuitaLabError):
     """The operation has no implementation for this domain variant."""
 
 
-class MapSingular(SuitaLabError):
-    """Point coincides with the image of the pole of a Moebius map."""
-
-
 class CoincidentPoints(SuitaLabError):
     """Green function evaluated at its pole."""
 

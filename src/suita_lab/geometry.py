@@ -1,17 +1,35 @@
 """Planar domain descriptors and the queries every other module builds on.
 
-Domains are described by a closed set of variants:
+Domains come in a closed set of families, and each family object answers
+the geometric questions the package asks of it: membership, the distance
+to the boundary, boundary samples, a bounding box and its literal.
 
 * ``Disc(center, radius)``
-* ``Annulus(inner_radius)`` -- the ring q < |z| < 1, outer radius fixed at 1
-  and centered at the origin; general annuli are reached through a Moebius
-  image of this canonical one
+* ``Annulus(inner_radius)`` -- the ring q < |z| < 1, centered at 0j with
+  outer radius 1.0; general annuli are reached through a Moebius image of
+  this canonical one
 * ``MoebiusImage(base, a, b, c, d)`` -- the image of a base domain under
   F(zeta) = (a zeta + b)/(c zeta + d) with ad - bc != 0
 * ``Polygon(vertices)`` -- a simple, positively oriented polygon; supported
   only by the Monte Carlo oracle paths
 * ``PolarComplement()`` -- the plane minus the origin, the degenerate case
   whose complement carries no logarithmic capacity
+
+Discs, annuli and their images are bounded by circles, which ``circles``
+lists as (center, radius).  A disc or an annulus (a *core*) lists its outer
+circle first, and the domain lies inside it and outside the others; an
+image lists the images of its core's circles in the same order, so its
+outer circle comes second when the map's pole lies in the hole.  Membership,
+boundary distance, samples, the bounding box and the Moebius outline all
+read this one list.
+
+The series modules see an image only through its core: ``pull_back``
+returns the core, the composed map and the pole pulled back, and is the one
+place where a series operation refuses a domain.  A polygon or the polar
+complement has no series Green function (UnsupportedDomain), and a pole
+outside the domain is refused with PointOutsideDomain.  The polar
+complement answers membership, a boundary distance of +inf, and (in green
+and bergman) its zero capacity and kernels.
 
 Points are plain ``complex`` numbers.  All operations here are pure and
 stateless; array-valued variants (``contains_mask``) accept numpy arrays of
@@ -22,22 +40,96 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import (
-    InvalidDomain,
-    MapSingular,
-    PointOutsideDomain,
-    UnsupportedDomain,
-)
+from .errors import InvalidDomain, PointOutsideDomain, UnsupportedDomain
 
 Point = complex  # a point of the plane; real/imag parts are the coordinates
 
 
+def _format_real(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def _format_complex(z: complex) -> str:
+    if z.imag == 0:
+        return _format_real(z.real)
+    return f"{_format_real(z.real)}{'+' if z.imag >= 0 else '-'}{_format_real(abs(z.imag))}j"
+
+
+# ---------------------------------------------------------------------------
+# Circles: what discs, annuli and their images share
+# ---------------------------------------------------------------------------
+
+
+def boundary_counts(n: int, lengths) -> list[int]:
+    """Samples per boundary circle, n in all, in proportion to the circle
+    lengths: the cut after each circle falls at its rounded share of n,
+    and every circle keeps at least one sample."""
+    total = sum(lengths)
+    cuts, acc = [0], 0.0
+    for i, length in enumerate(lengths[:-1], start=1):
+        acc += length
+        cuts.append(min(max(int(round(n * acc / total)), cuts[-1] + 1), n - (len(lengths) - i)))
+    cuts.append(n)
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+def circle_gaps(circles, z: np.ndarray) -> list[np.ndarray]:
+    """How far the points z lie inside circles[0] and outside each other
+    circle, negative on the far side: r0 - |z - c0|, then |z - c| - r.
+    A hole concentric with the outer circle reuses |z - c0|."""
+    (c0, r0), *holes = circles
+    dist = np.abs(z - c0) if c0 else np.abs(z)
+    return [r0 - dist] + [(dist if c == c0 else np.abs(z - c)) - r for c, r in holes]
+
+
+def _circle_nodes(circles, counts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(points, outward normals) on each circle of a core, m equally spaced
+    nodes from angle 0: counterclockwise on the outer circle, clockwise
+    (outward from the domain means toward the center) on the holes."""
+    nodes = []
+    for k, ((c, r), m) in enumerate(zip(circles, counts)):
+        theta = 2 * np.pi * np.arange(m) / m
+        if k == 0:
+            u = np.exp(1j * theta)
+            nodes.append((c + r * u, u))
+        else:
+            u = np.exp(-1j * theta)
+            nodes.append((c + r * u, -u))
+    return nodes
+
+
+class _Bounded:
+    """Boundary distance of the families bounded by circles."""
+
+    def _distance(self, w: Point) -> float:
+        return min(abs(abs(w - c) - r) for c, r in self.circles)
+
+
+class _Core(_Bounded):
+    """A disc or an annulus: the domain inside circles[0] and outside the rest."""
+
+    def _mask(self, z: np.ndarray) -> np.ndarray:
+        outer, *holes = circle_gaps(self.circles, z)
+        inside = outer > 0
+        for gap in holes:
+            inside &= gap > 0
+        return inside
+
+    def _sample(self, n: int) -> list[tuple[Point, Point]]:
+        counts = boundary_counts(n, [r for _, r in self.circles])
+        return [s for pts, nrm in _circle_nodes(self.circles, counts) for s in zip(pts.tolist(), nrm.tolist())]
+
+    def _box(self) -> tuple[float, float, float, float]:
+        c, r = self.circles[0]
+        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
+
+
 @dataclass(frozen=True)
-class Disc:
+class Disc(_Core):
     center: complex
     radius: float
 
@@ -47,10 +139,20 @@ class Disc:
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise InvalidDomain(f"disc radius must be positive, got {self.radius}")
 
+    @property
+    def circles(self) -> tuple[tuple[complex, float], ...]:
+        return ((self.center, self.radius),)
+
+    def _literal(self) -> str:
+        c = self.center
+        return f"disc:{_format_real(c.real)},{_format_real(c.imag)},{_format_real(self.radius)}"
+
 
 @dataclass(frozen=True)
-class Annulus:
-    inner_radius: float  # q in (0, 1); outer radius is 1, centered at 0
+class Annulus(_Core):
+    inner_radius: float  # q in (0, 1)
+    center = 0j  # the outer circle, |z| = 1
+    radius = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.inner_radius < 1.0):
@@ -60,9 +162,16 @@ class Annulus:
     def q(self) -> float:
         return self.inner_radius
 
+    @property
+    def circles(self) -> tuple[tuple[complex, float], ...]:
+        return ((self.center, self.radius), (self.center, self.inner_radius))
+
+    def _literal(self) -> str:
+        return f"annulus:{_format_real(self.q)}"
+
 
 @dataclass(frozen=True)
-class MoebiusImage:
+class MoebiusImage(_Bounded):
     base: "Domain"
     a: complex
     b: complex
@@ -78,14 +187,73 @@ class MoebiusImage:
         core, (a, b, c, d) = flatten_moebius(self)
         if c != 0:
             # The pole of the composed map must stay clear of the closure of
-            # the core domain, otherwise the image is unbounded.
+            # the core domain (outside its outer circle or inside a hole),
+            # otherwise the image is unbounded.
             pole = -d / c
-            if isinstance(core, Disc):
-                clear = abs(pole - core.center) > core.radius * (1 + 1e-12)
-            else:  # Annulus
-                clear = abs(pole) < core.q * (1 - 1e-12) or abs(pole) > 1 + 1e-12
+            (c0, r0), *holes = core.circles
+            clear = abs(pole - c0) > r0 * (1 + 1e-12) or any(abs(pole - h) < r * (1 - 1e-12) for h, r in holes)
             if not clear:
                 raise InvalidDomain("Moebius pole meets the base domain closure; image would be unbounded")
+
+    @property
+    def coeffs(self) -> tuple[complex, complex, complex, complex]:
+        return (self.a, self.b, self.c, self.d)
+
+    @property
+    def circles(self) -> list[tuple[complex, float]]:
+        return moebius_circles(self)
+
+    def _distance(self, w: Point) -> float:
+        """Shrunk by 1e-12 to stay a lower bound: the image circles carry rounding."""
+        return super()._distance(w) * (1.0 - 1e-12)
+
+    def _mask(self, z: np.ndarray) -> np.ndarray:
+        core, (a, b, c, d) = flatten_moebius(self)
+        denom = -c * z + a
+        ok = np.abs(denom) > 1e-300
+        zeta = np.where(ok, (d * z - b) / np.where(ok, denom, 1.0), np.inf)
+        return ok & core._mask(zeta)
+
+    def _sample(self, n: int) -> list[tuple[Point, Point]]:
+        """Arc-length spaced on the image circles, offset half a spacing:
+        each core circle is sampled densely, pushed through the map and
+        read off at equal steps of the image polyline's length."""
+        core, coeffs = flatten_moebius(self)
+        dense = max(64 * n, 4096)
+        comps = [pts for pts, _ in _circle_nodes(core.circles, [dense] * len(core.circles))]
+        imgs = [moebius_forward(coeffs, comp) for comp in comps]
+        segs = [np.abs(np.diff(np.append(img, img[0]))) for img in imgs]
+        lengths = [float(np.sum(seg)) for seg in segs]
+        out = []
+        for comp, seg, L, m in zip(comps, segs, lengths, boundary_counts(n, lengths)):
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            s = (np.arange(m) + 0.5) * L / m
+            idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, dense - 1)
+            zeta = comp[idx]
+            # Tangent of the core parametrization, then pushed through the map.
+            step = comp[(idx + 1) % dense] - comp[idx - 1]
+            t_base = step / np.abs(step)
+            t_img = moebius_fprime(coeffs, zeta) * t_base
+            normals = -1j * t_img / np.abs(t_img)
+            pts = moebius_forward(coeffs, zeta)
+            out.extend(zip(pts.tolist(), normals.tolist()))
+        return out
+
+    def _box(self) -> tuple[float, float, float, float]:
+        core, coeffs = flatten_moebius(self)
+        nodes = _circle_nodes(core.circles, [4096] * len(core.circles))
+        pts = np.concatenate([moebius_forward(coeffs, c) for c, _ in nodes])
+        pad = 0.01 * (pts.real.max() - pts.real.min() + pts.imag.max() - pts.imag.min())
+        return (
+            float(pts.real.min() - pad),
+            float(pts.real.max() + pad),
+            float(pts.imag.min() - pad),
+            float(pts.imag.max() + pad),
+        )
+
+    def _literal(self) -> str:
+        coeffs = ",".join(_format_complex(z) for z in self.coeffs)
+        return f"moebius:{coeffs};base={self.base._literal()}"
 
 
 @dataclass(frozen=True)
@@ -102,13 +270,100 @@ class Polygon:
         if not _polygon_is_simple(v):
             raise InvalidDomain("polygon must be simple (non-self-intersecting)")
 
+    def _mask(self, z: np.ndarray) -> np.ndarray:
+        """Crossing-parity test, vectorized over z."""
+        x, y = z.real, z.imag
+        inside = np.zeros(z.shape, dtype=bool)
+        n = len(self.vertices)
+        for i in range(n):
+            p, r = self.vertices[i], self.vertices[(i + 1) % n]
+            x1, y1, x2, y2 = p.real, p.imag, r.real, r.imag
+            crosses = (y1 > y) != (y2 > y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            inside ^= crosses & (x < np.where(crosses, xint, np.inf))
+        return inside
+
+    def _distance(self, w: Point) -> float:
+        v = np.asarray(self.vertices, dtype=complex)
+        p, r = v, np.roll(v, -1)
+        d = r - p
+        t = np.clip(((w - p) * np.conj(d)).real / np.abs(d) ** 2, 0.0, 1.0)
+        return float(np.min(np.abs(w - (p + t * d))))
+
+    def _sample(self, n: int) -> list[tuple[Point, Point]]:
+        """Arc-length spaced, offset half a spacing so samples avoid vertices."""
+        v = np.asarray(self.vertices, dtype=complex)
+        edges = np.roll(v, -1) - v
+        lengths = np.abs(edges)
+        cum = np.concatenate([[0.0], np.cumsum(lengths)])
+        s = (np.arange(n) + 0.5) * cum[-1] / n
+        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(v) - 1)
+        pts = v[idx] + (s - cum[idx]) / lengths[idx] * edges[idx]
+        normals = -1j * (edges[idx] / lengths[idx])  # domain lies to the left of a CCW traversal
+        return list(zip(pts.tolist(), normals.tolist()))
+
+    def _box(self) -> tuple[float, float, float, float]:
+        v = np.asarray(self.vertices, dtype=complex)
+        return (float(v.real.min()), float(v.real.max()), float(v.imag.min()), float(v.imag.max()))
+
+    def _literal(self) -> str:
+        return "polygon:" + ";".join(f"{_format_real(v.real)},{_format_real(v.imag)}" for v in self.vertices)
+
 
 @dataclass(frozen=True)
 class PolarComplement:
     """The plane minus the origin."""
 
+    def _mask(self, z: np.ndarray) -> np.ndarray:
+        return np.isfinite(z.real) & np.isfinite(z.imag) & (z != 0)
+
+    def _distance(self, w: Point) -> float:
+        return math.inf  # the complement is a single point
+
+    def _sample(self, n: int):
+        raise UnsupportedDomain("PolarComplement has no samplable boundary")
+
+    def _box(self):
+        raise UnsupportedDomain(f"no bounding box for {self!r}")
+
+    def _literal(self) -> str:
+        return "polar-complement"
+
 
 Domain = Union[Disc, Annulus, MoebiusImage, Polygon, PolarComplement]
+
+
+def _polygon_signed_area(vertices) -> float:
+    area = 0.0
+    n = len(vertices)
+    for i in range(n):
+        p, r = vertices[i], vertices[(i + 1) % n]
+        area += p.real * r.imag - r.real * p.imag
+    return 0.5 * area
+
+
+def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
+    def orient(a, b, c):
+        v = (b - a).real * (c - a).imag - (b - a).imag * (c - a).real
+        return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
+
+    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
+    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
+    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+
+
+def _polygon_is_simple(vertices) -> bool:
+    n = len(vertices)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent edges share a vertex, skip
+            if _segments_properly_intersect(
+                vertices[i], vertices[(i + 1) % n], vertices[j], vertices[(j + 1) % n]
+            ):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +402,71 @@ def flatten_moebius(domain: Domain) -> tuple[Domain, tuple[complex, complex, com
     if not isinstance(domain, MoebiusImage):
         return domain, IDENTITY_COEFFS
     core, inner = flatten_moebius(domain.base)
-    return core, moebius_compose((domain.a, domain.b, domain.c, domain.d), inner)
+    return core, moebius_compose(domain.coeffs, inner)
+
+
+def moebius_circles(domain: MoebiusImage) -> list[tuple[complex, float]]:
+    """(center, radius) of each boundary circle, in the core's circle order.
+
+    The pole -d/c of F stays off every base circle (c0, rho), so each maps
+    to a circle.  Its center is F(zeta*), zeta* = c0 + rho^2 / conj(-d/c - c0)
+    the pole reflected in the circle (F(c0) when c = 0); written out so that
+    a pole at c0 (C = a/c) needs no separate case,
+        C = ((a c0 + b) conj(c c0 + d) - a conj(c) rho^2) / D,
+        R = rho |ad - bc| / |D|,  D = |c c0 + d|^2 - |c|^2 rho^2.
+    """
+    core, (a, b, c, d) = flatten_moebius(domain)
+    out = []
+    for c0, rho in core.circles:
+        e = c * c0 + d
+        den = abs(e) ** 2 - abs(c) ** 2 * rho * rho
+        center = ((a * c0 + b) * e.conjugate() - a * c.conjugate() * rho * rho) / den
+        out.append((center, rho * abs(a * d - b * c) / abs(den)))
+    return out
+
+
+class PullBack(NamedTuple):
+    """A domain seen from its core: the disc or annulus, the composed
+    coefficients of the map F from it onto the domain (None when the
+    domain is the core itself) and the pole pulled back, zeta_w = F^-1(w)."""
+
+    core: Domain
+    coeffs: tuple[complex, complex, complex, complex] | None
+    zeta_w: Point
+
+    def pull(self, z: np.ndarray) -> np.ndarray:
+        """F^-1 on an array of the domain's points; the image of infinity,
+        a/c, goes to infinity."""
+        if self.coeffs is None:
+            return z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(moebius_inverse(self.coeffs, z))
+
+
+def pull_back(domain: Domain, w: Point, check: bool = True) -> PullBack:
+    """The core of domain, its map and the pole pulled back (PullBack).
+
+    The series operations refuse here, and only here: UnsupportedDomain
+    when the core has no series Green function (a polygon or the polar
+    complement), and, unless check is False, PointOutsideDomain when w is
+    not inside domain (zeta_w is tested on the core).  Unchecked, a pole at
+    the image of infinity raises ZeroDivisionError.
+    """
+    core, coeffs = flatten_moebius(domain)
+    if not isinstance(core, (Disc, Annulus)):
+        raise UnsupportedDomain(f"no series Green function for {type(core).__name__}; use the Monte Carlo oracle")
+    if core is domain:
+        pb = PullBack(core, None, w)
+    else:
+        try:
+            pb = PullBack(core, coeffs, moebius_inverse(coeffs, w))
+        except ZeroDivisionError:  # w = a/c, the image of infinity
+            if check:
+                raise PointOutsideDomain(f"pole {w} outside domain") from None
+            raise
+    if check and not contains(core, pb.zeta_w):
+        raise PointOutsideDomain(f"pole {w} outside domain")
+    return pb
 
 
 def moebius_transport(domain: MoebiusImage, w: Point) -> tuple[Point, float]:
@@ -159,19 +478,14 @@ def moebius_transport(domain: MoebiusImage, w: Point) -> tuple[Point, float]:
     """
     if not isinstance(domain, MoebiusImage):
         raise UnsupportedDomain("moebius_transport needs a MoebiusImage domain")
-    if not contains(domain, w):
-        raise PointOutsideDomain(f"{w} is not inside the Moebius image")
-    core, coeffs = flatten_moebius(domain)
-    a, b, c, d = coeffs
-    if c != 0 and abs(w - a / c) < 1e-15 * (abs(w) + abs(a / c)):
-        raise MapSingular("point is the image of the pole of the map")
-    zeta = moebius_inverse(coeffs, w)
+    _, coeffs, zeta = pull_back(domain, w)
     return zeta, abs(moebius_fprime(coeffs, zeta))
 
 
 # ---------------------------------------------------------------------------
-# Membership
+# The queries, each answered by the domain's family
 # ---------------------------------------------------------------------------
+
 
 def contains(domain: Domain, z: Point) -> bool:
     """True iff z lies in the open domain. Boundary points count as outside."""
@@ -179,77 +493,10 @@ def contains(domain: Domain, z: Point) -> bool:
 
 
 def contains_mask(domain: Domain, z: np.ndarray) -> np.ndarray:
-    """Vectorized membership test; z is an array of complex."""
-    z = np.asarray(z, dtype=complex)
-    if isinstance(domain, Disc):
-        return np.abs(z - domain.center) < domain.radius
-    if isinstance(domain, Annulus):
-        r = np.abs(z)
-        return (r > domain.q) & (r < 1.0)
-    if isinstance(domain, PolarComplement):
-        return np.isfinite(z.real) & np.isfinite(z.imag) & (z != 0)
-    if isinstance(domain, Polygon):
-        return _polygon_contains(domain.vertices, z)
-    if isinstance(domain, MoebiusImage):
-        core, coeffs = flatten_moebius(domain)
-        a, b, c, d = coeffs
-        denom = -c * z + a
-        ok = np.abs(denom) > 1e-300
-        zeta = np.where(ok, (d * z - b) / np.where(ok, denom, 1.0), np.inf)
-        return ok & contains_mask(core, zeta)
-    raise UnsupportedDomain(f"unknown domain {domain!r}")
+    """Vectorized membership test; z is an array of complex.  An image is
+    tested on its core, at the pulled-back points."""
+    return domain._mask(np.asarray(z, dtype=complex))
 
-
-def _polygon_signed_area(vertices) -> float:
-    area = 0.0
-    n = len(vertices)
-    for i in range(n):
-        p, r = vertices[i], vertices[(i + 1) % n]
-        area += p.real * r.imag - r.real * p.imag
-    return 0.5 * area
-
-
-def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        v = (b - a).real * (c - a).imag - (b - a).imag * (c - a).real
-        return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
-
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
-
-
-def _polygon_is_simple(vertices) -> bool:
-    n = len(vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex, skip
-            if _segments_properly_intersect(
-                vertices[i], vertices[(i + 1) % n], vertices[j], vertices[(j + 1) % n]
-            ):
-                return False
-    return True
-
-
-def _polygon_contains(vertices, z: np.ndarray) -> np.ndarray:
-    """Crossing-parity test, vectorized over z."""
-    x, y = z.real, z.imag
-    inside = np.zeros(z.shape, dtype=bool)
-    n = len(vertices)
-    for i in range(n):
-        p, r = vertices[i], vertices[(i + 1) % n]
-        x1, y1, x2, y2 = p.real, p.imag, r.real, r.imag
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < np.where(crosses, xint, np.inf))
-    return inside
-
-
-# ---------------------------------------------------------------------------
-# Boundary distance
-# ---------------------------------------------------------------------------
 
 def boundary_distance(domain: Domain, w: Point) -> float:
     """Euclidean distance from an interior point to the boundary.
@@ -261,172 +508,27 @@ def boundary_distance(domain: Domain, w: Point) -> float:
     """
     if not contains(domain, w):
         raise PointOutsideDomain(f"{w} is not an interior point")
-    if isinstance(domain, Disc):
-        return domain.radius - abs(w - domain.center)
-    if isinstance(domain, Annulus):
-        r = abs(w)
-        return min(r - domain.q, 1.0 - r)
-    if isinstance(domain, PolarComplement):
-        return math.inf
-    if isinstance(domain, Polygon):
-        return float(np.min(_point_segment_distances(domain.vertices, w)))
-    if isinstance(domain, MoebiusImage):
-        return _moebius_boundary_distance(domain, w)
-    raise UnsupportedDomain(f"unknown domain {domain!r}")
+    return domain._distance(w)
 
-
-def _point_segment_distances(vertices, w: Point) -> np.ndarray:
-    v = np.asarray(vertices, dtype=complex)
-    p, r = v, np.roll(v, -1)
-    d = r - p
-    t = np.clip(((w - p) * np.conj(d)).real / np.abs(d) ** 2, 0.0, 1.0)
-    return np.abs(w - (p + t * d))
-
-
-def _core_boundary_points(core: Domain, m: int) -> list[np.ndarray]:
-    """m parameter samples per component of the core (Disc or Annulus) boundary."""
-    theta = 2 * np.pi * np.arange(m) / m
-    if isinstance(core, Disc):
-        return [core.center + core.radius * np.exp(1j * theta)]
-    if isinstance(core, Annulus):
-        return [np.exp(1j * theta), core.q * np.exp(-1j * theta)]
-    raise UnsupportedDomain("core must be Disc or Annulus")
-
-
-def _moebius_boundary_distance(domain: MoebiusImage, w: Point) -> float:
-    """Distance to the image circles, shrunk by 1e-12 to stay a lower bound."""
-    return min(abs(abs(w - center) - radius) for center, radius in moebius_circles(domain)) * (1.0 - 1e-12)
-
-
-def moebius_circles(domain: MoebiusImage) -> list[tuple[complex, float]]:
-    """(center, radius) of each boundary circle, in the core's component order.
-
-    The pole -d/c of F stays off every base circle (c0, rho), so each maps
-    to a circle.  Its center is F(zeta*), zeta* = c0 + rho^2 / conj(-d/c - c0)
-    the pole reflected in the circle (F(c0) when c = 0); written out so that
-    a pole at c0 (C = a/c) needs no separate case,
-        C = ((a c0 + b) conj(c c0 + d) - a conj(c) rho^2) / D,
-        R = rho |ad - bc| / |D|,  D = |c c0 + d|^2 - |c|^2 rho^2.
-    """
-    core, (a, b, c, d) = flatten_moebius(domain)
-    circles = [(core.center, core.radius)] if isinstance(core, Disc) else [(0j, 1.0), (0j, core.q)]
-    out = []
-    for c0, rho in circles:
-        e = c * c0 + d
-        den = abs(e) ** 2 - abs(c) ** 2 * rho * rho
-        center = ((a * c0 + b) * e.conjugate() - a * c.conjugate() * rho * rho) / den
-        out.append((center, rho * abs(a * d - b * c) / abs(den)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Boundary sampling
-# ---------------------------------------------------------------------------
 
 def boundary_sample(domain: Domain, n: int) -> list[tuple[Point, Point]]:
     """n boundary points with outward unit normals, arc-length spaced.
 
-    Points are ordered per boundary component (outer first for the annulus).
-    Circles start at angle 0; polygon and Moebius components are offset by
-    half a spacing so samples avoid vertices.
+    Points are ordered per boundary circle, in the order of ``circles``;
+    boundary_counts splits n among the circles.  Circles of a core start
+    at angle 0; polygon and Moebius components are offset by half a
+    spacing so samples avoid vertices.
     """
     if n < 8:
         raise ValueError(f"need n >= 8 boundary samples, got {n}")
-    if isinstance(domain, PolarComplement):
-        raise UnsupportedDomain("PolarComplement has no samplable boundary")
-    if isinstance(domain, Disc):
-        theta = 2 * np.pi * np.arange(n) / n
-        normals = np.exp(1j * theta)
-        pts = domain.center + domain.radius * normals
-        return list(zip(pts.tolist(), normals.tolist()))
-    if isinstance(domain, Annulus):
-        q = domain.q
-        n_outer = int(round(n / (1.0 + q)))
-        n_outer = min(max(n_outer, 1), n - 1)
-        n_inner = n - n_outer
-        th_o = 2 * np.pi * np.arange(n_outer) / n_outer
-        th_i = 2 * np.pi * np.arange(n_inner) / n_inner
-        out = list(zip(np.exp(1j * th_o).tolist(), np.exp(1j * th_o).tolist()))
-        # Inner circle: outward from the domain means toward the origin.
-        inn = list(zip((q * np.exp(-1j * th_i)).tolist(), (-np.exp(-1j * th_i)).tolist()))
-        return out + inn
-    if isinstance(domain, Polygon):
-        return _polygon_boundary_sample(domain.vertices, n)
-    if isinstance(domain, MoebiusImage):
-        return _moebius_boundary_sample(domain, n)
-    raise UnsupportedDomain(f"unknown domain {domain!r}")
+    return domain._sample(n)
 
-
-def _polygon_boundary_sample(vertices, n):
-    v = np.asarray(vertices, dtype=complex)
-    edges = np.roll(v, -1) - v
-    lengths = np.abs(edges)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = cum[-1]
-    s = (np.arange(n) + 0.5) * total / n
-    idx = np.searchsorted(cum, s, side="right") - 1
-    idx = np.clip(idx, 0, len(v) - 1)
-    frac = (s - cum[idx]) / lengths[idx]
-    pts = v[idx] + frac * edges[idx]
-    tangents = edges[idx] / lengths[idx]
-    normals = -1j * tangents  # domain lies to the left of a CCW traversal
-    return list(zip(pts.tolist(), normals.tolist()))
-
-
-def _moebius_boundary_sample(domain: MoebiusImage, n):
-    core, coeffs = flatten_moebius(domain)
-    dense = max(64 * n, 4096)
-    comps = _core_boundary_points(core, dense)
-    imgs = [moebius_forward(coeffs, comp) for comp in comps]
-    lengths = []
-    for img in imgs:
-        seg = np.abs(np.diff(np.append(img, img[0])))
-        lengths.append(float(np.sum(seg)))
-    total = sum(lengths)
-    counts = [max(1, int(round(n * L / total))) for L in lengths]
-    counts[0] += n - sum(counts)
-    out = []
-    for comp, img, L, m in zip(comps, imgs, lengths, counts):
-        seg = np.abs(np.diff(np.append(img, img[0])))
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        s = (np.arange(m) + 0.5) * L / m
-        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, dense - 1)
-        zeta = comp[idx]
-        # Tangent of the core parametrization, then pushed through the map.
-        step = comp[(idx + 1) % dense] - comp[idx - 1]
-        t_base = step / np.abs(step)
-        t_img = moebius_fprime(coeffs, zeta) * t_base
-        normals = -1j * t_img / np.abs(t_img)
-        pts = moebius_forward(coeffs, zeta)
-        out.extend(zip(pts.tolist(), normals.tolist()))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Bounding boxes (used by grids, Monte Carlo and SVG output)
-# ---------------------------------------------------------------------------
 
 def bounding_box(domain: Domain) -> tuple[float, float, float, float]:
-    """(x_min, x_max, y_min, y_max) enclosing the domain."""
-    if isinstance(domain, Disc):
-        c, r = domain.center, domain.radius
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
-    if isinstance(domain, Annulus):
-        return (-1.0, 1.0, -1.0, 1.0)
-    if isinstance(domain, Polygon):
-        v = np.asarray(domain.vertices, dtype=complex)
-        return (float(v.real.min()), float(v.real.max()), float(v.imag.min()), float(v.imag.max()))
-    if isinstance(domain, MoebiusImage):
-        core, coeffs = flatten_moebius(domain)
-        pts = np.concatenate([moebius_forward(coeffs, c) for c in _core_boundary_points(core, 4096)])
-        pad = 0.01 * (pts.real.max() - pts.real.min() + pts.imag.max() - pts.imag.min())
-        return (
-            float(pts.real.min() - pad),
-            float(pts.real.max() + pad),
-            float(pts.imag.min() - pad),
-            float(pts.imag.max() + pad),
-        )
-    raise UnsupportedDomain(f"no bounding box for {domain!r}")
+    """(x_min, x_max, y_min, y_max) enclosing the domain (used by grids,
+    Monte Carlo and SVG output): a core's outer circle, the padded hull of
+    dense samples of an image's circles, a polygon's vertices."""
+    return domain._box()
 
 
 # ---------------------------------------------------------------------------
@@ -480,29 +582,6 @@ def parse_domain(literal: str) -> Domain:
     raise InvalidDomain(f"unknown domain kind {head!r}")
 
 
-def _format_real(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _format_complex(z: complex) -> str:
-    if z.imag == 0:
-        return _format_real(z.real)
-    return f"{_format_real(z.real)}{'+' if z.imag >= 0 else '-'}{_format_real(abs(z.imag))}j"
-
-
 def domain_literal(domain: Domain) -> str:
     """Inverse of parse_domain (round-trips up to float formatting)."""
-    if isinstance(domain, PolarComplement):
-        return "polar-complement"
-    if isinstance(domain, Disc):
-        c = domain.center
-        return f"disc:{_format_real(c.real)},{_format_real(c.imag)},{_format_real(domain.radius)}"
-    if isinstance(domain, Annulus):
-        return f"annulus:{_format_real(domain.q)}"
-    if isinstance(domain, Polygon):
-        body = ";".join(f"{_format_real(v.real)},{_format_real(v.imag)}" for v in domain.vertices)
-        return f"polygon:{body}"
-    if isinstance(domain, MoebiusImage):
-        coeffs = ",".join(_format_complex(z) for z in (domain.a, domain.b, domain.c, domain.d))
-        return f"moebius:{coeffs};base={domain_literal(domain.base)}"
-    raise UnsupportedDomain(f"unknown domain {domain!r}")
+    return domain._literal()

@@ -42,14 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import (
-    CoincidentPoints,
-    ConvergenceFailure,
-    PointOutsideDomain,
-    RadiusTooLarge,
-    UnsupportedDomain,
-)
-from .geometry import Annulus, Disc, Domain, MoebiusImage, Point, PolarComplement, Polygon
+from .errors import CoincidentPoints, ConvergenceFailure, PointOutsideDomain, RadiusTooLarge, UnsupportedDomain
+from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 # ---------------------------------------------------------------------------
 # Result types
@@ -203,29 +197,17 @@ def _dual_field(q: float, w: Point, z: np.ndarray, parts: tuple[str, ...]) -> li
 # ---------------------------------------------------------------------------
 
 
-def _pull_back(domain: Domain, w: Point, z) -> tuple:
-    """(core, Moebius coefficients or None, w and z pulled back to the core,
-    z as an array).  Points of z at the image of infinity pull back to
-    infinity; w there raises ZeroDivisionError."""
-    core, coeffs = geo.flatten_moebius(domain)
-    z = np.asarray(z, dtype=complex)
-    if not isinstance(domain, MoebiusImage):
-        return core, None, w, z, z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zeta = np.asarray(geo.moebius_inverse(coeffs, z))
-    return core, coeffs, geo.moebius_inverse(coeffs, w), zeta, z
-
-
-def _field(core: Domain, coeffs, w: Point, zeta: np.ndarray, z: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
+def _field(pb: geo.PullBack, zeta: np.ndarray, z: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
     """The parts (see _dual_field) of G at z, from the field of the core
-    with pole w at the pulled-back points zeta; f' and f'' are pushed
-    through the inverse of the Moebius map when coeffs is not None."""
+    with pole pb.zeta_w at the pulled-back points zeta; f' and f'' are
+    pushed through the inverse of the Moebius map of an image."""
+    core, coeffs, w = pb
     inner = parts
     if coeffs is not None and "f2" in parts and "f1" not in parts:
         inner = parts + ("f1",)  # the push of f'' needs f'
     if isinstance(core, Annulus):
         out = dict(zip(inner, _dual_field(core.q, w, zeta, inner)))
-    elif isinstance(core, Disc):
+    else:  # the disc's closed forms
         u, v, r2 = zeta - core.center, w - core.center, core.radius * core.radius
         forms = {
             "g": lambda: np.log(core.radius * np.abs(zeta - w) / np.abs(r2 - np.conj(v) * u)),
@@ -235,8 +217,6 @@ def _field(core: Domain, coeffs, w: Point, zeta: np.ndarray, z: np.ndarray, part
         }
         with np.errstate(divide="ignore"):  # log(0) = -inf at the pole is correct
             out = {p: forms[p]() for p in inner}
-    else:
-        raise UnsupportedDomain(f"no series Green function for {type(core).__name__}; use the Monte Carlo oracle")
     if coeffs is not None and ("f1" in out or "f2" in out):
         a, b, c, d = coeffs
         det = a * d - b * c
@@ -248,6 +228,13 @@ def _field(core: Domain, coeffs, w: Point, zeta: np.ndarray, z: np.ndarray, part
     return [out[p] for p in parts]
 
 
+def _raw(domain: Domain, w: Point, z, part: str) -> np.ndarray:
+    """One part of the field at z, with no membership check on w or z."""
+    pb = geo.pull_back(domain, w, check=False)
+    z = np.asarray(z, dtype=complex)
+    return _field(pb, pb.pull(z), z, (part,))[0]
+
+
 def green_values_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     """G(z, w) evaluated by formula on an array of z.
 
@@ -255,17 +242,17 @@ def green_values_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     distance past the boundary, which the grid machinery exploits so that
     level-line interpolation stays exact near the boundary.
     """
-    return _field(*_pull_back(domain, w, z), ("g",))[0]
+    return _raw(domain, w, z, "g")
 
 
 def green_fprime_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     """f'(z) where G = Re f; grad G = (Re f', -Im f')."""
-    return _field(*_pull_back(domain, w, z), ("f1",))[0]
+    return _raw(domain, w, z, "f1")
 
 
 def green_fsecond_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     """f''(z); the full Hessian of G follows since G is harmonic."""
-    return _field(*_pull_back(domain, w, z), ("f2",))[0]
+    return _raw(domain, w, z, "f2")
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +263,14 @@ def green_fsecond_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
 def green_eval(domain: Domain, w: Point, z: Point) -> GreenValue:
     """Value and gradient of the Green function G(., w) at z, with a bound
     on the series truncation error of G (0 for closed forms)."""
-    if isinstance(domain, (Polygon, PolarComplement)):
-        raise UnsupportedDomain("green_eval supports Disc, Annulus and their Moebius images")
+    pb = geo.pull_back(domain, w)
     if z == w:
         raise CoincidentPoints("Green function pole: z == w")
-    try:
-        pulled = _pull_back(domain, w, z)
-    except ZeroDivisionError:  # w is the image of infinity
-        raise PointOutsideDomain(f"pole {w} outside domain") from None
-    core, _, zeta_w, zeta, _ = pulled
-    if not geo.contains(core, zeta_w):
-        raise PointOutsideDomain(f"pole {w} outside domain")
-    if not geo.contains(core, zeta):
+    zs = np.asarray(z, dtype=complex)
+    zeta = pb.pull(zs)
+    if not geo.contains(pb.core, zeta):
         raise PointOutsideDomain(f"evaluation point {z} outside domain")
-    value, fp, bound = _field(*pulled, ("g", "f1", "tail"))
+    value, fp, bound = _field(pb, zeta, zs, ("g", "f1", "tail"))
     fp = complex(fp)
     return GreenValue(value=float(value), grad_x=fp.real, grad_y=-fp.imag, truncation_bound=float(bound))
 
@@ -305,35 +286,30 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
         if not geo.contains(domain, w):
             raise PointOutsideDomain(f"{w} outside domain")
         return CapacityResult(capacity=0.0, robin_constant=-math.inf, truncation_bound=0.0)
-    if isinstance(domain, Polygon):
-        raise UnsupportedDomain("capacity on polygons is oracle territory")
-    if not geo.contains(domain, w):
-        raise PointOutsideDomain(f"{w} outside domain")
-    core, coeffs = geo.flatten_moebius(domain)
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        base = robin_capacity(core, zeta_w)
-        scale = abs(geo.moebius_fprime(coeffs, zeta_w))
-        robin = base.robin_constant - math.log(scale)
-        return CapacityResult(capacity=math.exp(robin), robin_constant=robin, truncation_bound=base.truncation_bound)
+    core, coeffs, zeta_w = geo.pull_back(domain, w)
     if isinstance(core, Disc):
-        d2 = abs(w - core.center) ** 2
-        c = core.radius / (core.radius**2 - d2)
-        return CapacityResult(capacity=c, robin_constant=math.log(c), truncation_bound=0.0)
-    # The k = 0 image gives log|z - w| + log(pi / (2 h |w| sin(theta0)))
-    # as z -> w; every other image pair is taken at z = w, where its
-    # 1/2 log1p(-rho) terms carry no singularity.  sin(theta0) is read from
-    # the nearer circle, log(|w|/q) = log1p((|w| - q)/q) or log(1/|w|), so
-    # it keeps its relative accuracy next to either circle of a thin ring.
-    q, r = core.q, abs(w)
-    h = -math.log(q)
-    s = math.sin(math.pi * min(math.log1p((r - q) / q), -math.log(r)) / h)
-    k = np.arange(1, annulus_dual_terms(q) + 1)
-    with np.errstate(over="ignore"):
-        sh2 = np.sinh(k * (math.pi**2 / h)) ** 2
-    robin = math.log(math.pi / (2.0 * h * r * s)) + float(np.sum(np.log1p(-s * s / (sh2 + s * s))))
-    tail = float(_dual_field(q, w, np.asarray(w, dtype=complex), ("tail",))[0])
-    return CapacityResult(capacity=math.exp(robin), robin_constant=robin, truncation_bound=tail)
+        cap = core.radius / (core.radius**2 - abs(zeta_w - core.center) ** 2)
+        robin, tail = math.log(cap), 0.0
+    else:
+        # The k = 0 image gives log|z - w| + log(pi / (2 h |w| sin(theta0)))
+        # as z -> w; every other image pair is taken at z = w, where its
+        # 1/2 log1p(-rho) terms carry no singularity.  sin(theta0) is read
+        # from the nearer circle, log(|w|/q) = log1p((|w| - q)/q) or
+        # log(1/|w|), so it keeps its relative accuracy next to either
+        # circle of a thin ring.
+        q, r = core.q, abs(zeta_w)
+        h = -math.log(q)
+        s = math.sin(math.pi * min(math.log1p((r - q) / q), -math.log(r)) / h)
+        k = np.arange(1, annulus_dual_terms(q) + 1)
+        with np.errstate(over="ignore"):
+            sh2 = np.sinh(k * (math.pi**2 / h)) ** 2
+        robin = math.log(math.pi / (2.0 * h * r * s)) + float(np.sum(np.log1p(-s * s / (sh2 + s * s))))
+        tail = float(_dual_field(q, zeta_w, np.asarray(zeta_w, dtype=complex), ("tail",))[0])
+        cap = math.exp(robin)
+    if coeffs is not None:  # the capacity of an image scales by 1/|F'|
+        robin -= math.log(abs(geo.moebius_fprime(coeffs, zeta_w)))
+        cap = math.exp(robin)
+    return CapacityResult(capacity=cap, robin_constant=robin, truncation_bound=tail)
 
 
 def disc_max_green(domain: Domain, w: Point, r: float, n_angles: int = 4096) -> float:
@@ -346,8 +322,7 @@ def disc_max_green(domain: Domain, w: Point, r: float, n_angles: int = 4096) -> 
     is capped at zero; at r equal to the boundary distance the closed disc
     touches the boundary, where G = 0, and 0.0 is returned.
     """
-    if isinstance(domain, (Polygon, PolarComplement)):
-        raise UnsupportedDomain("disc_max_green supports Disc, Annulus and their Moebius images")
+    geo.pull_back(domain, w)  # refuses a domain with no series and a pole outside
     delta = geo.boundary_distance(domain, w)
     if not (0 < r <= delta * (1 + 1e-12)):
         raise RadiusTooLarge(f"r={r} exceeds boundary distance {delta}")
@@ -393,19 +368,9 @@ def boundary_flux(domain: Domain, w: Point, n: int) -> float:
     samples = geo.boundary_sample(domain, n)
     pts = np.array([p for p, _ in samples])
     nrm = np.array([v for _, v in samples])
-    if isinstance(domain, Disc):
-        weights = np.full(n, 2 * math.pi * domain.radius / n)
-        spacing = weights
-    else:
-        q = domain.q
-        n_outer = int(round(n / (1.0 + q)))
-        n_outer = min(max(n_outer, 1), n - 1)
-        n_inner = n - n_outer
-        weights = np.concatenate(
-            [np.full(n_outer, 2 * math.pi / n_outer), np.full(n_inner, 2 * math.pi * q / n_inner)]
-        )
-        spacing = weights
-    h = 1e-4 * spacing
+    radii = [r for _, r in domain.circles]
+    weights = np.concatenate([np.full(m, 2 * math.pi * r / m) for r, m in zip(radii, geo.boundary_counts(n, radii))])
+    h = 1e-4 * weights  # the node spacing
     g_half = green_values_raw(domain, w, pts - 0.5 * h * nrm)
     g_full = green_values_raw(domain, w, pts - h * nrm)
     # G = 0 on the boundary; (G(-h) - 4 G(-h/2)) / h = G_n + O(h^2).
@@ -434,14 +399,9 @@ def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
     ConvergenceFailure is raised when g shows no sign change on (q, 1), as
     when the field underflows across a very thin ring.
     """
-    core, coeffs = geo.flatten_moebius(domain)
-    if isinstance(core, (Polygon, PolarComplement)):
-        raise UnsupportedDomain("critical_points needs a series Green function")
-    if not geo.contains(domain, w):
-        raise PointOutsideDomain(f"{w} outside domain")
-    if isinstance(core, Disc):
+    core, coeffs, zeta_w = geo.pull_back(domain, w)
+    if len(core.circles) == 1:  # simply connected
         return []
-    zeta_w = geo.moebius_inverse(coeffs, w) if isinstance(domain, MoebiusImage) else w
     q = core.q
     u = -zeta_w / abs(zeta_w)
 
@@ -478,7 +438,7 @@ def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
         raise ConvergenceFailure(f"degenerate critical point at {zc}: f'' vanishes")
     resid = abs(complex(green_fprime_raw(core, zeta_w, np.asarray(zc))))
     level = float(green_values_raw(core, zeta_w, np.asarray(zc)))
-    if isinstance(domain, MoebiusImage):
+    if coeffs is not None:
         z_img = complex(geo.moebius_forward(coeffs, zc))
         return [CriticalPoint(z_img, level, resid / abs(geo.moebius_fprime(coeffs, zc)), 2)]
     return [CriticalPoint(zc, level, resid, 2)]

@@ -42,21 +42,14 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import (
-    ExtrapolationUnstable,
-    LevelAbovePeak,
-    NonConvergence,
-    PointOutsideDomain,
-    TooFewSamples,
-    UnsupportedDomain,
-)
-from .geometry import Annulus, Disc, Domain, MoebiusImage, Point, PolarComplement, Polygon
+from .errors import ExtrapolationUnstable, LevelAbovePeak, NonConvergence, PointOutsideDomain, TooFewSamples, UnsupportedDomain
+from .geometry import Annulus, Disc, Domain, Point, Polygon
 from .sublevel import AreaEstimate
 
 CAPTURE_EPS = 1e-6
 MAX_STEPS = 10_000
 _STEP_BITS = 14  # 2^14 > MAX_STEPS; walk index shifted past it
-_BLOCK = 8192  # walks moved, or area samples drawn, per block: the walker's 64 KB temporaries stay
+_BLOCK = 8192  # walks moved or projected, or area samples drawn, per block: the walker's 64 KB temporaries stay
 # in cache and come from the heap, where whole-array ones were returned to the system after each
 # step and faulted in again; mc_area's memory stays flat in the sample count
 
@@ -177,13 +170,9 @@ def _unit_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wall_distance(domain: Domain, p: np.ndarray) -> np.ndarray:
-    if isinstance(domain, Disc):
-        return domain.radius - np.abs(p - domain.center)
-    if isinstance(domain, Annulus):
-        r = np.abs(p)
-        d = 1.0 - r
-        r -= domain.q
-        return np.minimum(r, d, out=d)
+    """Distance from each walker to the boundary: to the nearest edge of a
+    polygon; inside the outer circle and outside the holes of a disc or an
+    annulus, negative past a circle."""
     if isinstance(domain, Polygon):
         x, y = p.real, p.imag
         d2 = np.full(p.shape, np.inf)
@@ -203,20 +192,27 @@ def _wall_distance(domain: Domain, p: np.ndarray) -> np.ndarray:
             dx += dy
             np.minimum(d2, dx, out=d2)
         return np.sqrt(d2, out=d2)
-    raise UnsupportedDomain("walk-on-spheres supports Disc, Annulus and Polygon")
+    d, *holes = geo.circle_gaps(domain.circles, p)
+    for gap in holes:
+        np.minimum(gap, d, out=d)
+    return d
 
 
 def _project_boundary(domain: Domain, p: np.ndarray) -> np.ndarray:
-    if isinstance(domain, Disc):
-        u = p - domain.center
-        return domain.center + domain.radius * u / np.abs(u)
-    if isinstance(domain, Annulus):
-        r = np.abs(p)
-        target = np.where(r - domain.q < 1.0 - r, domain.q, 1.0)
-        return p * target / r
-    v = domain.vertices
+    """The nearest boundary point: on the nearest circle (the earlier one on
+    a tie) or polygon edge."""
     best = np.full(p.shape, np.inf)
     proj = np.array(p, dtype=complex)
+    if not isinstance(domain, Polygon):
+        for c, r in domain.circles:
+            u = p - c
+            ru = np.abs(u)
+            d = np.abs(ru - r)
+            closer = d < best
+            best = np.where(closer, d, best)
+            proj = np.where(closer, c + r * u / ru, proj)
+        return proj
+    v = domain.vertices
     for i in range(len(v)):
         a, b = v[i], v[(i + 1) % len(v)]
         e = b - a
@@ -294,7 +290,9 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
     if walk.size > 0.001 * walks:
         raise NonConvergence(f"{walk.size} of {walks} walks uncaptured after {MAX_STEPS} steps")
     ends[walk] = pos
-    scores = np.log(np.abs(_project_boundary(domain, ends) - w))
+    scores = np.concatenate(
+        [np.log(np.abs(_project_boundary(domain, ends[b : b + _BLOCK]) - w)) for b in range(0, walks, _BLOCK)]
+    )
     mean_score = float(np.mean(scores))
     std_err = float(np.std(scores, ddof=1) / math.sqrt(walks))
     return McEstimate(
@@ -311,11 +309,7 @@ def mc_area(domain: Domain, w: Point, t: float, samples: int, seed: int) -> McEs
         raise TooFewSamples(f"need at least 1 sample, got {samples}")
     if not (t < 0):
         raise LevelAbovePeak(f"need t < 0, got {t}")
-    core, _ = geo.flatten_moebius(domain)
-    if not isinstance(core, (Disc, Annulus)):
-        raise UnsupportedDomain("mc_area needs a series Green function for the indicator")
-    if not geo.contains(domain, w):
-        raise PointOutsideDomain(f"{w} outside domain")
+    geo.pull_back(domain, w)  # the indicator reads the series field
     x0, x1, y0, y1 = geo.bounding_box(domain)
     hits = 0
     for b in range(0, samples, _BLOCK):  # each sample is a function of its index alone
@@ -379,13 +373,9 @@ def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[co
     |f''| * cell size near one).  The returned points, best first, seed a
     Newton polish.
     """
-    core, coeffs = geo.flatten_moebius(domain)
-    if isinstance(core, (Polygon, PolarComplement)):
-        raise UnsupportedDomain("gradient scan needs a series Green function")
-    if isinstance(domain, MoebiusImage):
-        zeta_w = geo.moebius_inverse(coeffs, w)
-        seeds = grid_min_gradient(core, zeta_w, grid_size)
-        return [complex(geo.moebius_forward(coeffs, s)) for s in seeds]
+    core, coeffs, zeta_w = geo.pull_back(domain, w)
+    if coeffs is not None:  # scan the core, push the seeds forward
+        return [complex(geo.moebius_forward(coeffs, s)) for s in grid_min_gradient(core, zeta_w, grid_size)]
     x0, x1, y0, y1 = geo.bounding_box(domain)
     xs = np.linspace(x0, x1, grid_size)
     ys = np.linspace(y0, y1, grid_size)
@@ -499,13 +489,9 @@ def grid_area(domain: Domain, w: Point, t: float, resolution: int = 2048) -> Are
     """
     if not (t < 0):
         raise LevelAbovePeak(f"need t < 0, got {t}")
-    core, coeffs = geo.flatten_moebius(domain)
-    if not isinstance(core, (Disc, Annulus)):
-        raise UnsupportedDomain("grid_area needs a series Green function")
-    if not geo.contains(domain, w):
-        raise PointOutsideDomain(f"{w} outside domain")
-    w_eff = geo.moebius_inverse(coeffs, w)
-    c, r = (core.center, 1.02 * core.radius) if isinstance(core, Disc) else (0j, 1.02)
+    core, coeffs, w_eff = geo.pull_back(domain, w)
+    coeffs = coeffs or geo.IDENTITY_COEFFS
+    c, r = core.center, 1.02 * core.radius  # the outer circle
     xs = np.linspace(c.real - r, c.real + r, resolution + 1)
     ys = np.linspace(c.imag - r, c.imag + r, resolution + 1)
     h = (xs[1] - xs[0]) * (1 + 1j)  # cell diagonal (the cells are square)

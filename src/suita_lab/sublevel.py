@@ -36,16 +36,8 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import (
-    BelowResolution,
-    ConvergenceFailure,
-    CriticalLevel,
-    LevelAbovePeak,
-    PointOutsideDomain,
-    UnsupportedDomain,
-    WindowTooNarrow,
-)
-from .geometry import Annulus, Disc, Domain, MoebiusImage, Point
+from .errors import BelowResolution, ConvergenceFailure, CriticalLevel, LevelAbovePeak, WindowTooNarrow
+from .geometry import Disc, Domain, Point
 
 _EPS = float(np.finfo(float).eps)
 _ROUND = 64 * _EPS  # rounding floor of an area, relative
@@ -131,13 +123,11 @@ class LevelField:
     """
 
     def __init__(self, domain: Domain, w: Point, resolution: int):
-        core, coeffs = geo.flatten_moebius(domain)
-        if not isinstance(core, (Disc, Annulus)):
-            raise UnsupportedDomain("sublevel machinery supports Disc, Annulus and their Moebius images")
-        if not geo.contains(domain, w):
-            raise PointOutsideDomain(f"{w} outside domain")
+        core, coeffs, w_eff = geo.pull_back(domain, w)
         self.domain, self.w, self.resolution, self.core = domain, w, resolution, core
-        w_eff = geo.moebius_inverse(coeffs, w)
+        self.moebius = coeffs is not None
+        coeffs = coeffs or geo.IDENTITY_COEFFS
+        self.disc_map = None
         if isinstance(core, Disc):
             # zeta -> c0 + R (zeta + v) / (1 + conj(v) zeta), v = (w_eff - c0) / R, sends 0 to the pole
             c0, r = core.center, core.radius
@@ -148,7 +138,6 @@ class LevelField:
         self.log_q = math.log(core.q)
         # slice coordinates -> image: the rotation, then the image map (if any)
         self.frame = geo.moebius_compose(coeffs, (w_eff / self.r0, 0.0, 0.0, 1.0))
-        self.moebius = isinstance(domain, MoebiusImage)
         saddle = gr.critical_points(core, self.r0)[0]
         self.t0 = saddle.level
         # The fan: slice minima x_m and levels m on _FAN slices from the pole
@@ -342,7 +331,7 @@ class LevelField:
         ts = np.asarray(ts, dtype=float)
         if not np.all(ts < 0):
             raise LevelAbovePeak(f"need t < 0, got {float(np.max(ts))}")
-        if isinstance(self.core, Disc):  # M(D(0, rho)), rho = e^t, for M = (a z + b)/(c z + d)
+        if self.disc_map is not None:  # M(D(0, rho)), rho = e^t, for M = (a z + b)/(c z + d)
             a, b, c, d = self.disc_map
             rho2 = np.exp(2.0 * ts)
             d2, c2 = abs(d) ** 2, abs(c) ** 2 * rho2
@@ -380,7 +369,7 @@ class LevelField:
         if not t < 0:
             raise LevelAbovePeak(f"need t < 0, got {t}")
         n = max(self.resolution, 8)
-        if isinstance(self.core, Disc):
+        if self.disc_map is not None:
             circle = math.exp(t) * np.exp(2j * math.pi * np.arange(n + 1) / n)
             return [geo.moebius_forward(self.disc_map, circle)]
         end = math.pi if t >= self.t0 else float(self._tips(np.array([t]))[0])

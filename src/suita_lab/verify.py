@@ -31,7 +31,7 @@ from . import geometry as geo
 from . import green as gr
 from . import oracles as oc
 from . import sublevel as sl
-from .errors import ConvergenceFailure, NoCriticalPoint, SkippedDegenerate
+from .errors import ConvergenceFailure, NoCriticalPoint, SkippedDegenerate, UnsupportedDomain
 from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
@@ -341,8 +341,13 @@ def default_plan() -> list[tuple[str, complex]]:
     return plan
 
 
-def _kernel_supported(domain: Domain) -> bool:
-    return isinstance(geo.flatten_moebius(domain)[0], (Disc, Annulus))
+def _kernel_supported(domain: Domain, w: Point) -> bool:
+    """Whether domain has the series that the kernel and Green checks read."""
+    try:
+        geo.pull_back(domain, w)
+    except UnsupportedDomain:
+        return False
+    return True
 
 
 def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> VerificationReport:
@@ -357,7 +362,7 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
     for literal, w in config.entries:
         domain = geo.parse_domain(literal)
         polar = isinstance(domain, PolarComplement)
-        series = _kernel_supported(domain)
+        series = _kernel_supported(domain, w)
         if want("suita") and (series or polar):
             checks += suita_check(domain, w, config.j_max, overrides)
         if not series:
