@@ -222,15 +222,18 @@ class LevelField:
     def _roots(self, ts, phi):
         """(x_lo, x_hi) of {G < t} on the slices phi, t and phi aligned.
 
-        A slice whose minimum is not below t gives the empty interval
-        x_lo = x_hi = x_m.  The circle itself is the root where G there is
-        at most t plus one rounding step in x (4 eps |G_x|): next to the pole
-        an O(1) field rounds to about 1e-17 on the circles, more than |t| on
-        a thin ring.  The other ends come from Newton on expm1(G - t), close
-        to linear in x both next to the pole (where e^G is a distance) and
-        across a thin ring (where G is tiny).  They start at x_m +-
-        sqrt(expm1(2 (t - m)) / G_xx(x_m)): the quadratic model about x_m for
-        t close to m, and the pole's log|z - w| next to the pole.
+        A slice whose minimum is not below t by more than its rounding
+        (4 eps |t|) gives the empty interval x_lo = x_hi = x_m: at the tip
+        phi* the minimum meets t, and a slice left open by one rounding step
+        would put a root where G_x vanishes into gamma'.  The circle itself
+        is the root where G there is at most t plus one rounding step in x
+        (4 eps |G_x|): next to the pole an O(1) field rounds to about 1e-17
+        on the circles, more than |t| on a thin ring.  The other ends come
+        from Newton on expm1(G - t), close to linear in x both next to the
+        pole (where e^G is a distance) and across a thin ring (where G is
+        tiny).  They start at x_m +- sqrt(expm1(2 (t - m)) / G_xx(x_m)): the
+        quadratic model about x_m for t close to m, and the pole's
+        log|z - w| next to the pole.
         """
         xm = self._slice_minimum(phi)
         m = self._values(xm, phi)
@@ -239,7 +242,7 @@ class LevelField:
             self._values(c, phi) - ts <= 4 * _EPS * np.abs(self._zfprime(c, phi).real)
             for c in (np.full(phi.shape, self.log_q), np.zeros(phi.shape))
         )
-        open_ = m < ts
+        open_ = m < ts - 4 * _EPS * np.abs(ts)
         k = np.nonzero(open_)[0]
         lo_side, hi_side = k[~inner[k]], k[~outer[k]]
         sides = np.concatenate([lo_side, hi_side])

@@ -106,6 +106,16 @@ class TestCoareaDerivative:
         values = [sl.coarea_derivative(annulus_half, 0.7 + 0j, t0 - gap, RES) for gap in gaps]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("r", [0.8999999999999999, 0.9000000000000001])
+    def test_resolved_at_pole_radii_one_ulp_from_the_plan(self, annulus_thin, r):
+        # at |w| = 0.9 - 1 ulp the tip of the level t = -0.8867 lands where
+        # m(phi*) - t = -1.1e-16, so without the rounding margin in _roots the
+        # last slice stays open and the gamma' rule never settles (NaN)
+        ref = sl.profile_scan(annulus_thin, 0.9 + 0j, -1.0, -0.15, 16, RES).gamma_prime
+        got = sl.profile_scan(annulus_thin, r + 0j, -1.0, -0.15, 16, RES).gamma_prime
+        assert not np.any(np.isnan(got))
+        np.testing.assert_allclose(got, ref, rtol=1e-6)
+
     def test_critical_level_guard(self, annulus_half):
         # at t0 itself the level curve pinches and gamma' diverges
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
