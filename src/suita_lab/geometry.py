@@ -1,35 +1,25 @@
-"""Planar domain descriptors and the queries every other module builds on.
-
-Domains come in a closed set of families, and each family object answers
-the geometric questions the package asks of it: membership, the distance
-to the boundary, boundary samples, a bounding box and its literal.
+"""Planar domains, each family answering the geometric questions asked of it.
 
 * ``Disc(center, radius)``
-* ``Annulus(inner_radius)`` -- the ring q < |z| < 1, centered at 0j with
-  outer radius 1.0; general annuli are reached through a Moebius image of
-  this canonical one
+* ``Annulus(inner_radius)`` -- the ring q < |z| < 1 (center 0j, outer
+  radius 1.0); general annuli are Moebius images of this canonical one
 * ``MoebiusImage(base, a, b, c, d)`` -- the image of a base domain under
   F(zeta) = (a zeta + b)/(c zeta + d) with ad - bc != 0
 * ``Polygon(vertices)`` -- a simple, positively oriented polygon; supported
   only by the Monte Carlo oracle paths
-* ``PolarComplement()`` -- the plane minus the origin, the degenerate case
-  whose complement carries no logarithmic capacity
+* ``PolarComplement()`` -- the plane minus the origin, whose complement
+  carries no logarithmic capacity
 
-Discs, annuli and their images are bounded by circles, which ``circles``
-lists as (center, radius).  A disc or an annulus (a *core*) lists its outer
-circle first, and the domain lies inside it and outside the others; an
-image lists the images of its core's circles in the same order, so its
-outer circle comes second when the map's pole lies in the hole.  Membership,
-boundary distance, samples, the bounding box and the Moebius outline all
-read this one list.
-
-The series modules see an image only through its core: ``pull_back``
-returns the core, the composed map and the pole pulled back, and is the one
-place where a series operation refuses a domain.  A polygon or the polar
-complement has no series Green function (UnsupportedDomain), and a pole
-outside the domain is refused with PointOutsideDomain.  The polar
-complement answers membership, a boundary distance of +inf, and (in green
-and bergman) its zero capacity and kernels.
+Discs, annuli and their images are bounded by the circles that
+``circles`` lists as (center, radius).  A disc or an annulus (a *core*)
+lists its outer circle first, and the domain lies inside it and outside
+the others; an image lists the images of its core's circles in the same
+order (its outer circle comes second when the map's pole lies in the
+hole).  Membership, boundary distance, samples, bounding boxes and the
+Moebius outline read this one list.  ``pull_back`` gives the series
+modules an image's core, composed map and pulled-back pole, and is where
+they refuse a polygon or the polar complement (UnsupportedDomain) and a
+pole outside the domain (PointOutsideDomain).
 
 Points are plain ``complex`` numbers.  All operations here are pure and
 stateless; array-valued variants (``contains_mask``) accept numpy arrays of
@@ -40,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -77,15 +68,6 @@ def boundary_counts(n: int, lengths) -> list[int]:
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-def circle_gaps(circles, z: np.ndarray) -> list[np.ndarray]:
-    """How far the points z lie inside circles[0] and outside each other
-    circle, negative on the far side: r0 - |z - c0|, then |z - c| - r.
-    A hole concentric with the outer circle reuses |z - c0|."""
-    (c0, r0), *holes = circles
-    dist = np.abs(z - c0) if c0 else np.abs(z)
-    return [r0 - dist] + [(dist if c == c0 else np.abs(z - c)) - r for c, r in holes]
-
-
 def _circle_nodes(circles, counts) -> list[tuple[np.ndarray, np.ndarray]]:
     """(points, outward normals) on each circle of a core, m equally spaced
     nodes from angle 0: counterclockwise on the outer circle, clockwise
@@ -113,10 +95,11 @@ class _Core(_Bounded):
     """A disc or an annulus: the domain inside circles[0] and outside the rest."""
 
     def _mask(self, z: np.ndarray) -> np.ndarray:
-        outer, *holes = circle_gaps(self.circles, z)
-        inside = outer > 0
-        for gap in holes:
-            inside &= gap > 0
+        (c0, r0), *holes = self.circles
+        dist = np.abs(z - c0) if c0 else np.abs(z)  # reused by a concentric hole
+        inside = dist < r0
+        for c, r in holes:
+            inside &= (dist if c == c0 else np.abs(z - c)) > r
         return inside
 
     def _sample(self, n: int) -> list[tuple[Point, Point]]:
@@ -139,7 +122,7 @@ class Disc(_Core):
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise InvalidDomain(f"disc radius must be positive, got {self.radius}")
 
-    @property
+    @cached_property
     def circles(self) -> tuple[tuple[complex, float], ...]:
         return ((self.center, self.radius),)
 
@@ -162,7 +145,7 @@ class Annulus(_Core):
     def q(self) -> float:
         return self.inner_radius
 
-    @property
+    @cached_property
     def circles(self) -> tuple[tuple[complex, float], ...]:
         return ((self.center, self.radius), (self.center, self.inner_radius))
 
@@ -199,9 +182,9 @@ class MoebiusImage(_Bounded):
     def coeffs(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
-    @property
-    def circles(self) -> list[tuple[complex, float]]:
-        return moebius_circles(self)
+    @cached_property
+    def circles(self) -> tuple[tuple[complex, float], ...]:
+        return tuple(moebius_circles(self))
 
     def _distance(self, w: Point) -> float:
         """Shrunk by 1e-12 to stay a lower bound: the image circles carry rounding."""

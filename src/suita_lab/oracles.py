@@ -192,9 +192,11 @@ def _wall_distance(domain: Domain, p: np.ndarray) -> np.ndarray:
             dx += dy
             np.minimum(d2, dx, out=d2)
         return np.sqrt(d2, out=d2)
-    d, *holes = geo.circle_gaps(domain.circles, p)
-    for gap in holes:
-        np.minimum(gap, d, out=d)
+    (c0, r0), *holes = domain.circles
+    dist = np.abs(p - c0) if c0 else np.abs(p)  # reused by a concentric hole
+    d = r0 - dist
+    for c, r in holes:
+        np.minimum((dist if c == c0 else np.abs(p - c)) - r, d, out=d)
     return d
 
 
