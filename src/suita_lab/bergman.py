@@ -14,6 +14,12 @@ an annulus (n in Z, Laurent), with closed-form norms, so the frame is
 explicit and the only approximation is the basis cutoff, which is grown
 adaptively until the reported tail bound is negligible.
 
+Each column of the frame depends on its own exponent n only.  So a row
+set builds each power u^m once, row i reading it shifted by i, and a
+doubling of the cutoff builds only the new exponents and joins them to
+the rows it already has: the matrix factored at each cutoff is the one a
+frame built at that cutoff in one go would give, bit for bit.
+
 Moebius images are handled by rebuilding the frame in base coordinates:
 the unitary change of variables f -> (f o F) F' turns the j-th derivative
 constraint at w into a triangular combination of base derivatives at the
@@ -80,24 +86,41 @@ def basis_norms(domain: Domain, n_lo: int, n_hi: int) -> np.ndarray:
 
 
 def _derivative_rows(core: Domain, w_eff: complex, j: int, n_lo: int, n_hi: int) -> np.ndarray:
-    """Rows i = 0..j of e_n^(i)(w) for the normalized monomial basis."""
+    """Rows i = 0..j of e_n^(i)(w), n = n_lo..n_hi, for the normalized
+    monomial basis.
+
+    The rows are formed in the unit variable u = (w - c)/R, where
+    e_n(z) = u^n / (R sqrt(pi/(n+1))) on a disc of radius R: the true norm
+    R^(2n+2) would overflow (R > 1) or underflow (R < 1) long before u^n
+    does.  Each power u^m, m = n_lo - j..n_hi, is built once; row i reads
+    the same vector shifted by i.
+    """
     n = np.arange(n_lo, n_hi + 1)
-    norms = basis_norms(core, n_lo, n_hi)
+    width = len(n)
+    norms = math.pi / (n + 1) if isinstance(core, Disc) else basis_norms(core, n_lo, n_hi)
+    root, radius = np.sqrt(norms), core.radius
     u = w_eff - core.center
-    rows = np.empty((j + 1, len(n)), dtype=complex)
+    if radius != 1.0:  # on R = 1 the unit variable is w - c itself, signed zeros included
+        u = u / radius
+    m = np.arange(n_lo - j, n_hi + 1)
+    rows = np.empty((j + 1, width), dtype=complex)
     # falling factorial n (n-1) ... (n-i+1), valid for negative n as well
-    fall = np.ones(len(n))
+    fall = np.ones(width)
     with np.errstate(over="ignore", invalid="ignore"):
+        if u != 0:
+            powers = u ** (m + 0j)
+        else:  # 0^0 = 1 on the diagonal term, 0 elsewhere (disc center)
+            powers = np.where(m == 0, 1.0 + 0j, 0j)
         for i in range(j + 1):
             if i > 0:
                 fall = fall * (n - (i - 1))
-            if u != 0:
-                powers = u ** (n - i + 0j)
-            else:  # 0^0 = 1 on the diagonal term, 0 elsewhere (disc center)
-                powers = np.where(n - i == 0, 1.0 + 0j, 0j)
-            rows[i] = fall * powers / np.sqrt(norms)
+            rows[i] = fall * powers[j - i : j - i + width] / (root * radius ** (i + 1))
     # Intermediate overflow can only hit far-tail entries whose true value
-    # underflows to zero (the basis decays geometrically at w).
+    # underflows to zero: the basis decays geometrically at w on a disc and
+    # for n >= 0 on an annulus.  Not so for n <= -2 next to the inner
+    # circle: once n < -355/log(1/q) the norm q^(2n+2) overflows and the
+    # entry reads 0 (or inf/inf, zeroed here), while its true size,
+    # (q/|w|)^|n| |n|^(j+1/2), need not be negligible.
     rows[~np.isfinite(rows)] = 0.0
     return rows
 
@@ -185,14 +208,24 @@ def kernel_j(domain: Domain, w: Point, j: int, rel_tol: float = 1e-11) -> Kernel
         if not geo.contains(domain, w):
             raise PointOutsideDomain(f"{w} outside domain")
         return KernelResult(order=j, value=0.0, truncation_order=0, tail_bound=0.0)
-    pb = geo.pull_back(domain, w)
+    core, coeffs, zeta_w = geo.pull_back(domain, w)
+    compose = None if coeffs is None else _composition_matrix(coeffs, w, j)
     n = max(32, 8 * (j + 1))
-    value = _qr_residual_sq(_frame_rows(pb, w, j, n))
+    n_lo, n_hi = _n_range(core, n)
+    rows = _derivative_rows(core, zeta_w, j, n_lo, n_hi)
+    value = _qr_residual_sq(rows if compose is None else compose @ rows)
     while True:
         n2 = 2 * n
         if n2 > _MAX_BASIS:
             raise TruncationFailure(f"kernel tail target unreachable below basis size {_MAX_BASIS}")
-        v2 = _qr_residual_sq(_frame_rows(pb, w, j, n2))
+        # each column depends on its own exponent only: a doubling builds
+        # the new exponents and joins them to the rows already built
+        lo2, hi2 = _n_range(core, n2)
+        parts = [rows, _derivative_rows(core, zeta_w, j, n_hi + 1, hi2)]
+        if lo2 < n_lo:
+            parts.insert(0, _derivative_rows(core, zeta_w, j, lo2, n_lo - 1))
+        rows, n_lo, n_hi = np.hstack(parts), lo2, hi2
+        v2 = _qr_residual_sq(rows if compose is None else compose @ rows)
         delta = abs(v2 - value)
         if delta <= rel_tol * max(v2, 1e-300):
             tail = max(4.0 * delta, 8.0 * np.finfo(float).eps * v2)

@@ -1,9 +1,14 @@
+import cmath
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from suita_lab import bergman as bg
+from suita_lab import geometry as geo
 from suita_lab import green as gr
 from suita_lab.errors import StencilOutsideDomain, TruncationFailure, UnsupportedDomain
 from suita_lab.geometry import Disc, MoebiusImage, PolarComplement
@@ -187,3 +192,88 @@ class TestLaplacianIdentity:
     def test_stencil_guard(self, unit_disc):
         with pytest.raises(StencilOutsideDomain):
             bg.laplacian_identity_check(unit_disc, 0.9995 + 0j, 0, 1e-3)
+
+
+# kernel_j on j = 0..4 at 3-4 poles of ten domains, and one derivative
+# matrix, in float.hex, as the frame that rebuilt every power at every
+# doubling computed them (commit 87316b0).  A refusal is frozen as its
+# class name.
+FROZEN = json.loads((Path(__file__).parent / "kernel_frozen_values.json").read_text())
+FROZEN_POLES = [(lit, case["w"]) for lit, cases in FROZEN["domains"].items() for case in cases]
+
+
+def _frozen_row(domain, w, j):
+    try:
+        k = bg.kernel_j(domain, w, j)
+    except TruncationFailure:
+        return [j, "TruncationFailure"]
+    return [j, k.value.hex(), k.tail_bound.hex(), k.truncation_order]
+
+
+class TestFrozenKernel:
+    @pytest.mark.parametrize("literal, w", FROZEN_POLES)
+    def test_kernel_keeps_frozen_bits(self, literal, w):
+        rows = next(c["rows"] for c in FROZEN["domains"][literal] if c["w"] == w)
+        domain = geo.parse_domain(literal)
+        assert [_frozen_row(domain, complex(w), j) for j in range(5)] == rows
+
+    def test_frame_keeps_frozen_bits(self):
+        frame = FROZEN["frame"]
+        got = bg.build_frame(geo.Annulus(0.5), 0.7 + 0j, 4, 96).derivative_matrix
+        assert list(got.shape) == frame["shape"]
+        assert [float(x).hex() for x in got.real.ravel()] == frame["real"]
+        assert [float(x).hex() for x in got.imag.ravel()] == frame["imag"]
+
+    @pytest.mark.parametrize("literal, w", FROZEN_POLES)
+    def test_kernel_is_the_pinned_kernel_at_its_cutoff(self, literal, w):
+        # the grown frame and the frame built at the final cutoff in one go
+        # give the same value, bit for bit
+        domain, w = geo.parse_domain(literal), complex(w)
+        for j in range(5):
+            try:
+                k = bg.kernel_j(domain, w, j)
+            except TruncationFailure:
+                continue
+            assert k.value == bg.pinned_kernel(domain, w, j, w, k.truncation_order)
+
+
+def _disc_poles():
+    """The unit-disc poles of the radius sweep: 0 to 0.995 of the radius."""
+    return [f * cmath.exp(0.9j) for f in (0.0, 0.3, 0.6, 0.9, 0.99, 0.995)]
+
+
+class TestDiscRadius:
+    # K_j = j!(j+1)!/pi c^(2j+2), c = R/(R^2 - |w - c0|^2), on every radius:
+    # the frame's true norms pi R^(2n+2)/(n+1) leave the double range once
+    # n > 354/|log R|, and the rows are formed in (w - c0)/R instead
+    @pytest.mark.parametrize("center", [0j, 0.3 - 0.2j])
+    @pytest.mark.parametrize("radius", [0.01, 0.1, 0.5, 1.0, 1.3, 2.0, 4.0])
+    def test_closed_form_or_refused_with_the_unit_disc(self, radius, center):
+        domain = Disc(center, radius)
+        for u in _disc_poles():
+            w = center + radius * u
+            cap = radius / (radius * radius - abs(w - center) ** 2)
+            for j in range(4):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        k = bg.kernel_j(domain, w, j)
+                    except TruncationFailure:
+                        k = None
+                assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
+                if k is None:
+                    with pytest.raises(TruncationFailure):
+                        bg.kernel_j(Disc(0j, 1.0), u, j)
+                else:
+                    assert k.value == pytest.approx(disc_kernel_exact(j, cap), rel=1e-12, abs=0)
+
+    def test_unit_disc_refuses_only_at_the_edge(self):
+        # the sweep above is not empty: the refusals are j = 2, 3 at 0.995
+        refused = []
+        for u in _disc_poles():
+            for j in range(4):
+                try:
+                    bg.kernel_j(Disc(0j, 1.0), u, j)
+                except TruncationFailure:
+                    refused.append((round(abs(u), 3), j))
+        assert refused == [(0.995, 2), (0.995, 3)]
