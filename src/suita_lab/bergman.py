@@ -9,10 +9,12 @@ v_i = (e_n^(i)(w))_n, the extremal problem is linear-quadratic and its
 value is exact at fixed truncation: K_j(w) is the squared norm of the
 component of v_j orthogonal to span{v_0, ..., v_{j-1}} (Gram-Schmidt on
 the constraint vectors; for j = 0 this collapses to the familiar
-sum_n |e_n(w)|^2).  Monomials z^n are orthogonal on a disc (n >= 0) and on
+sum_n |e_n(w)|^2).  Monomials are orthogonal on a disc (n >= 0) and on
 an annulus (n in Z, Laurent), with closed-form norms, so the frame is
 explicit and the only approximation is the basis cutoff, which is grown
-adaptively until the reported tail bound is negligible.
+adaptively until the reported tail bound is negligible.  On a disc of
+centre c and radius R the monomials are those of the unit variable
+(z - c)/R, whose norms pi R^2/(n+1) stay in the double range for every n.
 
 Each column of the frame depends on its own exponent n only.  So a row
 set builds each power u^m once, row i reading it shifted by i, and a
@@ -53,15 +55,17 @@ class KernelResult:
 @dataclass(frozen=True, eq=False)
 class OrthonormalFrame:
     derivative_matrix: np.ndarray  # rows i = 0..j: i-th derivatives of the normalized basis at w
-    basis_norms: np.ndarray  # squared norms of the raw basis elements
+    basis_norms: np.ndarray  # squared norms of the basis elements (unit variable on a disc)
     n_lo: int
     n_hi: int
 
 
 def basis_norms(domain: Domain, n_lo: int, n_hi: int) -> np.ndarray:
-    """Squared L2 norms of the monomial basis z^n, n_lo..n_hi inclusive.
+    """Squared L2 norms of the monomial basis, n_lo..n_hi inclusive.
 
-    Disc of radius R (centered basis): ||z^n||^2 = pi R^(2n+2) / (n+1).
+    Disc of centre c and radius R, in the unit variable u = (z - c)/R:
+    ||u^n||^2 = pi R^2 / (n+1), finite for every n (the norm of (z - c)^n,
+    pi R^(2n+2)/(n+1), leaves the double range once n ~ 354/|log R|).
     Annulus q < |z| < 1: ||z^n||^2 = 2 pi (1 - q^(2n+2)) / (2n+2) away from
     n = -1 (the expression is positive for n <= -2 as written), and
     ||z^-1||^2 = 2 pi log(1/q).
@@ -72,7 +76,7 @@ def basis_norms(domain: Domain, n_lo: int, n_hi: int) -> np.ndarray:
     if isinstance(domain, Disc):
         if n_lo < 0:
             raise ValueError("disc basis starts at n = 0")
-        return math.pi * domain.radius ** (2 * n + 2) / (n + 1)
+        return math.pi * domain.radius**2 / (n + 1)
     if isinstance(domain, Annulus):
         q = domain.q
         out = np.empty(len(n))
@@ -90,15 +94,14 @@ def _derivative_rows(core: Domain, w_eff: complex, j: int, n_lo: int, n_hi: int)
     monomial basis.
 
     The rows are formed in the unit variable u = (w - c)/R, where
-    e_n(z) = u^n / (R sqrt(pi/(n+1))) on a disc of radius R: the true norm
-    R^(2n+2) would overflow (R > 1) or underflow (R < 1) long before u^n
-    does.  Each power u^m, m = n_lo - j..n_hi, is built once; row i reads
-    the same vector shifted by i.
+    e_n(z) = u^n / ||u^n|| on a disc of radius R, so the i-th derivative in
+    z carries the factor R^-i (an annulus has R = 1).  Each power u^m,
+    m = n_lo - j..n_hi, is built once; row i reads the same vector shifted
+    by i.
     """
     n = np.arange(n_lo, n_hi + 1)
     width = len(n)
-    norms = math.pi / (n + 1) if isinstance(core, Disc) else basis_norms(core, n_lo, n_hi)
-    root, radius = np.sqrt(norms), core.radius
+    root, radius = np.sqrt(basis_norms(core, n_lo, n_hi)), core.radius
     u = w_eff - core.center
     if radius != 1.0:  # on R = 1 the unit variable is w - c itself, signed zeros included
         u = u / radius
@@ -114,7 +117,7 @@ def _derivative_rows(core: Domain, w_eff: complex, j: int, n_lo: int, n_hi: int)
         for i in range(j + 1):
             if i > 0:
                 fall = fall * (n - (i - 1))
-            rows[i] = fall * powers[j - i : j - i + width] / (root * radius ** (i + 1))
+            rows[i] = fall * powers[j - i : j - i + width] / (root * radius**i)
     # Intermediate overflow can only hit far-tail entries whose true value
     # underflows to zero: the basis decays geometrically at w on a disc and
     # for n >= 0 on an annulus.  Not so for n <= -2 next to the inner

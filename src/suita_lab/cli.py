@@ -52,7 +52,7 @@ def _nonneg_int(text: str) -> int:
 # Config files: plain key=value with # comments, unknown keys rejected
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {"domains", "poles", "seeds", "grid", "steps"}
+_KNOWN_KEYS = {"domains", "poles", "seeds", "steps"}
 
 
 def parse_config(text: str) -> dict:
@@ -95,9 +95,9 @@ def suite_config_from_file(path: str) -> SuiteConfig:
         config.thm4_entries = [e for e in config.thm4_entries if e[0] in literals]
         config.char_entries = [e for e in config.char_entries if e[0] in literals]
     if "seeds" in raw:
-        config.seeds = [int(s) for s in raw["seeds"].split(",")]
-    if "grid" in raw:
-        config.grid = int(raw["grid"])
+        if "," in raw["seeds"]:
+            raise ConfigError(f"seeds takes one seed, got {raw['seeds']!r}")
+        config.seed = int(raw["seeds"])
     if "steps" in raw:
         config.profile_steps = int(raw["steps"])
     config.tolerances = raw["tolerances"]
@@ -111,36 +111,29 @@ def suite_config_from_file(path: str) -> SuiteConfig:
 _CSV_HEADER = ["check_name", "domain", "pole", "params", "lhs", "rhs", "margin", "pass"]
 
 
+def _row(c: Check) -> list[str]:
+    """The report fields of one check, in _CSV_HEADER order, as printed."""
+    numbers = [_fmt(c.lhs), _fmt(c.rhs), _fmt(c.margin)]
+    return [c.name, c.domain, c.pole, c.params, *numbers, "true" if c.passed else "false"]
+
+
+def _typed(row: list[str]) -> list:
+    """A printed row read back: the numbers as floats, pass as a bool."""
+    return [*row[:4], *map(float, row[4:7]), row[7] == "true"]
+
+
 def report_csv_text(report: VerificationReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
-    for c in report.checks:
-        writer.writerow(
-            [c.name, c.domain, c.pole, c.params, _fmt(c.lhs), _fmt(c.rhs), _fmt(c.margin), "true" if c.passed else "false"]
-        )
+    writer.writerows(map(_row, report.checks))
     return buf.getvalue()
 
 
 def report_json_text(report: VerificationReport) -> str:
     meta = {k: v for k, v in report.metadata.items() if k != "wall_time_s"}
-    payload = {
-        "metadata": meta,
-        "checks": [
-            {
-                "check_name": c.name,
-                "domain": c.domain,
-                "pole": c.pole,
-                "params": c.params,
-                "lhs": float(_fmt(c.lhs)),
-                "rhs": float(_fmt(c.rhs)),
-                "margin": float(_fmt(c.margin)),
-                "pass": c.passed,
-            }
-            for c in report.checks
-        ],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    checks = [dict(zip(_CSV_HEADER, _typed(_row(c)))) for c in report.checks]
+    return json.dumps({"metadata": meta, "checks": checks}, indent=1) + "\n"
 
 
 def emit_report(report: VerificationReport, path: str, fmt: str = "csv") -> None:
@@ -150,25 +143,18 @@ def emit_report(report: VerificationReport, path: str, fmt: str = "csv") -> None
 
 
 def parse_report_csv(path: str) -> list[Check]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _CSV_HEADER:
-        raise ConfigError(f"{path} is not a verify report")
     out = []
-    for row in rows[1:]:
-        name, domain, pole, params, lhs, rhs, margin, passed = row
-        out.append(
-            Check(
-                name=name,
-                domain=domain,
-                pole=pole,
-                params=params,
-                lhs=float(lhs),
-                rhs=float(rhs),
-                margin=float(margin),
-                passed=passed == "true",
-            )
-        )
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != _CSV_HEADER:
+            raise ConfigError(f"{path} is not a verify report")
+        for row in reader:
+            try:
+                if len(row) != len(_CSV_HEADER):
+                    raise ValueError(f"expected 8 fields, got {len(row)}")
+                out.append(Check(*_typed(row)))
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
     return out
 
 
@@ -323,11 +309,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = suite_config_from_file(args.config) if args.config else SuiteConfig()
-    if args.grid:
-        config.grid = args.grid
     report = vf.run_suite(config, suite=args.suite)
     for c in report.failures:
-        print(f"FAIL {c.name} domain={c.domain} pole={c.pole} {c.params} lhs={_fmt(c.lhs)} rhs={_fmt(c.rhs)}")
+        name, domain, pole, params, lhs, rhs, _, _ = _row(c)
+        print(f"FAIL {name} domain={domain} pole={pole} {params} lhs={lhs} rhs={rhs}")
     print(
         f"{report.metadata['checks_total']} checks, {report.metadata['checks_failed']} failures, "
         f"{report.metadata['wall_time_s']}s"
@@ -416,7 +401,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--grid", type=int)
     p.set_defaults(func=_cmd_verify)
 
     return parser.parse_args(argv)

@@ -122,7 +122,7 @@ class LevelField:
     minima.  resolution sets the samples along a level curve, not areas.
     """
 
-    def __init__(self, domain: Domain, w: Point, resolution: int):
+    def __init__(self, domain: Domain, w: Point, resolution: int = 1024):
         core, coeffs, w_eff = geo.pull_back(domain, w)
         self.domain, self.w, self.resolution, self.core = domain, w, resolution, core
         self.moebius = coeffs is not None

@@ -36,6 +36,7 @@ from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
 GOLDEN_RADIUS_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0
+THM4_STEPS = 48  # log lambda samples per thm4 window in the suite
 
 DEFAULT_TOLERANCES = {
     "suita": 1e-8,
@@ -96,21 +97,22 @@ def _tol(name: str, overrides: dict[str, float] | None) -> float:
     return DEFAULT_TOLERANCES.get(fam, 1e-8)
 
 
+def _line(name, domain, w, params, lhs, rhs, passed, margin=None) -> Check:
+    """One report line; the margin is rhs - lhs (positive = pass) unless given."""
+    if margin is None:
+        margin = rhs - lhs
+    return Check(name, geo.domain_literal(domain), _fmt_pole(w), params, lhs, rhs, margin, bool(passed))
+
+
+def _skipped(name, domain, w, status, exc) -> Check:
+    """A passing line for a sample where the check does not apply."""
+    return _line(name, domain, w, f"status={status};{exc}", 0.0, 0.0, True)
+
+
 def _check(name, domain, w, params, lhs, rhs, overrides=None) -> Check:
     """Oriented check: pass iff rhs - lhs >= -tol * scale."""
-    margin = rhs - lhs
     scale = max(abs(lhs), abs(rhs))
-    tol = _tol(name, overrides)
-    return Check(
-        name=name,
-        domain=geo.domain_literal(domain),
-        pole=_fmt_pole(w),
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=bool(margin >= -tol * scale),
-    )
+    return _line(name, domain, w, params, lhs, rhs, rhs - lhs >= -_tol(name, overrides) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +180,8 @@ def blb_check(domain: Domain, w: Point, profile: sl.SublevelProfile, overrides=N
         out.append(_check(f"blb_lower[t={t:.6g}]", domain, w, f"t={t:.12g}", 1.0 / e2t, kernel, overrides))
     max_drop, mono_ok = sl.monotonicity_check(profile)
     tol = _tol("blb_monotone", overrides)
-    out.append(
-        Check(
-            name="blb_monotone",
-            domain=geo.domain_literal(domain),
-            pole=_fmt_pole(w),
-            params=f"steps={len(profile.t_samples)}",
-            lhs=max_drop,
-            rhs=tol,
-            margin=tol - max_drop,
-            passed=bool(mono_ok if tol == 0.0 else max_drop <= tol),
-        )
-    )
+    passed = mono_ok if tol == 0.0 else max_drop <= tol
+    out.append(_line("blb_monotone", domain, w, f"steps={len(profile.t_samples)}", max_drop, tol, passed))
     return out
 
 
@@ -206,8 +198,10 @@ def thm4_scan(
     exponentially in the modulus of the annulus, and the concave stretch
     guaranteed near t0 lives between t0 and 0, so a fixed macroscopic
     window would sample nothing relevant.  Width min(0.4, 6 |t0|), upper
-    edge at t0/4, 64 samples.  A top critical level that is not negative
-    contradicts G < 0 and raises ConvergenceFailure.
+    edge at t0/4, steps samples (64 by default; run_suite uses THM4_STEPS =
+    48).  resolution reaches only the profile record: areas do not depend
+    on it.  A top critical level that is not negative contradicts G < 0 and
+    raises ConvergenceFailure.
     """
     cps = gr.critical_points(domain, w)
     if not cps:
@@ -220,17 +214,9 @@ def thm4_scan(
     hi = min(t0 + 0.5 * width, 0.25 * t0)
     profile = sl.profile_scan(domain, w, lo, hi, steps, resolution, with_gamma=False)
     report = sl.convexity_report(profile, t0)
-    check = Check(
-        name="thm4",
-        domain=geo.domain_literal(domain),
-        pole=_fmt_pole(w),
-        params=f"t0={t0:.12g};window=[{lo:.6g},{hi:.6g}];floor={report.noise_floor:.6g}",
-        lhs=report.min_second_diff,
-        rhs=-report.noise_floor,
-        margin=-report.noise_floor - report.min_second_diff,
-        passed=report.verdict == "NonConvexDetected",
-    )
-    return report, check
+    params = f"t0={t0:.12g};window=[{lo:.6g},{hi:.6g}];floor={report.noise_floor:.6g}"
+    passed = report.verdict == "NonConvexDetected"
+    return report, _line("thm4", domain, w, params, report.min_second_diff, -report.noise_floor, passed)
 
 
 def characterization_probe(samples: list[tuple[Domain, Point]], overrides=None) -> list[Check]:
@@ -244,35 +230,14 @@ def characterization_probe(samples: list[tuple[Domain, Point]], overrides=None) 
             if polar:
                 out.append(_check(f"char_zero[j={j}]", domain, w, f"j={j}", abs(value), 0.0, overrides))
             else:
-                out.append(
-                    Check(
-                        name=f"char_pos[j={j}]",
-                        domain=geo.domain_literal(domain),
-                        pole=_fmt_pole(w),
-                        params=f"j={j}",
-                        lhs=0.0,
-                        rhs=value,
-                        margin=value,
-                        passed=bool(value > 0.0),
-                    )
-                )
+                out.append(_line(f"char_pos[j={j}]", domain, w, f"j={j}", 0.0, value, value > 0.0))
         if polar:
             continue
         pts = _seeded_interior_points(domain, w, count=5, seed=2024)
         for k, p in enumerate(pts):
             fd, _, _ = bg.laplacian_identity_check(domain, p, 0, 1e-3)
-            out.append(
-                Check(
-                    name=f"char_subharmonic[pt={k}]",
-                    domain=geo.domain_literal(domain),
-                    pole=_fmt_pole(p),
-                    params=f"h=1e-3;pt={_fmt_pole(p)}",
-                    lhs=0.0,
-                    rhs=fd,
-                    margin=fd,
-                    passed=bool(fd > 0.0),
-                )
-            )
+            name, params = f"char_subharmonic[pt={k}]", f"h=1e-3;pt={_fmt_pole(p)}"
+            out.append(_line(name, domain, p, params, 0.0, fd, fd > 0.0))
     return out
 
 
@@ -297,7 +262,11 @@ def _seeded_interior_points(domain: Domain, w: Point, count: int, seed: int) -> 
 
 @dataclass
 class SuiteConfig:
-    """Sample plan and knobs for run_suite; defaults mirror default_plan()."""
+    """Sample plan and knobs for run_suite; defaults mirror default_plan().
+
+    seed drives the Monte Carlo oracles (the polygon symmetry check also
+    uses seed + 1).
+    """
 
     entries: list[tuple[str, complex]] = field(default_factory=lambda: default_plan())
     blb_entries: list[tuple[str, complex, float, float]] = field(
@@ -314,10 +283,8 @@ class SuiteConfig:
         default_factory=lambda: [("annulus:0.5", 0.7 + 0j), ("disc:0,0,1", 0j), ("polar-complement", 1 + 0j)]
     )
     tolerances: dict = field(default_factory=dict)
-    seeds: list[int] = field(default_factory=lambda: [42])
-    grid: int = 512
+    seed: int = 42
     profile_steps: int = 16
-    thm4_steps: int = 48
     j_max: int = 3
     wos_walks: int = 100_000
     mc_samples: int = 200_000
@@ -376,18 +343,7 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
                 # empirical constant K * delta^2 * log(1/(delta c)) as data
                 thm2_ratios.append(check.lhs / check.rhs * THM2_CONSTANT)
             except SkippedDegenerate as exc:
-                checks.append(
-                    Check(
-                        name="thm2",
-                        domain=literal,
-                        pole=_fmt_pole(w),
-                        params=f"status=skipped_degenerate;{exc}",
-                        lhs=0.0,
-                        rhs=0.0,
-                        margin=0.0,
-                        passed=True,
-                    )
-                )
+                checks.append(_skipped("thm2", domain, w, "skipped_degenerate", exc))
         if want("poisson"):
             delta = geo.boundary_distance(domain, w)
             checks.append(poisson_step_check(domain, w, 0.5 * delta, overrides))
@@ -395,28 +351,17 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
     if want("blb"):
         for literal, w, t_min, t_max in config.blb_entries:
             domain = geo.parse_domain(literal)
-            profile = sl.profile_scan(domain, w, t_min, t_max, config.profile_steps, config.grid, with_gamma=False)
+            profile = sl.profile_scan(domain, w, t_min, t_max, config.profile_steps, with_gamma=False)
             checks += blb_check(domain, w, profile, overrides)
 
     if want("thm4"):
         for literal, w in config.thm4_entries:
             domain = geo.parse_domain(literal)
             try:
-                _, check = thm4_scan(domain, w, config.grid, config.thm4_steps, overrides)
+                _, check = thm4_scan(domain, w, steps=THM4_STEPS, overrides=overrides)
                 checks.append(check)
             except NoCriticalPoint as exc:
-                checks.append(
-                    Check(
-                        name="thm4",
-                        domain=literal,
-                        pole=_fmt_pole(w),
-                        params=f"status=skipped;{exc}",
-                        lhs=0.0,
-                        rhs=0.0,
-                        margin=0.0,
-                        passed=True,
-                    )
-                )
+                checks.append(_skipped("thm4", domain, w, "skipped", exc))
 
     if want("characterization"):
         samples = [(geo.parse_domain(lit), w) for lit, w in config.char_entries]
@@ -430,8 +375,7 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
         "suite": suite,
         "domains": [lit for lit, _ in config.entries],
         "poles": [_fmt_pole(w) for _, w in config.entries],
-        "seeds": list(config.seeds),
-        "grid": config.grid,
+        "seed": config.seed,
         "profile_steps": config.profile_steps,
         "j_max": config.j_max,
         "tolerances": {**DEFAULT_TOLERANCES, **overrides},
@@ -452,40 +396,19 @@ def _flux_checks(config: SuiteConfig, overrides) -> list[Check]:
     ):
         domain = geo.parse_domain(literal)
         flux = gr.boundary_flux(domain, w, n)
-        tol = _tol("flux", overrides)
-        out.append(
-            Check(
-                name="flux",
-                domain=literal,
-                pole=_fmt_pole(w),
-                params=f"n={n}",
-                lhs=flux,
-                rhs=2 * math.pi,
-                margin=-abs(flux - 2 * math.pi),
-                passed=bool(abs(flux - 2 * math.pi) <= tol * 2 * math.pi),
-            )
-        )
+        error = abs(flux - 2 * math.pi)
+        passed = error <= _tol("flux", overrides) * 2 * math.pi
+        out.append(_line("flux", domain, w, f"n={n}", flux, 2 * math.pi, passed, margin=-error))
     return out
 
 
 def _oracle_checks(config: SuiteConfig, overrides) -> list[Check]:
-    seed = config.seeds[0]
+    seed = config.seed
     tol = _tol("oracle", overrides)
     out = []
 
     def stat_check(name, domain, w, params, diff, sigma):
-        out.append(
-            Check(
-                name=name,
-                domain=geo.domain_literal(domain),
-                pole=_fmt_pole(w),
-                params=params,
-                lhs=abs(diff),
-                rhs=3.0 * sigma,
-                margin=3.0 * sigma - abs(diff),
-                passed=bool(abs(diff) <= 3.0 * sigma + tol),
-            )
-        )
+        out.append(_line(name, domain, w, params, abs(diff), 3.0 * sigma, abs(diff) <= 3.0 * sigma + tol))
 
     ann = Annulus(0.5)
     for z in (0.55 + 0.3j, -0.62 + 0.1j):
@@ -493,7 +416,7 @@ def _oracle_checks(config: SuiteConfig, overrides) -> list[Check]:
         ref = gr.green_eval(ann, 0.7 + 0j, z).value
         stat_check("oracle_wos_green", ann, 0.7 + 0j, f"z={_fmt_pole(z)};walks={est.samples};seed={seed}", est.mean - ref, est.std_error)
 
-    field = sl.LevelField(ann, 0.7 + 0j, config.grid)
+    field = sl.LevelField(ann, 0.7 + 0j)
     for t in (-0.5, -1.0):
         est = oc.mc_area(ann, 0.7 + 0j, t, config.mc_samples, seed)
         ref = field.area(t).value
@@ -504,18 +427,8 @@ def _oracle_checks(config: SuiteConfig, overrides) -> list[Check]:
         radii = [0.25 * geo.boundary_distance(domain, w) / 2**k for k in range(5)]
         limit = oc.robin_extrapolate(domain, w, radii)
         diff = abs(series - limit)
-        out.append(
-            Check(
-                name="oracle_robin",
-                domain=geo.domain_literal(domain),
-                pole=_fmt_pole(w),
-                params=f"radii={radii[0]:.6g}..{radii[-1]:.6g}",
-                lhs=diff,
-                rhs=1e-6,
-                margin=1e-6 - diff,
-                passed=bool(diff <= 1e-6 + tol),
-            )
-        )
+        params = f"radii={radii[0]:.6g}..{radii[-1]:.6g}"
+        out.append(_line("oracle_robin", domain, w, params, diff, 1e-6, diff <= 1e-6 + tol))
 
     square = geo.parse_domain("polygon:0,0;1,0;1,1;0,1")
     a = oc.wos_green(square, 0.5 + 0.5j, 0.25 + 0.25j, config.wos_walks // 2, seed)

@@ -253,7 +253,6 @@ def test_criterion_12_negative_controls(unit_disc):
         thm4_entries=[],
         char_entries=[],
         tolerances={"all": 0.0},
-        grid=128,
         profile_steps=8,
         wos_walks=10_000,
         mc_samples=20_000,

@@ -48,6 +48,20 @@ class TestBasisNorms:
         with pytest.raises(ValueError):
             bg.basis_norms(unit_disc, -1, 3)
 
+    @pytest.mark.parametrize("radius, w, half_n", [(4.0, 1.0, 600), (0.01, 0.005, 200)])
+    def test_disc_norms_finite_on_any_radius(self, radius, w, half_n):
+        # norms of ((z - c)/R)^n; those of (z - c)^n, pi R^(2n+2)/(n+1),
+        # overflow at R = 4 and underflow to 0 at R = 0.01 within these n
+        domain = Disc(0j, radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = bg.basis_norms(domain, 0, half_n)
+            frame = bg.build_frame(domain, w, 1, half_n)
+        assert norms == pytest.approx(math.pi * radius**2 / np.arange(1, half_n + 2), rel=1e-15)
+        assert np.all(norms > 0)
+        assert np.array_equal(frame.basis_norms, norms)
+        assert np.all(np.isfinite(frame.derivative_matrix))
+
 
 class TestFrame:
     def test_basis_orthonormality_by_quadrature(self, annulus_half):

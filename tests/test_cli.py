@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -15,8 +17,16 @@ from suita_lab.errors import ConfigError
 from suita_lab.geometry import Disc
 
 
+GOLDEN = Path(__file__).parent / "default_report.csv"
+
+
 def run_cli(args, **kwargs):
     return cli.main(list(args))
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return vf.run_suite()
 
 
 class TestParsing:
@@ -77,13 +87,11 @@ class TestConfig:
             "# comment\n"
             "domains = disc:0,0,1 | annulus:0.5\n"
             "poles = 0.5,0 | 0.7,0\n"
-            "seeds = 7,8\n"
-            "grid = 128\n"
+            "seeds = 7\n"
             "tolerance.suita = 1e-6\n"
         )
         config = cli.suite_config_from_file(str(cfg))
-        assert config.grid == 128
-        assert config.seeds == [7, 8]
+        assert config.seed == 7
         assert config.tolerances == {"suita": 1e-6}
         # pole 0.5 is outside the annulus, pole 0.7 inside both
         assert ("annulus:0.5", 0.5 + 0j) not in config.entries
@@ -100,6 +108,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.parse_config("this is not a config")
 
+    @pytest.mark.parametrize("line, message", [("grid = 128", "unknown key 'grid'"), ("seeds = 7,8", "one seed")])
+    def test_grid_and_seed_lists_rejected(self, tmp_path, line, message):
+        # no check reads a level-curve resolution, and the oracles read one seed
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"domains = disc:0,0,1\npoles = 0.5,0\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            cli.suite_config_from_file(str(cfg))
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -110,7 +126,6 @@ def report():
         char_entries=[],
         wos_walks=5_000,
         mc_samples=10_000,
-        grid=128,
     )
     return vf.run_suite(config, suite="suita")
 
@@ -141,12 +156,29 @@ class TestReports:
         assert list(payload) == ["metadata", "checks"]
         assert payload["checks"][0]["check_name"] == report.checks[0].name
         assert "wall_time_s" not in payload["metadata"]
+        assert payload["metadata"]["seed"] == 42
 
-    def test_unwritable_path_exits_2(self, tmp_path):
-        code = run_cli(
-            ["verify", "--suite", "thm2", "--out", str(tmp_path / "nope" / "r.csv"), "--grid", "128"]
-        )
+    def test_unwritable_path_exits_2(self, tmp_path, capsys):
+        code = run_cli(["verify", "--suite", "thm2", "--out", str(tmp_path / "nope" / "r.csv")])
         assert code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: line.rsplit(",", 1)[0], "line 3: expected 8 fields, got 7"),
+            (lambda line: line.replace(",true", ",x,true"), "line 3: expected 8 fields, got 9"),
+            (lambda line: line.rsplit(",", 2)[0] + ",x,true", "line 3: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_malformed_row_refused(self, report, tmp_path, edit, message):
+        path = tmp_path / "bad.csv"
+        cli.emit_report(report, str(path), "csv")
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=message):
+            cli.parse_report_csv(str(path))
 
 
 class TestVerifyCommand:
@@ -158,11 +190,17 @@ class TestVerifyCommand:
         assert code == 0
         assert out.read_text().count("\n") >= 2
 
-    def test_exit_one_on_failure(self, tmp_path):
+    def test_exit_one_on_failure(self, tmp_path, capsys):
         cfg = tmp_path / "strict.cfg"
         cfg.write_text("domains = disc:0,0,1\npoles = 0.5,0\ntolerance.all = 0\n")
-        code = run_cli(["verify", "--config", str(cfg), "--grid", "128"])
+        code = run_cli(["verify", "--config", str(cfg)])
         assert code == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+        assert fails and all(re.fullmatch(r"FAIL \S+ domain=\S+ pole=\S+ \S+ lhs=\S+ rhs=\S+", f) for f in fails)
+
+    def test_grid_option_refused(self, capsys):
+        assert run_cli(["verify", "--suite", "thm2", "--grid", "128"]) == 2
+        assert "unrecognized arguments: --grid 128" in capsys.readouterr().err
 
     def test_out_key_rejected(self, tmp_path, capsys):
         # the report path is the --out option; a config key for it would be ignored
@@ -182,11 +220,20 @@ class TestVerifyCommand:
         assert outs[0] == outs[1]
 
 
-    def test_default_plan_matches_golden_report(self):
+    def test_default_plan_matches_golden_report(self, default_report):
         # tests/default_report.csv holds the default plan's report.csv; a
         # change that moves a line regenerates it and names the line
-        golden = (Path(__file__).parent / "default_report.csv").read_bytes()
-        assert cli.report_csv_text(vf.run_suite()).encode() == golden
+        assert cli.report_csv_text(default_report).encode() == GOLDEN.read_bytes()
+
+    def test_default_plan_json_rows_match_golden_report(self, default_report):
+        header, *rows = csv.reader(io.StringIO(GOLDEN.read_text()))
+        checks = json.loads(cli.report_json_text(default_report))["checks"]
+        assert len(checks) == len(rows)
+        for entry, row in zip(checks, rows):
+            assert list(entry) == header
+            assert [entry[k] for k in header[:4]] == row[:4]
+            assert [entry[k] for k in header[4:7]] == [float(x) for x in row[4:7]]
+            assert entry["pass"] is (row[7] == "true")
 
 
 class TestSvg:

@@ -168,7 +168,6 @@ def small_config():
         blb_entries=[("disc:0,0,1", 0j, -2.0, -0.2)],
         thm4_entries=[],
         char_entries=[("polar-complement", 1 + 0j)],
-        grid=256,
         profile_steps=8,
         wos_walks=20_000,
         mc_samples=50_000,
