@@ -81,19 +81,21 @@ def suite_config_from_file(path: str) -> SuiteConfig:
     if "domains" in raw:
         literals = [s.strip() for s in raw["domains"].split("|") if s.strip()]
         poles = [_parse_point(s.strip()) for s in raw.get("poles", "").split("|") if s.strip()]
-        entries = []
+        entries, canonical = [], set()
         for lit in literals:
             domain = geo.parse_domain(lit)
+            canonical.add(geo.domain_literal(domain))
             for w in poles:
                 if geo.contains(domain, w):
                     entries.append((lit, w))
         if not entries:
             raise ConfigError("no (domain, pole) pair from the config has the pole inside the domain")
         config.entries = entries
-        # profile/scan/probe plans follow the configured domain list
-        config.blb_entries = [e for e in config.blb_entries if e[0] in literals]
-        config.thm4_entries = [e for e in config.thm4_entries if e[0] in literals]
-        config.char_entries = [e for e in config.char_entries if e[0] in literals]
+        # profile/scan/probe plans follow the configured domains, however their literals are written
+        configured = lambda plan: [e for e in plan if geo.domain_literal(geo.parse_domain(e[0])) in canonical]
+        config.blb_entries = configured(config.blb_entries)
+        config.thm4_entries = configured(config.thm4_entries)
+        config.char_entries = configured(config.char_entries)
     if "seeds" in raw:
         if "," in raw["seeds"]:
             raise ConfigError(f"seeds takes one seed, got {raw['seeds']!r}")

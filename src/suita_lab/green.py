@@ -28,10 +28,11 @@ Gradients come from term-wise differentiation: writing G = Re f with f
 holomorphic in z, grad G = (Re f', -Im f').  The same f'' feeds the Newton
 refinement of critical points.
 
-Everything is vectorized over numpy arrays of complex z.  One pass of the
-annulus series serves every query: it forms the strip coordinates once,
-holds the images on the leading array axis, and takes z in fixed-size
-blocks, returning whichever of G, f', f'' and the tail bound are asked for.
+Everything is vectorized over numpy arrays of complex z.  The annulus
+series makes one pass per point set (green_field), for every part the
+caller needs there: it forms the strip coordinates once, holds the images
+on the leading array axis, and takes z in fixed-size blocks, returning
+whichever of G, f', f'' and the tail bound are asked for.
 """
 
 from __future__ import annotations
@@ -228,11 +229,16 @@ def _field(pb: geo.PullBack, zeta: np.ndarray, z: np.ndarray, parts: tuple[str, 
     return [out[p] for p in parts]
 
 
-def _raw(domain: Domain, w: Point, z, part: str) -> np.ndarray:
-    """One part of the field at z, with no membership check on w or z."""
+def green_field(domain: Domain, w: Point, z, parts: tuple[str, ...]) -> list[np.ndarray]:
+    """The parts of the field at z, in the order asked: "g" (G), "f1" (f'),
+    "f2" (f'') and "tail" (the truncation bound of G), from one pass.
+
+    z is pulled back once, and neither w nor z is checked for membership.
+    Each part has the same bits whichever other parts are asked with it.
+    """
     pb = geo.pull_back(domain, w, check=False)
     z = np.asarray(z, dtype=complex)
-    return _field(pb, pb.pull(z), z, (part,))[0]
+    return _field(pb, pb.pull(z), z, tuple(parts))
 
 
 def green_values_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
@@ -242,17 +248,17 @@ def green_values_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     distance past the boundary, which the grid machinery exploits so that
     level-line interpolation stays exact near the boundary.
     """
-    return _raw(domain, w, z, "g")
+    return green_field(domain, w, z, ("g",))[0]
 
 
 def green_fprime_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     """f'(z) where G = Re f; grad G = (Re f', -Im f')."""
-    return _raw(domain, w, z, "f1")
+    return green_field(domain, w, z, ("f1",))[0]
 
 
 def green_fsecond_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     """f''(z); the full Hessian of G follows since G is harmonic."""
-    return _raw(domain, w, z, "f2")
+    return green_field(domain, w, z, ("f2",))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +411,11 @@ def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
     q = core.q
     u = -zeta_w / abs(zeta_w)
 
+    def field(r: float, parts: tuple[str, ...]) -> list[np.ndarray]:
+        return green_field(core, zeta_w, np.asarray(r * u), parts)
+
     def slope(r: float) -> float:
-        return (complex(green_fprime_raw(core, zeta_w, np.asarray(r * u))) * u).real
+        return (complex(field(r, ("f1",))[0]) * u).real
 
     lo, hi = q, 1.0
     if not (slope(lo) < 0 < slope(hi)):
@@ -417,14 +426,15 @@ def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
         )
     r = math.sqrt(q)
     for _ in range(200):
-        g = slope(r)
+        f1, f2 = (complex(v) for v in field(r, ("f1", "f2")))
+        g = (f1 * u).real
         if g == 0:
             break
         if g < 0:
             lo = r
         else:
             hi = r
-        dg = (complex(green_fsecond_raw(core, zeta_w, np.asarray(r * u))) * u * u).real
+        dg = (f2 * u * u).real
         nxt = r - g / dg if dg > 0 else math.nan
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
@@ -434,10 +444,11 @@ def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
     else:
         raise ConvergenceFailure(f"no root of dG/dr found on the far ray of Annulus({q}) from the pole {zeta_w}")
     zc = r * u
-    if not abs(complex(green_fsecond_raw(core, zeta_w, np.asarray(zc)))) > 0:
+    g, f1, f2 = field(r, ("g", "f1", "f2"))
+    if not abs(complex(f2)) > 0:
         raise ConvergenceFailure(f"degenerate critical point at {zc}: f'' vanishes")
-    resid = abs(complex(green_fprime_raw(core, zeta_w, np.asarray(zc))))
-    level = float(green_values_raw(core, zeta_w, np.asarray(zc)))
+    resid = abs(complex(f1))
+    level = float(g)
     if coeffs is not None:
         z_img = complex(geo.moebius_forward(coeffs, zc))
         return [CriticalPoint(z_img, level, resid / abs(geo.moebius_fprime(coeffs, zc)), 2)]

@@ -120,6 +120,8 @@ class LevelField:
     Holds what does not depend on t: for a disc core the map M, for an
     annulus core the rotated pole, the saddle level and the fan of slice
     minima.  resolution sets the samples along a level curve, not areas.
+    Every set of slice points is read in one pass of the field (_read),
+    for all of G, z f' and z f' + z^2 f'' that the step needs there.
     """
 
     def __init__(self, domain: Domain, w: Point, resolution: int = 1024):
@@ -148,23 +150,21 @@ class LevelField:
         x_pole, x_saddle = math.log(self.r0), math.log(abs(saddle.location))
         self.fan_x = x_pole + (x_saddle - x_pole) * self.fan_s2
         self.fan_x[1:-1] = self._slice_minimum(self.fan_phi[1:-1], self.fan_x[1:-1])
-        self.fan_m = np.concatenate([[-np.inf], self._values(self.fan_x[1:-1], self.fan_phi[1:-1]), [self.t0]])
+        self.fan_m = np.concatenate([[-np.inf], self._read(self.fan_x[1:-1], self.fan_phi[1:-1], ("g",))[0], [self.t0]])
 
     # -- the field on slices (rotated frame) ---------------------------------
 
-    def _values(self, x, phi):
-        return gr.green_values_raw(self.core, self.r0, np.exp(x + 1j * phi))
-
-    def _zfprime(self, x, phi):
-        """z f'(z): G_x = Re, G_phi = -Im."""
+    def _read(self, x, phi, parts):
+        """The parts of the field at z = exp(x + i phi), from one pass (see
+        green.green_field): "g" is G, "f1" is z f' (G_x = Re, G_phi = -Im)
+        and "f2", read with "f1", is z f' + z^2 f'' (G_xx = Re)."""
         z = np.exp(x + 1j * phi)
-        return z * gr.green_fprime_raw(self.core, self.r0, z)
-
-    def _slopes(self, x, phi):
-        """G_x = Re(z f') and G_xx = Re(z f' + z^2 f'') on the slices."""
-        z = np.exp(x + 1j * phi)
-        zf = z * gr.green_fprime_raw(self.core, self.r0, z)
-        return zf.real, (zf + z * z * gr.green_fsecond_raw(self.core, self.r0, z)).real
+        out = dict(zip(parts, gr.green_field(self.core, self.r0, z, parts)))
+        if "f1" in out:
+            out["f1"] = z * out["f1"]
+        if "f2" in out:
+            out["f2"] = out["f1"] + z * z * out["f2"]
+        return [out[p] for p in parts]
 
     def _weight(self, x, phi):
         """Area weight of a slice point, summed over phi and -phi (G is even in phi)."""
@@ -182,7 +182,7 @@ class LevelField:
             x0 = np.interp(np.sin(0.5 * phi) ** 2, self.fan_s2, self.fan_x)
         far = np.nonzero(phi >= 1e-8)[0]
         out = np.array(x0, dtype=float)
-        fun = lambda x, idx: self._slopes(x, phi[far[idx]])
+        fun = lambda x, idx: [v.real for v in self._read(x, phi[far[idx]], ("f1", "f2"))]
         out[far] = _newton(fun, np.full(far.shape, self.log_q), np.zeros(far.shape), out[far], 4 * _EPS)
         return out
 
@@ -212,8 +212,9 @@ class LevelField:
         def fun(y, idx):
             phi = phi_of(y)
             xm[idx] = self._slice_minimum(phi, xm[idx])
-            gap = np.sqrt(np.maximum(t0 - self._values(xm[idx], phi), 0.0))
-            dm = -self._zfprime(xm[idx], phi).imag
+            m, zf = self._read(xm[idx], phi, ("g", "f1"))
+            gap = np.sqrt(np.maximum(t0 - m, 0.0))
+            dm = -zf.imag
             with np.errstate(divide="ignore", invalid="ignore"):
                 return target[idx] - gap, dm / (2.0 * gap) * np.minimum(phi, 1.0)
 
@@ -236,12 +237,12 @@ class LevelField:
         log|z - w| next to the pole.
         """
         xm = self._slice_minimum(phi)
-        m = self._values(xm, phi)
-        curv = self._slopes(xm, phi)[1]
-        inner, outer = (
-            self._values(c, phi) - ts <= 4 * _EPS * np.abs(self._zfprime(c, phi).real)
-            for c in (np.full(phi.shape, self.log_q), np.zeros(phi.shape))
-        )
+        m, _, fxx = self._read(xm, phi, ("g", "f1", "f2"))
+        closed = []  # the inner, then the outer circle is the root
+        for c in (self.log_q, 0.0):
+            g, zf = self._read(np.full(phi.shape, c), phi, ("g", "f1"))
+            closed.append(g - ts <= 4 * _EPS * np.abs(zf.real))
+        inner, outer = closed
         open_ = m < ts - 4 * _EPS * np.abs(ts)
         k = np.nonzero(open_)[0]
         lo_side, hi_side = k[~inner[k]], k[~outer[k]]
@@ -250,15 +251,14 @@ class LevelField:
         a = np.where(sign < 0, self.log_q, xm[sides])
         b = np.where(sign < 0, xm[sides], 0.0)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            reach = np.sqrt(np.expm1(2.0 * (ts[sides] - m[sides])) / curv[sides])
+            reach = np.sqrt(np.expm1(2.0 * (ts[sides] - m[sides])) / fxx.real[sides])
         start = np.clip(xm[sides] + sign * np.nan_to_num(reach, nan=1.0, posinf=1.0), a, b)
         t_side = ts[sides]
 
         def fun(x, idx):
-            z = np.exp(x + 1j * phi[sides[idx]])
-            g = gr.green_values_raw(self.core, self.r0, z) - t_side[idx]
-            gx = (z * gr.green_fprime_raw(self.core, self.r0, z)).real
-            return sign[idx] * np.expm1(g), sign[idx] * np.exp(g) * gx
+            g, zf = self._read(x, phi[sides[idx]], ("g", "f1"))
+            g = g - t_side[idx]
+            return sign[idx] * np.expm1(g), sign[idx] * np.exp(g) * zf.real
 
         # G carries a rounding error of up to about 20 eps |G| (the thin ring)
         roots = _newton(fun, a, b, start, 4 * _EPS, 32 * _EPS * np.abs(t_side))
@@ -289,7 +289,7 @@ class LevelField:
             wgt = self._weight(x[ok], p[ok])
             noise[ok] += 8 * _EPS * wgt
             if with_gamma:
-                gamma[ok] += s * wgt / self._zfprime(x[ok], p[ok]).real
+                gamma[ok] += s * wgt / self._read(x[ok], p[ok], ("f1",))[0].real
         return (f.reshape(phi.shape) * dphi for f in (area, gamma, noise))
 
     def _annulus_levels(self, ts: np.ndarray, with_gamma: bool):

@@ -98,6 +98,16 @@ class TestConfig:
         assert ("annulus:0.5", 0.7 + 0j) in config.entries
         assert ("disc:0,0,1", 0.5 + 0j) in config.entries
 
+    @pytest.mark.parametrize("domains", ["disc:0,0,1 | annulus:0.5", "disc:0,0,1.0 | annulus:0.50"])
+    def test_plans_follow_equivalent_literals(self, tmp_path, domains):
+        # the profile, thm4 and probe plans are kept for a configured domain
+        # however its literal is written
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"domains = {domains}\npoles = 0.7,0\n")
+        config = cli.suite_config_from_file(str(cfg))
+        assert len(config.entries) == 2
+        assert (len(config.blb_entries), len(config.thm4_entries), len(config.char_entries)) == (2, 1, 2)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("domains = disc:0,0,1\nwat = 1\n")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -211,6 +212,34 @@ class TestOnePassField:
         ref = [f(domain, w, z) for f in RAW]
         monkeypatch.setattr(gr, "_BLOCK", 96)
         assert [f(domain, w, z).tobytes() for f in RAW] == [r.tobytes() for r in ref]
+
+
+PARTS = ("g", "f1", "f2", "tail")
+
+
+class TestGreenField:
+    @pytest.mark.parametrize("image", [False, True])
+    @pytest.mark.parametrize(
+        "base, w", [(Disc(0j, 1.0), 0.3 + 0.2j), (Annulus(0.3), 0.5 - 0.2j), (Annulus(0.8), 0.3 + 0.85j)]
+    )
+    def test_each_part_keeps_its_single_part_bits(self, base, w, image, monkeypatch):
+        # every order and subset of the parts, on one point (0-d) and on 300
+        # points in blocks of 96: a part has the bits it has when read alone
+        # (Annulus(0.3) sums K = 3 images on each side, Annulus(0.8) K = 1)
+        monkeypatch.setattr(gr, "_BLOCK", 96)
+        zeta = _ring_points(300, getattr(base, "q", 0.0))
+        domain, z = base, zeta
+        if image:  # pole and points pushed onto the image; f'' is pushed with f'
+            coeffs = (1 + 0j, 0.15 + 0j, 0.15 + 0j, 1 + 0j)
+            domain, z, w = MoebiusImage(base, *coeffs), geo.moebius_forward(coeffs, zeta), geo.moebius_forward(coeffs, w)
+        for points in (z, np.asarray(z[7])):
+            alone = {p: gr.green_field(domain, w, points, (p,))[0] for p in PARTS}
+            for p, raw in zip(PARTS, RAW):
+                assert raw(domain, w, points).tobytes() == alone[p].tobytes()
+            for k in range(2, len(PARTS) + 1):
+                for parts in itertools.permutations(PARTS, k):
+                    got = gr.green_field(domain, w, points, parts)
+                    assert [v.tobytes() for v in got] == [alone[p].tobytes() for p in parts], parts
 
 
 def _log_prime(t, q):

@@ -1,13 +1,17 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from suita_lab import bergman as bg
+from suita_lab import geometry as geo
 from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
+from suita_lab import verify
 from suita_lab.errors import BelowResolution, CriticalLevel, LevelAbovePeak, UnsupportedDomain
 
 RES = 512  # contour samples; areas and gamma' do not depend on it
@@ -268,3 +272,81 @@ class TestLevelField:
             est = sl.sublevel_area(domain, w, float(t), res)
             assert (est.value, est.err_est) == (lam, err)
             assert sl.coarea_derivative(domain, w, float(t), res) == gp
+
+
+# ---------------------------------------------------------------------------
+# Frozen bits of the slice quadrature (sublevel_frozen_values.json, written
+# with float.hex at commit ec5c4e5): the areas, err_est and gamma' of the
+# thm4 window and of two profiles, one level curve, and the saddles.  How
+# the level field reads G, f' and f'' may change; these bits may not.
+# ---------------------------------------------------------------------------
+
+SUBLEVEL_FROZEN = json.loads((Path(__file__).parent / "sublevel_frozen_values.json").read_text())
+MOEBIUS_RING = "moebius:1,0.15,0.15,1;base=annulus:0.5"
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _profile_bits(profile, with_gamma=True):
+    bits = {"lam": _hex(profile.lam), "err_est": _hex(profile.err_est)}
+    if with_gamma:
+        bits["gamma_prime"] = _hex(profile.gamma_prime)
+    return bits
+
+
+def _thm4_bits(monkeypatch):
+    """The thm4 window of Annulus(0.8) at the pole 0.9, 64 steps: the profile
+    thm4_scan reads, and its report."""
+    seen = []
+    scan = sl.profile_scan
+
+    def spy(*args, **kwargs):
+        seen.append(scan(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(sl, "profile_scan", spy)
+    report, _ = verify.thm4_scan(geo.parse_domain("annulus:0.8"), 0.9 + 0j, 1024, 64)
+    fields = (report.min_second_diff, report.argmin_t, report.critical_level, report.noise_floor)
+    return {**_profile_bits(seen[0], with_gamma=False), "report": _hex(fields)}
+
+
+def _contour_bits():
+    """The level curve of the Moebius annulus at 1.5 t0, below the saddle level."""
+    field = sl.LevelField(geo.parse_domain(MOEBIUS_RING), 0.75 + 0j, 32)
+    curves = field.contours(1.5 * field.t0)
+    return [{"re": _hex(c.real), "im": _hex(c.imag)} for c in curves]
+
+
+def _saddle_bits():
+    """critical_points of the annuli of the default plan and the Moebius annulus."""
+    bits = {}
+    for literal, w in verify.default_plan():
+        if "annulus" in literal:
+            cp = gr.critical_points(geo.parse_domain(literal), w)[0]
+            bits[f"{literal} @ {w}"] = _hex([cp.location.real, cp.location.imag, cp.level, cp.gradient_residual])
+    return bits
+
+
+def _profile_case(literal, w):
+    return lambda _: _profile_bits(sl.profile_scan(geo.parse_domain(literal), w, -2.0, -0.2, 16))
+
+
+# each case, keyed as in sublevel_frozen_values.json, computed from a monkeypatch
+SUBLEVEL_CASES = {
+    "thm4 annulus:0.8 @ 0.9, 64 steps": _thm4_bits,
+    "profile annulus:0.5 @ 0.7, [-2, -0.2], 16 steps": _profile_case("annulus:0.5", 0.7 + 0j),
+    f"profile {MOEBIUS_RING} @ 0.75, [-2, -0.2], 16 steps": _profile_case(MOEBIUS_RING, 0.75 + 0j),
+    f"contours {MOEBIUS_RING} @ 0.75, t = 1.5 t0, resolution 32": lambda _: _contour_bits(),
+    "critical_points": lambda _: _saddle_bits(),
+}
+
+
+class TestFrozenSublevel:
+    def test_cases_are_the_frozen_ones(self):
+        assert list(SUBLEVEL_CASES) == list(SUBLEVEL_FROZEN)
+
+    @pytest.mark.parametrize("case", list(SUBLEVEL_CASES))
+    def test_case_keeps_its_bits(self, case, monkeypatch):
+        assert SUBLEVEL_CASES[case](monkeypatch) == SUBLEVEL_FROZEN[case]
