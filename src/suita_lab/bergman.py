@@ -12,9 +12,10 @@ the constraint vectors; for j = 0 this collapses to the familiar
 sum_n |e_n(w)|^2).  Monomials are orthogonal on a disc (n >= 0) and on
 an annulus (n in Z, Laurent), with closed-form norms, so the frame is
 explicit and the only approximation is the basis cutoff, which is grown
-adaptively until the reported tail bound is negligible.  On a disc of
-centre c and radius R the monomials are those of the unit variable
-(z - c)/R, whose norms pi R^2/(n+1) stay in the double range for every n.
+adaptively until the reported tail bound is negligible.  The frame is
+built on the core only, the unit disc or Annulus(q): a disc of centre c
+and radius R is the unit disc under z -> c + R z, and goes through the
+same change of variables as a Moebius image (below).
 
 Each column of the frame depends on its own exponent n only.  So a row
 set builds each power u^m once, row i reading it shifted by i, and a
@@ -66,6 +67,7 @@ def basis_norms(domain: Domain, n_lo: int, n_hi: int) -> np.ndarray:
     Disc of centre c and radius R, in the unit variable u = (z - c)/R:
     ||u^n||^2 = pi R^2 / (n+1), finite for every n (the norm of (z - c)^n,
     pi R^(2n+2)/(n+1), leaves the double range once n ~ 354/|log R|).
+    The frame reads the unit disc's, pi / (n+1).
     Annulus q < |z| < 1: ||z^n||^2 = 2 pi (1 - q^(2n+2)) / (2n+2) away from
     n = -1 (the expression is positive for n <= -2 as written), and
     ||z^-1||^2 = 2 pi log(1/q).
@@ -89,22 +91,16 @@ def basis_norms(domain: Domain, n_lo: int, n_hi: int) -> np.ndarray:
     raise UnsupportedDomain("closed-form basis norms exist for Disc and Annulus only")
 
 
-def _derivative_rows(core: Domain, w_eff: complex, j: int, n_lo: int, n_hi: int) -> np.ndarray:
-    """Rows i = 0..j of e_n^(i)(w), n = n_lo..n_hi, for the normalized
-    monomial basis.
+def _derivative_rows(core: Domain, u: complex, j: int, n_lo: int, n_hi: int) -> np.ndarray:
+    """Rows i = 0..j of e_n^(i)(u), n = n_lo..n_hi, for the normalized
+    monomial basis e_n = z^n / ||z^n|| of the core.
 
-    The rows are formed in the unit variable u = (w - c)/R, where
-    e_n(z) = u^n / ||u^n|| on a disc of radius R, so the i-th derivative in
-    z carries the factor R^-i (an annulus has R = 1).  Each power u^m,
-    m = n_lo - j..n_hi, is built once; row i reads the same vector shifted
-    by i.
+    Each power u^m, m = n_lo - j..n_hi, is built once; row i reads the same
+    vector shifted by i.
     """
     n = np.arange(n_lo, n_hi + 1)
     width = len(n)
-    root, radius = np.sqrt(basis_norms(core, n_lo, n_hi)), core.radius
-    u = w_eff - core.center
-    if radius != 1.0:  # on R = 1 the unit variable is w - c itself, signed zeros included
-        u = u / radius
+    root = np.sqrt(basis_norms(core, n_lo, n_hi))
     m = np.arange(n_lo - j, n_hi + 1)
     rows = np.empty((j + 1, width), dtype=complex)
     # falling factorial n (n-1) ... (n-i+1), valid for negative n as well
@@ -117,13 +113,32 @@ def _derivative_rows(core: Domain, w_eff: complex, j: int, n_lo: int, n_hi: int)
         for i in range(j + 1):
             if i > 0:
                 fall = fall * (n - (i - 1))
-            rows[i] = fall * powers[j - i : j - i + width] / (root * radius**i)
-    # Intermediate overflow can only hit far-tail entries whose true value
-    # underflows to zero: the basis decays geometrically at w on a disc and
-    # for n >= 0 on an annulus.  Not so for n <= -2 next to the inner
-    # circle: once n < -355/log(1/q) the norm q^(2n+2) overflows and the
-    # entry reads 0 (or inf/inf, zeroed here), while its true size,
-    # (q/|w|)^|n| |n|^(j+1/2), need not be negligible.
+            rows[i] = fall * powers[j - i : j - i + width] / root
+        # Intermediate overflow can only hit far-tail entries whose true
+        # value underflows to zero: the basis decays geometrically at u on
+        # the disc and for n >= 0 on an annulus.  Not so for n <= -2 next to
+        # the inner circle: once n < -355/log(1/q) the norm q^(2n+2)
+        # overflows and the entry reads 0 or inf/inf, while its true size,
+        # (q/|u|)^|n| |n|^(j+1/2), need not be negligible.  Those entries
+        # are taken again in logarithms, with
+        # log ||z^n||^2 = log 2 pi + (2n+2) log q + log1p(-q^-(2n+2)) - log(-2n-2).
+        # While the largest norm, that of z^n_lo, stays finite, no entry is lost.
+        if isinstance(core, Annulus) and not np.isfinite(root[0]):
+            lost = (n <= -2) & ~(np.isfinite(rows) & (rows != 0))
+            cols = lost.any(axis=0)
+            nl, q = n[cols], core.q
+            log_norm = (
+                math.log(2 * math.pi)
+                + (2 * nl + 2) * math.log(q)
+                + np.log1p(-(q ** -(2.0 * nl + 2)))
+                - np.log(-2.0 * nl - 2)
+            )
+            log_u, fall = np.log(complex(u)), np.ones(nl.size)
+            for i in range(j + 1):
+                if i > 0:
+                    fall = fall * (nl - (i - 1))
+                redo = np.sign(fall) * np.exp(np.log(np.abs(fall)) + (nl - i) * log_u - 0.5 * log_norm)
+                rows[i, cols] = np.where(lost[i, cols], redo, rows[i, cols])
     rows[~np.isfinite(rows)] = 0.0
     return rows
 

@@ -66,7 +66,10 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
         if key.startswith("tolerance."):
-            out["tolerances"][key[len("tolerance.") :]] = float(value)
+            family = key[len("tolerance.") :]
+            if family != "all" and family not in vf.DEFAULT_TOLERANCES:
+                raise ConfigError(f"line {lineno}: no tolerance family {family!r}; known: all, {', '.join(vf.DEFAULT_TOLERANCES)}")
+            out["tolerances"][family] = float(value)
         elif key in _KNOWN_KEYS:
             out[key] = value
         else:

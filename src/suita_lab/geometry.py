@@ -1,8 +1,8 @@
 """Planar domains, each family answering the geometric questions asked of it.
 
 * ``Disc(center, radius)``
-* ``Annulus(inner_radius)`` -- the ring q < |z| < 1 (center 0j, outer
-  radius 1.0); general annuli are Moebius images of this canonical one
+* ``Annulus(inner_radius)`` -- the ring q < |z| < 1; general annuli are
+  Moebius images of this canonical one
 * ``MoebiusImage(base, a, b, c, d)`` -- the image of a base domain under
   F(zeta) = (a zeta + b)/(c zeta + d) with ad - bc != 0
 * ``Polygon(vertices)`` -- a simple, positively oriented polygon; supported
@@ -11,15 +11,20 @@
   carries no logarithmic capacity
 
 Discs, annuli and their images are bounded by the circles that
-``circles`` lists as (center, radius).  A disc or an annulus (a *core*)
-lists its outer circle first, and the domain lies inside it and outside
-the others; an image lists the images of its core's circles in the same
-order (its outer circle comes second when the map's pole lies in the
-hole).  Membership, boundary distance, samples, bounding boxes and the
-Moebius outline read this one list.  ``pull_back`` gives the series
-modules an image's core, composed map and pulled-back pole, and is where
-they refuse a polygon or the polar complement (UnsupportedDomain) and a
-pole outside the domain (PointOutsideDomain).
+``circles`` lists as (center, radius).  The domain lies inside the largest
+circle and outside the others.  A disc or an annulus lists its outer
+circle first; an image lists the images of its core's circles in the
+core's order, so its outer circle comes second when the map's pole lies
+in the hole.  Membership, boundary distance, samples, bounding boxes and
+the Moebius outline read this one list.
+
+The series modules see every such domain through its *core*, the unit
+disc or ``Annulus(q)``, both centred at 0 with outer radius 1: a disc of
+centre c and radius R is the unit disc under z -> c + R z, and an image
+composes its map with its base's.  ``pull_back`` gives them the core, the
+composed map (None when it is the identity) and the pulled-back pole, and
+is where they refuse a polygon or the polar complement (UnsupportedDomain)
+and a pole outside the domain (PointOutsideDomain).
 
 Points are plain ``complex`` numbers.  All operations here are pure and
 stateless; array-valued variants (``contains_mask``) accept numpy arrays of
@@ -68,14 +73,14 @@ def boundary_counts(n: int, lengths) -> list[int]:
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-def _circle_nodes(circles, counts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(points, outward normals) on each circle of a core, m equally spaced
-    nodes from angle 0: counterclockwise on the outer circle, clockwise
+def _circle_nodes(circles, counts, outer: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(points, outward normals) on each circle, m equally spaced nodes from
+    angle 0: counterclockwise on the outer circle circles[outer], clockwise
     (outward from the domain means toward the center) on the holes."""
     nodes = []
     for k, ((c, r), m) in enumerate(zip(circles, counts)):
         theta = 2 * np.pi * np.arange(m) / m
-        if k == 0:
+        if k == outer:
             u = np.exp(1j * theta)
             nodes.append((c + r * u, u))
         else:
@@ -85,10 +90,25 @@ def _circle_nodes(circles, counts) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class _Bounded:
-    """Boundary distance of the families bounded by circles."""
+    """Boundary distance, samples and box of the families bounded by
+    circles: the domain lies inside the largest circle and outside the rest."""
 
     def _distance(self, w: Point) -> float:
         return min(abs(abs(w - c) - r) for c, r in self.circles)
+
+    def _outer(self) -> int:
+        """Index of the outer circle in circles (the first of the largest)."""
+        radii = [r for _, r in self.circles]
+        return radii.index(max(radii))
+
+    def _sample(self, n: int) -> list[tuple[Point, Point]]:
+        counts = boundary_counts(n, [r for _, r in self.circles])
+        nodes = _circle_nodes(self.circles, counts, self._outer())
+        return [s for pts, nrm in nodes for s in zip(pts.tolist(), nrm.tolist())]
+
+    def _box(self) -> tuple[float, float, float, float]:
+        c, r = self.circles[self._outer()]
+        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
 
 class _Core(_Bounded):
@@ -101,14 +121,6 @@ class _Core(_Bounded):
         for c, r in holes:
             inside &= (dist if c == c0 else np.abs(z - c)) > r
         return inside
-
-    def _sample(self, n: int) -> list[tuple[Point, Point]]:
-        counts = boundary_counts(n, [r for _, r in self.circles])
-        return [s for pts, nrm in _circle_nodes(self.circles, counts) for s in zip(pts.tolist(), nrm.tolist())]
-
-    def _box(self) -> tuple[float, float, float, float]:
-        c, r = self.circles[0]
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
 
 @dataclass(frozen=True)
@@ -134,8 +146,6 @@ class Disc(_Core):
 @dataclass(frozen=True)
 class Annulus(_Core):
     inner_radius: float  # q in (0, 1)
-    center = 0j  # the outer circle, |z| = 1
-    radius = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.inner_radius < 1.0):
@@ -147,7 +157,7 @@ class Annulus(_Core):
 
     @cached_property
     def circles(self) -> tuple[tuple[complex, float], ...]:
-        return ((self.center, self.radius), (self.center, self.inner_radius))
+        return ((0j, 1.0), (0j, self.inner_radius))
 
     def _literal(self) -> str:
         return f"annulus:{_format_real(self.q)}"
@@ -196,43 +206,6 @@ class MoebiusImage(_Bounded):
         ok = np.abs(denom) > 1e-300
         zeta = np.where(ok, (d * z - b) / np.where(ok, denom, 1.0), np.inf)
         return ok & core._mask(zeta)
-
-    def _sample(self, n: int) -> list[tuple[Point, Point]]:
-        """Arc-length spaced on the image circles, offset half a spacing:
-        each core circle is sampled densely, pushed through the map and
-        read off at equal steps of the image polyline's length."""
-        core, coeffs = flatten_moebius(self)
-        dense = max(64 * n, 4096)
-        comps = [pts for pts, _ in _circle_nodes(core.circles, [dense] * len(core.circles))]
-        imgs = [moebius_forward(coeffs, comp) for comp in comps]
-        segs = [np.abs(np.diff(np.append(img, img[0]))) for img in imgs]
-        lengths = [float(np.sum(seg)) for seg in segs]
-        out = []
-        for comp, seg, L, m in zip(comps, segs, lengths, boundary_counts(n, lengths)):
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            s = (np.arange(m) + 0.5) * L / m
-            idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, dense - 1)
-            zeta = comp[idx]
-            # Tangent of the core parametrization, then pushed through the map.
-            step = comp[(idx + 1) % dense] - comp[idx - 1]
-            t_base = step / np.abs(step)
-            t_img = moebius_fprime(coeffs, zeta) * t_base
-            normals = -1j * t_img / np.abs(t_img)
-            pts = moebius_forward(coeffs, zeta)
-            out.extend(zip(pts.tolist(), normals.tolist()))
-        return out
-
-    def _box(self) -> tuple[float, float, float, float]:
-        core, coeffs = flatten_moebius(self)
-        nodes = _circle_nodes(core.circles, [4096] * len(core.circles))
-        pts = np.concatenate([moebius_forward(coeffs, c) for c, _ in nodes])
-        pad = 0.01 * (pts.real.max() - pts.real.min() + pts.imag.max() - pts.imag.min())
-        return (
-            float(pts.real.min() - pad),
-            float(pts.real.max() + pad),
-            float(pts.imag.min() - pad),
-            float(pts.imag.max() + pad),
-        )
 
     def _literal(self) -> str:
         coeffs = ",".join(_format_complex(z) for z in self.coeffs)
@@ -316,6 +289,8 @@ class PolarComplement:
 
 Domain = Union[Disc, Annulus, MoebiusImage, Polygon, PolarComplement]
 
+UNIT_DISC = Disc(0j, 1.0)
+
 
 def _polygon_signed_area(vertices) -> float:
     area = 0.0
@@ -381,7 +356,10 @@ def moebius_compose(outer, inner):
 
 
 def flatten_moebius(domain: Domain) -> tuple[Domain, tuple[complex, complex, complex, complex]]:
-    """Peel nested MoebiusImage layers into (core domain, composed coefficients)."""
+    """Peel nested MoebiusImage layers into (core domain, composed
+    coefficients).  A disc's core is the unit disc, under z -> c + R z."""
+    if isinstance(domain, Disc):
+        return UNIT_DISC, (complex(domain.radius), complex(domain.center), 0j, 1 + 0j)
     if not isinstance(domain, MoebiusImage):
         return domain, IDENTITY_COEFFS
     core, inner = flatten_moebius(domain.base)
@@ -409,9 +387,9 @@ def moebius_circles(domain: MoebiusImage) -> list[tuple[complex, float]]:
 
 
 class PullBack(NamedTuple):
-    """A domain seen from its core: the disc or annulus, the composed
-    coefficients of the map F from it onto the domain (None when the
-    domain is the core itself) and the pole pulled back, zeta_w = F^-1(w)."""
+    """A domain seen from its core: the unit disc or Annulus(q), the
+    composed coefficients of the map F from it onto the domain (None when
+    F is the identity) and the pole pulled back, zeta_w = F^-1(w)."""
 
     core: Domain
     coeffs: tuple[complex, complex, complex, complex] | None
@@ -438,7 +416,7 @@ def pull_back(domain: Domain, w: Point, check: bool = True) -> PullBack:
     core, coeffs = flatten_moebius(domain)
     if not isinstance(core, (Disc, Annulus)):
         raise UnsupportedDomain(f"no series Green function for {type(core).__name__}; use the Monte Carlo oracle")
-    if core is domain:
+    if coeffs == IDENTITY_COEFFS:
         pb = PullBack(core, None, w)
     else:
         try:
@@ -462,7 +440,7 @@ def moebius_transport(domain: MoebiusImage, w: Point) -> tuple[Point, float]:
     if not isinstance(domain, MoebiusImage):
         raise UnsupportedDomain("moebius_transport needs a MoebiusImage domain")
     _, coeffs, zeta = pull_back(domain, w)
-    return zeta, abs(moebius_fprime(coeffs, zeta))
+    return zeta, abs(moebius_fprime(coeffs or IDENTITY_COEFFS, zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +476,9 @@ def boundary_sample(domain: Domain, n: int) -> list[tuple[Point, Point]]:
     """n boundary points with outward unit normals, arc-length spaced.
 
     Points are ordered per boundary circle, in the order of ``circles``;
-    boundary_counts splits n among the circles.  Circles of a core start
-    at angle 0; polygon and Moebius components are offset by half a
-    spacing so samples avoid vertices.
+    boundary_counts splits n among the circles, and each circle's samples
+    start at angle 0.  Polygon samples are offset by half a spacing so
+    they avoid vertices.
     """
     if n < 8:
         raise ValueError(f"need n >= 8 boundary samples, got {n}")
@@ -509,8 +487,8 @@ def boundary_sample(domain: Domain, n: int) -> list[tuple[Point, Point]]:
 
 def bounding_box(domain: Domain) -> tuple[float, float, float, float]:
     """(x_min, x_max, y_min, y_max) enclosing the domain (used by grids,
-    Monte Carlo and SVG output): a core's outer circle, the padded hull of
-    dense samples of an image's circles, a polygon's vertices."""
+    Monte Carlo and SVG output): the box of the outer circle of a disc, an
+    annulus or an image, the hull of a polygon's vertices."""
     return domain._box()
 
 

@@ -4,7 +4,8 @@ The (negative) Green function G(., w) of a domain is harmonic away from the
 pole w, behaves like log|z - w| at the pole, and vanishes on the boundary.
 Closed forms used here:
 
-* Disc(c, R):   G(z, w) = log( R |z - w| / |R^2 - conj(w - c)(z - c)| )
+* The unit disc: G(z, w) = log( |z - w| / |1 - conj(w) z| ); a disc
+  Disc(c, R) is its image under z -> c + R z, pulled back like any other
 * Annulus q < |z| < 1, via the dual-nome series (Jacobi's imaginary
   transformation, DLMF 20.7).  With h = log(1/q), the strip coordinate
   s = log(z/q) and W = exp(i pi s / h) map the ring onto the upper
@@ -208,12 +209,12 @@ def _field(pb: geo.PullBack, zeta: np.ndarray, z: np.ndarray, parts: tuple[str, 
         inner = parts + ("f1",)  # the push of f'' needs f'
     if isinstance(core, Annulus):
         out = dict(zip(inner, _dual_field(core.q, w, zeta, inner)))
-    else:  # the disc's closed forms
-        u, v, r2 = zeta - core.center, w - core.center, core.radius * core.radius
+    else:  # the unit disc's closed forms
+        wc = np.conj(w)
         forms = {
-            "g": lambda: np.log(core.radius * np.abs(zeta - w) / np.abs(r2 - np.conj(v) * u)),
-            "f1": lambda: 1.0 / (zeta - w) + np.conj(v) / (r2 - np.conj(v) * u),
-            "f2": lambda: -1.0 / (zeta - w) ** 2 + np.conj(v) ** 2 / (r2 - np.conj(v) * u) ** 2,
+            "g": lambda: np.log(np.abs(zeta - w) / np.abs(1.0 - wc * zeta)),
+            "f1": lambda: 1.0 / (zeta - w) + wc / (1.0 - wc * zeta),
+            "f2": lambda: -1.0 / (zeta - w) ** 2 + wc**2 / (1.0 - wc * zeta) ** 2,
             "tail": lambda: np.zeros(zeta.shape),
         }
         with np.errstate(divide="ignore"):  # log(0) = -inf at the pole is correct
@@ -293,8 +294,8 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
             raise PointOutsideDomain(f"{w} outside domain")
         return CapacityResult(capacity=0.0, robin_constant=-math.inf, truncation_bound=0.0)
     core, coeffs, zeta_w = geo.pull_back(domain, w)
-    if isinstance(core, Disc):
-        cap = core.radius / (core.radius**2 - abs(zeta_w - core.center) ** 2)
+    if isinstance(core, Disc):  # the unit disc
+        cap = 1.0 / (1.0 - abs(zeta_w) ** 2)
         robin, tail = math.log(cap), 0.0
     else:
         # The k = 0 image gives log|z - w| + log(pi / (2 h |w| sin(theta0)))
@@ -318,7 +319,10 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
     return CapacityResult(capacity=cap, robin_constant=robin, truncation_bound=tail)
 
 
-def disc_max_green(domain: Domain, w: Point, r: float, n_angles: int = 4096) -> float:
+_DISC_MAX_ANGLES = 4096  # samples of the circle in disc_max_green
+
+
+def disc_max_green(domain: Domain, w: Point, r: float) -> float:
     """Maximum of G(., w) over the closed disc of radius r around w.
 
     G is subharmonic there, so the maximum sits on the circle |z - w| = r.
@@ -334,8 +338,8 @@ def disc_max_green(domain: Domain, w: Point, r: float, n_angles: int = 4096) -> 
         raise RadiusTooLarge(f"r={r} exceeds boundary distance {delta}")
     if r >= delta:
         return 0.0
-    dtheta = 2 * math.pi / n_angles
-    theta = (np.arange(n_angles) + 0.5) * dtheta
+    dtheta = 2 * math.pi / _DISC_MAX_ANGLES
+    theta = (np.arange(_DISC_MAX_ANGLES) + 0.5) * dtheta
     circle = w + r * np.exp(1j * theta)
     vals = green_values_raw(domain, w, circle)
     # Parabolic refinement through each discrete local maximum.

@@ -427,10 +427,10 @@ def _masked_field(core: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     it), +1 beyond: true values just past the boundary keep the crossings in
     boundary cells exact, and +1 is above every negative level."""
     out = np.full(z.shape, 1.0)
-    if isinstance(core, Disc):
-        d = abs(w - core.center) / core.radius
-        pad = 0.45 * core.radius * (1.0 / d - 1.0 if d >= 1e-9 else 1.0)
-        ok = np.abs(z - core.center) < core.radius + pad
+    if isinstance(core, Disc):  # the unit disc
+        d = abs(w)
+        pad = 0.45 * (1.0 / d - 1.0 if d >= 1e-9 else 1.0)
+        ok = np.abs(z) < 1.0 + pad
     else:
         q, r = core.q, abs(w)
         rz = np.abs(z)
@@ -493,9 +493,7 @@ def grid_area(domain: Domain, w: Point, t: float, resolution: int = 2048) -> Are
         raise LevelAbovePeak(f"need t < 0, got {t}")
     core, coeffs, w_eff = geo.pull_back(domain, w)
     coeffs = coeffs or geo.IDENTITY_COEFFS
-    c, r = core.center, 1.02 * core.radius  # the outer circle
-    xs = np.linspace(c.real - r, c.real + r, resolution + 1)
-    ys = np.linspace(c.imag - r, c.imag + r, resolution + 1)
+    xs = ys = np.linspace(-1.02, 1.02, resolution + 1)  # the outer circle, |z| = 1
     h = (xs[1] - xs[0]) * (1 + 1j)  # cell diagonal (the cells are square)
     sub = np.add.outer(h.real * np.linspace(0, 1, _REFINE + 1), 1j * h.imag * np.linspace(0, 1, _REFINE + 1))
     area = err = 0.0

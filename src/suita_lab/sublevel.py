@@ -24,7 +24,8 @@ roots of a profile, at every level and node, are solved together by a
 vectorized safeguarded Newton.  A Moebius image adds the weight |F'|^2
 across each interval (Gauss-Legendre in x).  On a disc core {G < t} =
 M(D(0, e^t)), M the Moebius map of D(0, 1) onto the domain with M(0) = w,
-in closed form.  Level curves come from the same slice roots.
+in closed form (the core is the unit disc).  Level curves come from the
+same slice roots.
 """
 
 from __future__ import annotations
@@ -131,10 +132,8 @@ class LevelField:
         coeffs = coeffs or geo.IDENTITY_COEFFS
         self.disc_map = None
         if isinstance(core, Disc):
-            # zeta -> c0 + R (zeta + v) / (1 + conj(v) zeta), v = (w_eff - c0) / R, sends 0 to the pole
-            c0, r = core.center, core.radius
-            v = (w_eff - c0) / r
-            self.disc_map = geo.moebius_compose(coeffs, (r + c0 * v.conjugate(), r * v + c0, v.conjugate(), 1.0))
+            # zeta -> (zeta + w) / (conj(w) zeta + 1) sends 0 to the pole of the unit disc
+            self.disc_map = geo.moebius_compose(coeffs, (1.0, w_eff, w_eff.conjugate(), 1.0))
             return
         self.r0 = abs(w_eff)
         self.log_q = math.log(core.q)

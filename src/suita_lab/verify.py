@@ -45,10 +45,7 @@ DEFAULT_TOLERANCES = {
     "poisson": 1e-8,
     "blb_lower": 1e-4,
     "blb_monotone": 0.0,  # dynamic: the profile's own error estimates
-    "thm4": 0.0,  # dynamic: the measured noise floor
-    "char_pos": 0.0,
     "char_zero": 1e-12,
-    "char_subharmonic": 0.0,
     "flux": 1e-5,
     "oracle": 0.0,  # dynamic: 3 sigma from the estimates
 }
@@ -94,7 +91,7 @@ def _tol(name: str, overrides: dict[str, float] | None) -> float:
         return overrides[fam]
     if overrides and "all" in overrides:
         return overrides["all"]
-    return DEFAULT_TOLERANCES.get(fam, 1e-8)
+    return DEFAULT_TOLERANCES[fam]
 
 
 def _line(name, domain, w, params, lhs, rhs, passed, margin=None) -> Check:
@@ -190,7 +187,6 @@ def thm4_scan(
     w: Point,
     resolution: int = 1024,
     steps: int = 64,
-    overrides=None,
 ) -> tuple[sl.ConvexityReport, Check]:
     """Scan log lambda around the top critical level and demand non-convexity.
 
@@ -358,7 +354,7 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
         for literal, w in config.thm4_entries:
             domain = geo.parse_domain(literal)
             try:
-                _, check = thm4_scan(domain, w, steps=THM4_STEPS, overrides=overrides)
+                _, check = thm4_scan(domain, w, steps=THM4_STEPS)
                 checks.append(check)
             except NoCriticalPoint as exc:
                 checks.append(_skipped("thm4", domain, w, "skipped", exc))

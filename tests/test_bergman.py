@@ -51,7 +51,8 @@ class TestBasisNorms:
     @pytest.mark.parametrize("radius, w, half_n", [(4.0, 1.0, 600), (0.01, 0.005, 200)])
     def test_disc_norms_finite_on_any_radius(self, radius, w, half_n):
         # norms of ((z - c)/R)^n; those of (z - c)^n, pi R^(2n+2)/(n+1),
-        # overflow at R = 4 and underflow to 0 at R = 0.01 within these n
+        # overflow at R = 4 and underflow to 0 at R = 0.01 within these n.
+        # The frame is built on the disc's core, the unit disc.
         domain = Disc(0j, radius)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -59,7 +60,7 @@ class TestBasisNorms:
             frame = bg.build_frame(domain, w, 1, half_n)
         assert norms == pytest.approx(math.pi * radius**2 / np.arange(1, half_n + 2), rel=1e-15)
         assert np.all(norms > 0)
-        assert np.array_equal(frame.basis_norms, norms)
+        assert np.array_equal(frame.basis_norms, bg.basis_norms(Disc(0j, 1.0), 0, half_n))
         assert np.all(np.isfinite(frame.derivative_matrix))
 
 
@@ -182,6 +183,32 @@ class TestKernel:
     def test_truncation_failure_near_boundary(self, unit_disc):
         with pytest.raises(TruncationFailure):
             bg.kernel_j(unit_disc, (1 - 1e-9) + 0j, 0)
+
+
+# K_j(w), j = 0..3, on Annulus(q) at w = q + f (1 - q), from the Laurent sum
+# over |n| <= 40000 of the Gram matrix of the derivative vectors (stdlib
+# decimal, 70 digits; the same sums over 1.25 times as many terms agree).
+_NEAR_INNER_CIRCLE = {
+    (0.3, 0.02): [389.80950309890738, 954739.11127049464, 7015170993.5894365, 103091250106109.59],
+    (0.5, 0.02): [782.29513229929296, 3845219.3952016439, 56701281601.14209, 1672224653409375.0],
+    (0.8, 0.02): [4956.9997132540875, 154389462.7452032, 14425725793176.389, 2.6958001013755085e18],
+    (0.5, 0.01): [3153.7465616537297, 62493298.554980353, 3715021757075.5244, 4.4169173254320512e17],
+}
+
+
+class TestAnnulusFrameOverflow:
+    # next to the inner circle the norms q^(2n+2) of z^n, n <= -2, overflow
+    # while the basis elements at w are still far from negligible
+    @pytest.mark.parametrize("q, f", list(_NEAR_INNER_CIRCLE))
+    def test_against_decimal_laurent_sum(self, q, f):
+        w = q + f * (1 - q)
+        for j, ref in enumerate(_NEAR_INNER_CIRCLE[(q, f)]):
+            try:
+                k = bg.kernel_j(geo.Annulus(q), w, j)
+            except TruncationFailure:
+                assert j >= 2
+                continue
+            assert abs(k.value - ref) <= 1e-12 * ref
 
 
 class TestLaplacianIdentity:

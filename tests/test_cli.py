@@ -98,6 +98,17 @@ class TestConfig:
         assert ("annulus:0.5", 0.7 + 0j) in config.entries
         assert ("disc:0,0,1", 0.5 + 0j) in config.entries
 
+    @pytest.mark.parametrize("key", ["tolerance.suite", "tolerance.thm4", "tolerance.char_pos", "tolerance."])
+    def test_unknown_tolerance_family_rejected(self, tmp_path, key):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"domains = disc:0,0,1\npoles = 0.5,0\n{key} = 1e-6\n")
+        with pytest.raises(ConfigError, match="tolerance family"):
+            cli.suite_config_from_file(str(cfg))
+
+    def test_every_tolerance_family_accepted(self):
+        for family in ["all", *vf.DEFAULT_TOLERANCES]:
+            assert cli.parse_config(f"tolerance.{family} = 0.5\n")["tolerances"] == {family: 0.5}
+
     @pytest.mark.parametrize("domains", ["disc:0,0,1 | annulus:0.5", "disc:0,0,1.0 | annulus:0.50"])
     def test_plans_follow_equivalent_literals(self, tmp_path, domains):
         # the profile, thm4 and probe plans are kept for a configured domain

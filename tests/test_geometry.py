@@ -149,7 +149,9 @@ class TestBoundarySample:
         with pytest.raises(UnsupportedDomain):
             boundary_sample(PolarComplement(), 16)
 
-    @pytest.mark.parametrize("fixture", ["unit_disc", "annulus_half", "unit_square", "moebius_annulus"])
+    @pytest.mark.parametrize(
+        "fixture", ["unit_disc", "annulus_half", "unit_square", "blaschke_disc", "moebius_annulus", "nested_moebius"]
+    )
     def test_clear_disc_invariant(self, fixture, request):
         # no sampled boundary point may enter the open disc of radius
         # boundary_distance(w) around any interior w
@@ -161,7 +163,49 @@ class TestBoundarySample:
             assert np.min(np.abs(pts - w)) >= delta * (1 - 1e-6)
 
 
+    @pytest.mark.parametrize("fixture", ["blaschke_disc", "moebius_annulus", "nested_moebius"])
+    def test_image_samples_on_exact_circles(self, fixture, request):
+        domain = request.getfixturevalue(fixture)
+        circles = domain.circles
+        samples = boundary_sample(domain, 1000)
+        counts = geo.boundary_counts(1000, [r for _, r in circles])
+        start = 0
+        for (c, r), m in zip(circles, counts):
+            pts = np.array([p for p, _ in samples[start : start + m]])
+            nrm = np.array([v for _, v in samples[start : start + m]])
+            start += m
+            assert np.max(np.abs(np.abs(pts - c) - r)) <= 1e-13 * r
+            assert np.max(np.abs(np.abs(nrm) - 1.0)) <= 1e-15
+            # outward: a step along the normal leaves the domain, against it enters
+            step = 1e-6 * r
+            assert geo.contains_mask(domain, pts - step * nrm).all()
+            assert not geo.contains_mask(domain, pts + step * nrm).any()
+        assert start == len(samples)
+
+    @pytest.mark.parametrize("fixture", ["blaschke_disc", "moebius_annulus", "nested_moebius"])
+    def test_image_box_is_the_outer_circle_box(self, fixture, request):
+        domain = request.getfixturevalue(fixture)
+        c, r = max(domain.circles, key=lambda cr: cr[1])
+        box = geo.bounding_box(domain)
+        assert box == (c.real - r, c.real + r, c.imag - r, c.imag + r)
+        pts = np.array([p for p, _ in boundary_sample(domain, 1000)])
+        x0, x1, y0, y1 = box
+        assert np.all((pts.real >= x0) & (pts.real <= x1) & (pts.imag >= y0) & (pts.imag <= y1))
+
+    def test_nested_image_lists_its_outer_circle_second(self, nested_moebius):
+        (_, r_first), (_, r_second) = nested_moebius.circles
+        assert r_second > r_first
+
+
 class TestMoebius:
+    def test_identity_image_pulls_back_to_its_core(self, unit_disc, annulus_half):
+        # the composed map is the identity: the series read the core itself,
+        # and the transport still reports the point and |F'| = 1
+        for base, w in ((unit_disc, 0.3 + 0.4j), (annulus_half, -0.2 + 0.6j)):
+            m = MoebiusImage(base, 1 + 0j, 0j, 0j, 1 + 0j)
+            assert geo.pull_back(m, w).coeffs is None
+            assert moebius_transport(m, w) == (w, 1.0)
+
     def test_identity_transport(self, unit_disc):
         m = MoebiusImage(unit_disc, 1 + 0j, 0j, 0j, 1 + 0j)
         zeta, fp = moebius_transport(m, 0.3 + 0.4j)
