@@ -2,7 +2,9 @@
 
 Nothing here shares series machinery with the quantities it validates:
 
-* ``wos_green``  -- walk-on-spheres simulation of the Green function,
+* ``wos_green``  -- walk-on-spheres simulation of the Green function, with
+  harmonic control variates fitted before the walks and a stated bound
+  on its standard error,
 * ``mc_area``    -- rejection-sampled sublevel areas,
 * ``robin_extrapolate`` -- the capacity limit evaluated as a genuine limit
   with Richardson extrapolation,
@@ -30,7 +32,15 @@ its Taylor series in real arithmetic.  Against 120-bit cos and sin, on
 exp(2j pi u), whose angle 2 pi u is rounded, is 6.8e-16.
 The live walks sit in arrays that shrink as walks are captured; captured
 walks keep their position, and all walks are projected onto the boundary
-and scored once, after the last step.
+once, after the last step.
+
+The walks score log|X - w| at their exits X.  Before any walk, that score
+is fitted on boundary nodes by functions harmonic in the closed domain
+(the constant, logarithms of reflections of the pole, low powers of X),
+whose means over the exits are known exactly: their values at z.  Only
+the residual of the fit is averaged over the walks, and its range on the
+boundary bounds the standard error (Popoviciu: a variable with range osc
+has variance at most osc^2 / 4).  No control reads the green module.
 """
 
 from __future__ import annotations
@@ -165,7 +175,7 @@ def _unit_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Domain support for the walkers
+# The walker and its domain support
 # ---------------------------------------------------------------------------
 
 
@@ -227,13 +237,8 @@ def _project_boundary(domain: Domain, p: np.ndarray) -> np.ndarray:
     return proj
 
 
-# ---------------------------------------------------------------------------
-# Oracles
-# ---------------------------------------------------------------------------
-
-
-def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEstimate:
-    """Walk-on-spheres estimate of G(z, w).
+def _walk(domain: Domain, z: Point, walks: int, seed: int) -> np.ndarray:
+    """The boundary points where the walks from z end.
 
     Each walk jumps to a uniform point of the largest inscribed circle
     (exact exit sampling) until it lands within the capture shell, then
@@ -241,24 +246,9 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
     counter (i << _STEP_BITS) | s and moves in the direction e^{2 pi i u},
     read from a root-of-unity table and a short series (_unit_directions).
     Captured walks leave the live arrays and keep their capture position;
-    the projection and the scores are computed once, after the loop, for
-    every walk (a walk still live after MAX_STEPS is projected from where
-    it stands).  The estimator identity is
-
-        G(z, w) = log|z - w| - E[ log|X_exit - w| ],
-
-    the expectation taken over the harmonic measure seen from z.  The
-    capture shell introduces a bias of the order of the shell width, far
-    below the statistical error at practical sample counts.
+    the projection is computed once, after the loop, for every walk (a walk
+    still live after MAX_STEPS is projected from where it stands).
     """
-    if walks < 2:
-        raise TooFewSamples(f"need at least 2 walks for a standard error, got {walks}")
-    if not isinstance(domain, (Disc, Annulus, Polygon)):
-        raise UnsupportedDomain("walk-on-spheres supports Disc, Annulus and Polygon")
-    if z == w:
-        raise PointOutsideDomain("z must differ from the pole w")
-    if not (geo.contains(domain, w) and geo.contains(domain, z)):
-        raise PointOutsideDomain("both z and w must be interior")
     pos = np.full(walks, complex(z))  # the live walks: position, walk index, step-0 key, wall distance
     walk = np.arange(walks)
     keys = _counter_keys(_stream_base(seed, _STREAM_WOS), walk.astype(np.uint64) << np.uint64(_STEP_BITS))
@@ -292,14 +282,161 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
     if walk.size > 0.001 * walks:
         raise NonConvergence(f"{walk.size} of {walks} walks uncaptured after {MAX_STEPS} steps")
     ends[walk] = pos
-    scores = np.concatenate(
-        [np.log(np.abs(_project_boundary(domain, ends[b : b + _BLOCK]) - w)) for b in range(0, walks, _BLOCK)]
-    )
-    mean_score = float(np.mean(scores))
-    std_err = float(np.std(scores, ddof=1) / math.sqrt(walks))
+    for b in range(0, walks, _BLOCK):
+        ends[b : b + _BLOCK] = _project_boundary(domain, ends[b : b + _BLOCK])
+    return ends
+
+
+# ---------------------------------------------------------------------------
+# Harmonic controls
+# ---------------------------------------------------------------------------
+
+_FIT_NODES = 256  # boundary nodes of the control fit; the residual's range is read on 4x as many
+_FIT_ULPS = 4.0  # rounding of one fitted term, in units of the largest term
+
+
+def _control_spec(domain: Domain, w: Point) -> tuple[complex, list[complex], tuple[int, ...]]:
+    """(c, poles, powers): the controls are the constant, log|X - p| for
+    each p in poles and Re, Im (X - c)^k for each k in powers, all harmonic
+    in the closed domain.
+
+    A disc reflects the pole in its circle (none when the pole is the
+    centre, whose reflection is at infinity); an annulus takes log|X|, the
+    reflections 1/w-bar and q^2/w-bar in its circles and their reflections
+    q^2 w and w/q^2 in the other circle, and k = -2, -1, 1, 2; a polygon
+    takes the reflections of the pole in its edge lines that lie outside
+    the closed polygon, and k = 1..4 about the mean of its vertices.
+    """
+    if isinstance(domain, Polygon):
+        v = domain.vertices
+        poles = []
+        for a, b in zip(v, v[1:] + v[:1]):
+            e = b - a
+            star = a + e * ((w - a) / e).conjugate()
+            if not geo.contains(domain, star) and _wall_distance(domain, np.array([star]))[0] > 0:
+                poles.append(star)
+        return sum(v) / len(v), poles, (1, 2, 3, 4)
+    if isinstance(domain, Annulus):
+        q2, wc = domain.q**2, w.conjugate()
+        return 0j, [0j, 1 / wc, q2 / wc, q2 * w, w / q2], (-2, -1, 1, 2)
+    c, r = domain.center, domain.radius
+    return c, ([c + r * r / (w - c).conjugate()] if w != c else []), (1, 2)
+
+
+def _control_columns(spec, x: np.ndarray):
+    """The controls of spec at the points x, one array at a time."""
+    c, poles, powers = spec
+    yield np.ones(x.shape)
+    for p in poles:
+        yield np.log(np.abs(x - p))
+    u = x - c
+    for k in powers:
+        uk = u**k
+        yield uk.real
+        yield uk.imag
+
+
+def _fitted(spec, beta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum beta_k u_k at x, and sum |beta_k u_k| (the scale of its rounding)."""
+    fit, size = np.zeros(x.shape), np.zeros(x.shape)
+    for b, col in zip(beta, _control_columns(spec, x)):
+        term = b * col
+        fit += term
+        size += np.abs(term)
+    return fit, size
+
+
+def _fit(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of y on the columns of basis.
+
+    The QR factor R of [basis | y] holds Q^T y in its last column, so beta
+    follows by back substitution; a column whose pivot is below 1e-12 of
+    its norm (one the others already span) gets beta = 0.  Any beta leaves
+    the estimate unbiased, and its residual range is what the bound reads.
+    numpy's lstsq would take an SVD, whose workspace raised the peak memory
+    of the default plan by 0.7 MB.
+    """
+    m = basis.shape[1]
+    r = np.linalg.qr(np.column_stack([basis, y]), mode="r")
+    norms = np.linalg.norm(basis, axis=0)
+    beta = np.zeros(m)
+    for i in range(m - 1, -1, -1):
+        if abs(r[i, i]) > 1e-12 * norms[i]:
+            beta[i] = (r[i, m] - r[i, i + 1 : m] @ beta[i + 1 :]) / r[i, i]
+    return beta
+
+
+def _boundary_nodes(domain: Domain, n: int) -> np.ndarray:
+    """n boundary points, shared among the circles or the polygon edges by
+    length: equally spaced from angle 0 on each circle, and from the first
+    vertex along each edge."""
+    if isinstance(domain, Polygon):
+        v = np.asarray(domain.vertices, dtype=complex)
+        edges = np.roll(v, -1) - v
+        counts = geo.boundary_counts(n, np.abs(edges).tolist())
+        return np.concatenate([a + e * (np.arange(m) / m) for a, e, m in zip(v, edges, counts)])
+    counts = geo.boundary_counts(n, [r for _, r in domain.circles])
+    return np.concatenate([c + r * np.exp(2j * math.pi * np.arange(m) / m) for (c, r), m in zip(domain.circles, counts)])
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+# ---------------------------------------------------------------------------
+
+
+def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEstimate:
+    """Walk-on-spheres estimate of G(z, w), with harmonic control variates.
+
+    The walks of _walk end at boundary points X, distributed by the
+    harmonic measure seen from z (up to the capture shell), and
+
+        G(z, w) = log|z - w| - E[ log|X - w| ].
+
+    The score log|X - w| is fitted, before any walk, by least squares on
+    _FIT_NODES boundary nodes with the controls u_k of _control_spec:
+    functions harmonic in the closed domain, for which E[u_k(X)] = u_k(z),
+    and none of them read from the green module.  With the residual
+    r = score - sum beta_k u_k the estimate is
+
+        log|z - w| - sum beta_k u_k(z) - mean_i r(X_i).
+
+    std_error is a bound, not a sample estimate: by Popoviciu's inequality
+    the variance of r(X) is at most osc(r)^2 / 4, so it is
+    osc(r) / (2 sqrt(walks)), with osc the range of r on 4 * _FIT_NODES
+    boundary nodes and on the exits, plus a rounding floor of _FIT_ULPS
+    ulps of the largest fitted term per control.  The capture shell shifts
+    the default plan's four estimates by at most 9.2e-10 (halving
+    CAPTURE_EPS, or cutting it to 1e-8), three orders below their bounds.
+    """
+    if walks < 2:
+        raise TooFewSamples(f"need at least 2 walks for a standard error, got {walks}")
+    if not isinstance(domain, (Disc, Annulus, Polygon)):
+        raise UnsupportedDomain("walk-on-spheres supports Disc, Annulus and Polygon")
+    if z == w:
+        raise PointOutsideDomain("z must differ from the pole w")
+    if not (geo.contains(domain, w) and geo.contains(domain, z)):
+        raise PointOutsideDomain("both z and w must be interior")
+    spec = _control_spec(domain, w)
+    nodes = _boundary_nodes(domain, _FIT_NODES)
+    beta = _fit(np.stack(list(_control_columns(spec, nodes)), axis=1), np.log(np.abs(nodes - w)))
+
+    def residual(x):
+        """r at x, and the largest |score| + sum |beta_k u_k| there."""
+        score = np.log(np.abs(x - w))
+        fit, size = _fitted(spec, beta, x)
+        size += np.abs(score)
+        score -= fit
+        return score, float(np.max(size))
+
+    r_nodes, top_nodes = residual(_boundary_nodes(domain, 4 * _FIT_NODES))
+    r, top = residual(_walk(domain, z, walks, seed))
+    lo, hi = min(r_nodes.min(), r.min()), max(r_nodes.max(), r.max())
+    fit_z, size_z = (float(a) for a in _fitted(spec, beta, np.asarray(complex(z))))
+    log_zw = math.log(abs(z - w))
+    floor = _FIT_ULPS * len(beta) * float(np.finfo(float).eps) * (abs(log_zw) + size_z + max(top_nodes, top))
     return McEstimate(
-        mean=math.log(abs(z - w)) - mean_score,
-        std_error=std_err,
+        mean=log_zw - fit_z - float(np.mean(r)),
+        std_error=float(hi - lo) / (2.0 * math.sqrt(walks)) + floor,
         samples=walks,
         seed=seed,
     )

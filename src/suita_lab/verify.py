@@ -14,8 +14,8 @@ context, so a failed line can be replayed directly.
 
 The tolerance table is part of the report.  Margins are compared against
 ``-tol * scale`` with scale = max(|lhs|, |rhs|), except for the Monte
-Carlo checks whose tolerance is the statistical 3-sigma carried by the
-estimate itself.
+Carlo checks whose tolerance is 3 times the standard error carried by the
+estimate itself (a stated bound for walk-on-spheres).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ DEFAULT_TOLERANCES = {
     "blb_monotone": 0.0,  # dynamic: the profile's own error estimates
     "char_zero": 1e-12,
     "flux": 1e-5,
-    "oracle": 0.0,  # dynamic: 3 sigma from the estimates
+    "oracle": 0.0,  # dynamic: 3 x the bound each estimate states
 }
 
 
@@ -282,7 +282,7 @@ class SuiteConfig:
     seed: int = 42
     profile_steps: int = 16
     j_max: int = 3
-    wos_walks: int = 100_000
+    wos_walks: int = 10_000
     mc_samples: int = 200_000
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
 from suita_lab.errors import LevelAbovePeak, NonConvergence, PointOutsideDomain, TooFewSamples, UnsupportedDomain
-from suita_lab.geometry import Annulus, MoebiusImage, Polygon
+from suita_lab.geometry import Annulus, Disc, MoebiusImage, Polygon
 
 
 class TestCounterUniform:
@@ -79,28 +80,118 @@ class TestUnitDirections:
 
 
 class TestWosGreen:
-    # (mean, std_error) of the default plan's four walk-on-spheres calls,
-    # frozen from the walker that drew directions with exp(2 pi i u)
+    # (mean, std_error) of the plain estimator log|z - w| - mean(score) on
+    # the walks of the default plan's four calls at their former walk
+    # counts, frozen from the walker that drew directions with exp(2 pi i u)
     PLAN = [
         (Annulus(0.5), 0.7 + 0j, 0.55 + 0.3j, 100_000, 42, -0.1785200601995981, 0.001150966359231513),
         (Annulus(0.5), 0.7 + 0j, -0.62 + 0.1j, 100_000, 42, 0.0006505589762011987, 0.000517528528740207),
         (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), 0.5 + 0.5j, 0.25 + 0.25j, 50_000, 42, -0.44102212590352197, 0.0003704399847705794),
         (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), 0.25 + 0.25j, 0.5 + 0.5j, 50_000, 43, -0.441166772046783, 0.0020353783846669073),
     ]
+    # (mean, std_error) of wos_green on the same calls at the plan's walk
+    # counts today, a tenth of the above.  The fit moves both by rounding:
+    # the mean by ulps of its O(1) terms, the bound by ulps of those terms
+    # over a residual range of 1e-4 to 1e-2.
+    CONTROLLED = [
+        (-0.17814711290996282, 1.4137152010798044e-06),
+        (-2.9985435089947826e-06, 1.4134109159593847e-06),
+        (-0.4406871506473335, 1.0096060187428854e-06),
+        (-0.440692890907541, 4.740562285226926e-05),
+    ]
+    IDS = ["annulus_a", "annulus_b", "square_a", "square_b"]
 
-    @pytest.mark.parametrize("call", range(4), ids=["annulus_a", "annulus_b", "square_a", "square_b"])
+    @pytest.mark.parametrize("call", range(4), ids=IDS)
     def test_plan_calls_reproduce_frozen_estimates(self, call):
+        # the walker is pinned: its exits give the plain estimate and its
+        # sample standard error as they were frozen
         domain, w, z, walks, seed, mean, std_error = self.PLAN[call]
-        est = oc.wos_green(domain, w, z, walks, seed)
-        assert est.mean == pytest.approx(mean, rel=1e-12)
-        assert est.std_error == pytest.approx(std_error, rel=1e-12)
+        scores = np.log(np.abs(oc._walk(domain, z, walks, seed) - w))
+        assert math.log(abs(z - w)) - float(np.mean(scores)) == pytest.approx(mean, rel=1e-12)
+        assert float(np.std(scores, ddof=1) / math.sqrt(walks)) == pytest.approx(std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("call", range(4), ids=IDS)
+    def test_plan_calls_reproduce_frozen_control_estimates(self, call):
+        domain, w, z, walks, seed, _, old_std_error = self.PLAN[call]
+        mean, std_error = self.CONTROLLED[call]
+        est = oc.wos_green(domain, w, z, walks // 10, seed)
+        assert est.mean == pytest.approx(mean, rel=0, abs=1e-15)
+        assert est.std_error == pytest.approx(std_error, rel=1e-9)
+        assert est.std_error <= old_std_error / 10
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_bound_is_honest_on_plan_lines(self, seed):
+        # the plan's three lines at its walk counts, against the series on
+        # the annulus and against the symmetry G(z, w) = G(w, z) on the square
+        ann, square = Annulus(0.5), Polygon((0j, 1 + 0j, 1 + 1j, 1j))
+        for z in (0.55 + 0.3j, -0.62 + 0.1j):
+            est = oc.wos_green(ann, 0.7 + 0j, z, 10_000, seed)
+            assert abs(est.mean - gr.green_eval(ann, 0.7 + 0j, z).value) <= 3 * est.std_error
+        a = oc.wos_green(square, 0.5 + 0.5j, 0.25 + 0.25j, 5_000, seed)
+        b = oc.wos_green(square, 0.25 + 0.25j, 0.5 + 0.5j, 5_000, seed + 1)
+        assert abs(a.mean - b.mean) <= 3 * math.hypot(a.std_error, b.std_error)
+
+    def test_independent_of_green_module(self, monkeypatch):
+        # the referee reads nothing of the series it referees
+        def refuse(*args, **kwargs):
+            raise AssertionError("wos_green called into green")
+
+        for name, obj in vars(gr).items():
+            if inspect.isfunction(obj) and obj.__module__ == gr.__name__:
+                monkeypatch.setattr(gr, name, refuse)
+        with pytest.raises(AssertionError):
+            gr.green_eval(Annulus(0.5), 0.7 + 0j, 0.2 + 0.6j)
+        for domain, w, z in self.PLAN_POINTS + [(Disc(1 + 2j, 3.0), 1.5 + 2.5j, 0.2 + 1j)]:
+            assert oc.wos_green(domain, w, z, 200, 1).std_error > 0
+
+    PLAN_POINTS = [(domain, w, z) for domain, w, z, *_ in PLAN]
+
+    @pytest.mark.parametrize("call", range(4), ids=IDS)
+    def test_capture_shell_shift_below_bound(self, call, monkeypatch):
+        domain, w, z, walks, seed, *_ = self.PLAN[call]
+        est = oc.wos_green(domain, w, z, walks // 10, seed)
+        monkeypatch.setattr(oc, "CAPTURE_EPS", oc.CAPTURE_EPS / 2)
+        half = oc.wos_green(domain, w, z, walks // 10, seed)
+        assert abs(half.mean - est.mean) < 1e-2 * est.std_error
+
+    @pytest.mark.parametrize("w", [0.5 + 0.5j, 1.5 + 0.5j, 0.5 + 1.5j, 0.9 + 0.9j, 1.9 + 0.1j, 0.1 + 1.9j])
+    def test_l_shape_controls_regular_in_closed_domain(self, w):
+        # the reflections in the lines of the reentrant edges fall inside
+        # the L for some poles; they are dropped, and every control left is
+        # finite on the boundary and inside
+        ell = Polygon((0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j))
+        _, poles, _ = spec = oc._control_spec(ell, w)
+        for p in poles:
+            assert not geo.contains(ell, p)
+            assert oc._wall_distance(ell, np.array([p]))[0] > 1e-9
+        xs = np.linspace(0.0, 2.0, 81)
+        grid = (xs[:, None] + 1j * xs[None, :]).ravel()
+        closed = np.concatenate([oc._boundary_nodes(ell, 4096), grid[geo.contains_mask(ell, grid)]])
+        for col in oc._control_columns(spec, closed):
+            assert np.all(np.isfinite(col))
+        est = oc.wos_green(ell, w, 0.3 + 0.4j, 2_000, 1)
+        assert math.isfinite(est.mean) and 0 < est.std_error < 0.1
+
+    def test_collinear_edges_share_a_reflection(self):
+        # the two bottom edges reflect the pole to one point: the fit
+        # gives the second copy no weight, and the estimate stays honest
+        # against the square's symmetry
+        square = Polygon((0j, 0.5 + 0j, 1 + 0j, 1 + 1j, 1j))
+        _, poles, _ = oc._control_spec(square, 0.5 + 0.5j)
+        assert poles.count(0.5 - 0.5j) == 2
+        a = oc.wos_green(square, 0.5 + 0.5j, 0.25 + 0.25j, 5_000, 42)
+        b = oc.wos_green(square, 0.25 + 0.25j, 0.5 + 0.5j, 5_000, 43)
+        assert 0 < a.std_error < 1e-4
+        assert abs(a.mean - b.mean) <= 3 * math.hypot(a.std_error, b.std_error)
 
     def test_capture_shell_start_scores_on_step_zero(self, unit_disc):
-        # every walk starts inside the shell, so it is projected where it starts
-        z, w = complex(1 - 0.5 * oc.CAPTURE_EPS), 0.3 + 0j
-        est = oc.wos_green(unit_disc, w, z, 1000, 8)
-        assert est.mean == pytest.approx(math.log(abs(z - w)) - math.log(abs(1 - w)), rel=1e-15, abs=1e-16)
-        assert est.std_error <= 1e-16
+        # every walk starts inside the shell, so it is projected where it
+        # starts: onto 1, which the projection's complex division reads one
+        # ulp low
+        z = complex(1 - 0.5 * oc.CAPTURE_EPS)
+        exits = oc._walk(unit_disc, z, 1000, 8)
+        assert np.all(exits == oc._project_boundary(unit_disc, np.array([z])))
+        assert abs(exits[0] - 1) <= 2**-53
 
     @pytest.mark.parametrize("domain", [Annulus(0.5), Polygon((0j, 1 + 0j, 1 + 1j, 1j))], ids=["annulus", "square"])
     def test_block_size_does_not_change_estimate(self, domain, monkeypatch):
@@ -149,6 +240,10 @@ class TestWosGreen:
             rot = complex(math.cos(angle), math.sin(angle))
             est = oc.wos_green(annulus_half, 0.7 * rot, (-0.6 + 0.1j) * rot, 50_000, 50 + k)
             assert abs(est.mean - base.mean) <= 3 * math.hypot(est.std_error, base.std_error)
+
+    def test_estimate_fields_are_floats(self, unit_disc):
+        est = oc.wos_green(unit_disc, 0.3 + 0j, -0.2 + 0.4j, 100, 9)
+        assert type(est.mean) is float and type(est.std_error) is float
 
     def test_std_error_definition(self, unit_disc):
         est = oc.wos_green(unit_disc, 0.3 + 0j, -0.2 + 0.4j, 10_000, 9)
