@@ -295,8 +295,12 @@ def _cmd_oracle(args) -> int:
     domain = geo.parse_domain(args.domain)
     w = _parse_point(args.pole)
     if args.kind == "wos":
+        if args.at is None:
+            raise ConfigError("oracle wos needs --at")
         est = oc.wos_green(domain, w, _parse_point(args.at), args.samples, args.seed)
     elif args.kind == "area":
+        if args.level is None:
+            raise ConfigError("oracle area needs --level")
         est = oc.mc_area(domain, w, args.level, args.samples, args.seed)
     elif args.kind == "robin":
         delta = geo.boundary_distance(domain, w)

@@ -6,7 +6,7 @@
 * ``MoebiusImage(base, a, b, c, d)`` -- the image of a base domain under
   F(zeta) = (a zeta + b)/(c zeta + d) with ad - bc != 0
 * ``Polygon(vertices)`` -- a simple, positively oriented polygon; supported
-  only by the Monte Carlo oracle paths
+  by the geometric queries and walk-on-spheres only
 * ``PolarComplement()`` -- the plane minus the origin, whose complement
   carries no logarithmic capacity
 
@@ -15,8 +15,10 @@ Discs, annuli and their images are bounded by the circles that
 circle and outside the others.  A disc or an annulus lists its outer
 circle first; an image lists the images of its core's circles in the
 core's order, so its outer circle comes second when the map's pole lies
-in the hole.  Membership, boundary distance, samples, bounding boxes and
-the Moebius outline read this one list.
+in the hole.  Membership, boundary distance, the walk-on-spheres wall and
+projection, the boundary nodes of the samples, the flux and the control
+fit, bounding boxes and the Moebius outline read this one list; a polygon
+answers from its edges.  No other module keeps a copy of a boundary.
 
 The series modules see every such domain through its *core*, the unit
 disc or ``Annulus(q)``, both centred at 0 with outer radius 1: a disc of
@@ -61,9 +63,11 @@ def _format_complex(z: complex) -> str:
 
 
 def boundary_counts(n: int, lengths) -> list[int]:
-    """Samples per boundary circle, n in all, in proportion to the circle
-    lengths: the cut after each circle falls at its rounded share of n,
-    and every circle keeps at least one sample."""
+    """Nodes per boundary component (a circle or a polygon edge), n in all,
+    in proportion to the lengths: the cut after each falls at its rounded
+    share of n, and each keeps a node (ValueError when n cannot)."""
+    if n < len(lengths):
+        raise ValueError(f"{n} boundary nodes cannot cover {len(lengths)} boundary components")
     total = sum(lengths)
     cuts, acc = [0], 0.0
     for i, length in enumerate(lengths[:-1], start=1):
@@ -73,25 +77,8 @@ def boundary_counts(n: int, lengths) -> list[int]:
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-def _circle_nodes(circles, counts, outer: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(points, outward normals) on each circle, m equally spaced nodes from
-    angle 0: counterclockwise on the outer circle circles[outer], clockwise
-    (outward from the domain means toward the center) on the holes."""
-    nodes = []
-    for k, ((c, r), m) in enumerate(zip(circles, counts)):
-        theta = 2 * np.pi * np.arange(m) / m
-        if k == outer:
-            u = np.exp(1j * theta)
-            nodes.append((c + r * u, u))
-        else:
-            u = np.exp(-1j * theta)
-            nodes.append((c + r * u, -u))
-    return nodes
-
-
 class _Bounded:
-    """Boundary distance, samples and box of the families bounded by
-    circles: the domain lies inside the largest circle and outside the rest."""
+    """The boundary of a family bounded by circles: inside the largest, outside the rest."""
 
     def _distance(self, w: Point) -> float:
         return min(abs(abs(w - c) - r) for c, r in self.circles)
@@ -101,10 +88,40 @@ class _Bounded:
         radii = [r for _, r in self.circles]
         return radii.index(max(radii))
 
-    def _sample(self, n: int) -> list[tuple[Point, Point]]:
-        counts = boundary_counts(n, [r for _, r in self.circles])
-        nodes = _circle_nodes(self.circles, counts, self._outer())
-        return [s for pts, nrm in nodes for s in zip(pts.tolist(), nrm.tolist())]
+    def _wall(self, z: np.ndarray) -> np.ndarray:
+        """Distance from each point of z to the boundary, negative past a circle."""
+        k = self._outer()
+        c0, r0 = self.circles[k]
+        dist = np.abs(z - c0) if c0 else np.abs(z)  # reused by a concentric hole
+        d = r0 - dist
+        for c, r in self.circles[:k] + self.circles[k + 1 :]:
+            np.minimum((dist if c == c0 else np.abs(z - c)) - r, d, out=d)
+        return d
+
+    def _project(self, z: np.ndarray) -> np.ndarray:
+        """The nearest boundary point, on the nearest circle (the earlier one on a tie)."""
+        best = np.full(z.shape, np.inf)
+        proj = np.array(z, dtype=complex)
+        for c, r in self.circles:
+            u = z - c
+            ru = np.abs(u)
+            d = np.abs(ru - r)
+            closer = d < best
+            best = np.where(closer, d, best)
+            proj = np.where(closer, c + r * u / ru, proj)
+        return proj
+
+    def _nodes(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n boundary nodes as arrays of points, outward unit normals and
+        trapezoid weights, shared among the circles by boundary_counts: the
+        m nodes c + r u, u = exp(2 pi i k / m), of each circle run
+        counterclockwise from angle 0, with the normal -u on a hole."""
+        outer, counts = self._outer(), boundary_counts(n, [r for _, r in self.circles])
+        u = [np.exp(2j * math.pi * np.arange(m) / m) for m in counts]
+        pts = np.concatenate([c + r * uk for (c, r), uk in zip(self.circles, u)])
+        nrm = np.concatenate([uk if k == outer else -uk for k, uk in enumerate(u)])
+        wts = np.concatenate([np.full(m, 2 * math.pi * r / m) for (_, r), m in zip(self.circles, counts)])
+        return pts, nrm, wts
 
     def _box(self) -> tuple[float, float, float, float]:
         c, r = self.circles[self._outer()]
@@ -230,9 +247,8 @@ class Polygon:
         """Crossing-parity test, vectorized over z."""
         x, y = z.real, z.imag
         inside = np.zeros(z.shape, dtype=bool)
-        n = len(self.vertices)
-        for i in range(n):
-            p, r = self.vertices[i], self.vertices[(i + 1) % n]
+        v = self.vertices
+        for p, r in zip(v, v[1:] + v[:1]):
             x1, y1, x2, y2 = p.real, p.imag, r.real, r.imag
             crosses = (y1 > y) != (y2 > y)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -240,24 +256,57 @@ class Polygon:
             inside ^= crosses & (x < np.where(crosses, xint, np.inf))
         return inside
 
-    def _distance(self, w: Point) -> float:
-        v = np.asarray(self.vertices, dtype=complex)
-        p, r = v, np.roll(v, -1)
-        d = r - p
-        t = np.clip(((w - p) * np.conj(d)).real / np.abs(d) ** 2, 0.0, 1.0)
-        return float(np.min(np.abs(w - (p + t * d))))
+    def _wall(self, z: np.ndarray) -> np.ndarray:
+        """Distance from each point of z to the nearest edge."""
+        x, y = z.real, z.imag
+        d2 = np.full(z.shape, np.inf)
+        v = self.vertices
+        for a, b in zip(v, v[1:] + v[:1]):
+            e = b - a
+            dx, dy = x - a.real, y - a.imag
+            t = dx * e.real
+            t += dy * e.imag
+            t /= abs(e) ** 2
+            np.clip(t, 0.0, 1.0, out=t)
+            dx -= t * e.real
+            dy -= t * e.imag
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.minimum(d2, dx, out=d2)
+        return np.sqrt(d2, out=d2)
 
-    def _sample(self, n: int) -> list[tuple[Point, Point]]:
-        """Arc-length spaced, offset half a spacing so samples avoid vertices."""
+    def _project(self, z: np.ndarray) -> np.ndarray:
+        """The nearest boundary point, on the nearest edge (the earlier one on a tie)."""
+        best = np.full(z.shape, np.inf)
+        proj = np.array(z, dtype=complex)
+        v = self.vertices
+        for a, b in zip(v, v[1:] + v[:1]):
+            e = b - a
+            t = np.clip(((z - a) * np.conj(e)).real / abs(e) ** 2, 0.0, 1.0)
+            q = a + t * e
+            d = np.abs(z - q)
+            closer = d < best
+            best = np.where(closer, d, best)
+            proj = np.where(closer, q, proj)
+        return proj
+
+    def _distance(self, w: Point) -> float:
+        return float(self._wall(np.array([w]))[0])
+
+    def _nodes(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """As _Bounded._nodes, shared among the edges: equally spaced from
+        each vertex along its edge; a vertex weighs half of each spacing."""
         v = np.asarray(self.vertices, dtype=complex)
         edges = np.roll(v, -1) - v
         lengths = np.abs(edges)
-        cum = np.concatenate([[0.0], np.cumsum(lengths)])
-        s = (np.arange(n) + 0.5) * cum[-1] / n
-        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(v) - 1)
-        pts = v[idx] + (s - cum[idx]) / lengths[idx] * edges[idx]
-        normals = -1j * (edges[idx] / lengths[idx])  # domain lies to the left of a CCW traversal
-        return list(zip(pts.tolist(), normals.tolist()))
+        counts = boundary_counts(n, lengths.tolist())
+        pts = np.concatenate([a + e * (np.arange(m) / m) for a, e, m in zip(v, edges, counts)])
+        nrm = np.repeat(-1j * edges / lengths, counts)  # the domain lies to the left of each edge
+        h = lengths / counts
+        wts = np.repeat(h, counts)
+        wts[np.cumsum(counts) - counts] = 0.5 * (h + np.roll(h, 1))
+        return pts, nrm, wts
 
     def _box(self) -> tuple[float, float, float, float]:
         v = np.asarray(self.vertices, dtype=complex)
@@ -277,7 +326,7 @@ class PolarComplement:
     def _distance(self, w: Point) -> float:
         return math.inf  # the complement is a single point
 
-    def _sample(self, n: int):
+    def _nodes(self, n: int):
         raise UnsupportedDomain("PolarComplement has no samplable boundary")
 
     def _box(self):
@@ -475,14 +524,15 @@ def boundary_distance(domain: Domain, w: Point) -> float:
 def boundary_sample(domain: Domain, n: int) -> list[tuple[Point, Point]]:
     """n boundary points with outward unit normals, arc-length spaced.
 
-    Points are ordered per boundary circle, in the order of ``circles``;
-    boundary_counts splits n among the circles, and each circle's samples
-    start at angle 0.  Polygon samples are offset by half a spacing so
-    they avoid vertices.
+    Points are ordered per boundary circle, in the order of ``circles``, or
+    per polygon edge, and boundary_counts splits n among them by length
+    (ValueError for a polygon of more than n edges).  Each circle's samples
+    run counterclockwise from angle 0, each edge's from its first vertex.
     """
     if n < 8:
         raise ValueError(f"need n >= 8 boundary samples, got {n}")
-    return domain._sample(n)
+    pts, nrm, _ = domain._nodes(n)
+    return list(zip(pts.tolist(), nrm.tolist()))
 
 
 def bounding_box(domain: Domain) -> tuple[float, float, float, float]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import CoincidentPoints, ConvergenceFailure, PointOutsideDomain, RadiusTooLarge, UnsupportedDomain
+from .errors import CoincidentPoints, ConvergenceFailure, PointOutsideDomain, RadiusTooLarge
 from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 # ---------------------------------------------------------------------------
@@ -365,24 +365,18 @@ def disc_max_green(domain: Domain, w: Point, r: float) -> float:
 def boundary_flux(domain: Domain, w: Point, n: int) -> float:
     """Flux of the outward normal derivative of G(., w) over the boundary.
 
-    The normal derivative is Re(f' n) at the boundary nodes, n the outward
-    unit normal, read from one pass of the field; trapezoid quadrature per
-    circle (spectrally accurate for these smooth periodic integrands), so
-    the node count alone sets the error.  Converges to 2*pi.
+    Re(f' n) at the domain's boundary nodes, n the outward unit normal, is
+    read from one pass of the field and summed with the nodes' trapezoid
+    weights (spectrally accurate for these smooth periodic integrands, so
+    the node count alone sets the error).  Converges to 2*pi on the
+    families that pull_back serves.
     """
-    if not isinstance(domain, (Disc, Annulus)):
-        raise UnsupportedDomain("boundary_flux supports Disc and Annulus")
+    pb = geo.pull_back(domain, w)
     if n < 64:
         raise ValueError("need at least 64 quadrature nodes")
-    if not geo.contains(domain, w):
-        raise PointOutsideDomain(f"{w} outside domain")
-    samples = geo.boundary_sample(domain, n)
-    pts = np.array([p for p, _ in samples])
-    nrm = np.array([v for _, v in samples])
-    radii = [r for _, r in domain.circles]
-    weights = np.concatenate([np.full(m, 2 * math.pi * r / m) for r, m in zip(radii, geo.boundary_counts(n, radii))])
-    g_n = (green_fprime_raw(domain, w, pts) * nrm).real
-    return float(np.sum(g_n * weights))
+    pts, nrm, wts = domain._nodes(n)
+    (f1,) = _field(pb, pb.pull(pts), pts, ("f1",))
+    return float(np.sum((f1 * nrm).real * wts))
 
 
 # ---------------------------------------------------------------------------

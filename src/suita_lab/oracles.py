@@ -32,7 +32,9 @@ its Taylor series in real arithmetic.  Against 120-bit cos and sin, on
 exp(2j pi u), whose angle 2 pi u is rounded, is 6.8e-16.
 The live walks sit in arrays that shrink as walks are captured; captured
 walks keep their position, and all walks are projected onto the boundary
-once, after the last step.
+once, after the last step.  The wall distance, the projection and the
+nodes of the fit below are the domain's own (``_wall``, ``_project``,
+``_nodes``); only the controls are chosen here.
 
 The walks score log|X - w| at their exits X.  Before any walk, that score
 is fitted on boundary nodes by functions harmonic in the closed domain
@@ -175,66 +177,8 @@ def _unit_directions(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The walker and its domain support
+# The walker
 # ---------------------------------------------------------------------------
-
-
-def _wall_distance(domain: Domain, p: np.ndarray) -> np.ndarray:
-    """Distance from each walker to the boundary: to the nearest edge of a
-    polygon; inside the outer circle and outside the holes of a disc or an
-    annulus, negative past a circle."""
-    if isinstance(domain, Polygon):
-        x, y = p.real, p.imag
-        d2 = np.full(p.shape, np.inf)
-        v = domain.vertices
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            e = b - a
-            dx, dy = x - a.real, y - a.imag
-            t = dx * e.real
-            t += dy * e.imag
-            t /= abs(e) ** 2
-            np.clip(t, 0.0, 1.0, out=t)
-            dx -= t * e.real
-            dy -= t * e.imag
-            dx *= dx
-            dy *= dy
-            dx += dy
-            np.minimum(d2, dx, out=d2)
-        return np.sqrt(d2, out=d2)
-    (c0, r0), *holes = domain.circles
-    dist = np.abs(p - c0) if c0 else np.abs(p)  # reused by a concentric hole
-    d = r0 - dist
-    for c, r in holes:
-        np.minimum((dist if c == c0 else np.abs(p - c)) - r, d, out=d)
-    return d
-
-
-def _project_boundary(domain: Domain, p: np.ndarray) -> np.ndarray:
-    """The nearest boundary point: on the nearest circle (the earlier one on
-    a tie) or polygon edge."""
-    best = np.full(p.shape, np.inf)
-    proj = np.array(p, dtype=complex)
-    if not isinstance(domain, Polygon):
-        for c, r in domain.circles:
-            u = p - c
-            ru = np.abs(u)
-            d = np.abs(ru - r)
-            closer = d < best
-            best = np.where(closer, d, best)
-            proj = np.where(closer, c + r * u / ru, proj)
-        return proj
-    v = domain.vertices
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        e = b - a
-        t = np.clip(((p - a) * np.conj(e)).real / abs(e) ** 2, 0.0, 1.0)
-        q = a + t * e
-        d = np.abs(p - q)
-        closer = d < best
-        best = np.where(closer, d, best)
-        proj = np.where(closer, q, proj)
-    return proj
 
 
 def _walk(domain: Domain, z: Point, walks: int, seed: int) -> np.ndarray:
@@ -252,7 +196,7 @@ def _walk(domain: Domain, z: Point, walks: int, seed: int) -> np.ndarray:
     pos = np.full(walks, complex(z))  # the live walks: position, walk index, step-0 key, wall distance
     walk = np.arange(walks)
     keys = _counter_keys(_stream_base(seed, _STREAM_WOS), walk.astype(np.uint64) << np.uint64(_STEP_BITS))
-    d = _wall_distance(domain, pos)
+    d = domain._wall(pos)
     ends = np.empty(walks, dtype=complex)
     for step in range(MAX_STEPS):
         hit = np.flatnonzero(d < CAPTURE_EPS)
@@ -278,12 +222,12 @@ def _walk(domain: Domain, z: Point, walks: int, seed: int) -> np.ndarray:
             p = pos[blk]
             p.real += cos
             p.imag += sin
-            d[blk] = _wall_distance(domain, p)
+            d[blk] = domain._wall(p)
     if walk.size > 0.001 * walks:
         raise NonConvergence(f"{walk.size} of {walks} walks uncaptured after {MAX_STEPS} steps")
     ends[walk] = pos
     for b in range(0, walks, _BLOCK):
-        ends[b : b + _BLOCK] = _project_boundary(domain, ends[b : b + _BLOCK])
+        ends[b : b + _BLOCK] = domain._project(ends[b : b + _BLOCK])
     return ends
 
 
@@ -291,7 +235,7 @@ def _walk(domain: Domain, z: Point, walks: int, seed: int) -> np.ndarray:
 # Harmonic controls
 # ---------------------------------------------------------------------------
 
-_FIT_NODES = 256  # boundary nodes of the control fit; the residual's range is read on 4x as many
+_FIT_NODES = 256  # boundary nodes of the control fit, or 4 per control if more; the residual's range is read on 4x as many
 _FIT_ULPS = 4.0  # rounding of one fitted term, in units of the largest term
 
 
@@ -309,13 +253,9 @@ def _control_spec(domain: Domain, w: Point) -> tuple[complex, list[complex], tup
     """
     if isinstance(domain, Polygon):
         v = domain.vertices
-        poles = []
-        for a, b in zip(v, v[1:] + v[:1]):
-            e = b - a
-            star = a + e * ((w - a) / e).conjugate()
-            if not geo.contains(domain, star) and _wall_distance(domain, np.array([star]))[0] > 0:
-                poles.append(star)
-        return sum(v) / len(v), poles, (1, 2, 3, 4)
+        stars = np.array([a + (b - a) * ((w - a) / (b - a)).conjugate() for a, b in zip(v, v[1:] + v[:1])])
+        outside = ~geo.contains_mask(domain, stars) & (domain._wall(stars) > 0)
+        return sum(v) / len(v), stars[outside].tolist(), (1, 2, 3, 4)
     if isinstance(domain, Annulus):
         q2, wc = domain.q**2, w.conjugate()
         return 0j, [0j, 1 / wc, q2 / wc, q2 * w, w / q2], (-2, -1, 1, 2)
@@ -366,19 +306,6 @@ def _fit(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _boundary_nodes(domain: Domain, n: int) -> np.ndarray:
-    """n boundary points, shared among the circles or the polygon edges by
-    length: equally spaced from angle 0 on each circle, and from the first
-    vertex along each edge."""
-    if isinstance(domain, Polygon):
-        v = np.asarray(domain.vertices, dtype=complex)
-        edges = np.roll(v, -1) - v
-        counts = geo.boundary_counts(n, np.abs(edges).tolist())
-        return np.concatenate([a + e * (np.arange(m) / m) for a, e, m in zip(v, edges, counts)])
-    counts = geo.boundary_counts(n, [r for _, r in domain.circles])
-    return np.concatenate([c + r * np.exp(2j * math.pi * np.arange(m) / m) for (c, r), m in zip(domain.circles, counts)])
-
-
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
@@ -393,7 +320,8 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
         G(z, w) = log|z - w| - E[ log|X - w| ].
 
     The score log|X - w| is fitted, before any walk, by least squares on
-    _FIT_NODES boundary nodes with the controls u_k of _control_spec:
+    _FIT_NODES boundary nodes (4 per control when that is more, as on a
+    polygon with many edges) with the controls u_k of _control_spec:
     functions harmonic in the closed domain, for which E[u_k(X)] = u_k(z),
     and none of them read from the green module.  With the residual
     r = score - sum beta_k u_k the estimate is
@@ -402,7 +330,7 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
 
     std_error is a bound, not a sample estimate: by Popoviciu's inequality
     the variance of r(X) is at most osc(r)^2 / 4, so it is
-    osc(r) / (2 sqrt(walks)), with osc the range of r on 4 * _FIT_NODES
+    osc(r) / (2 sqrt(walks)), with osc the range of r on 4 times as many
     boundary nodes and on the exits, plus a rounding floor of _FIT_ULPS
     ulps of the largest fitted term per control.  The capture shell shifts
     the default plan's four estimates by at most 9.2e-10 (halving
@@ -416,8 +344,9 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
         raise PointOutsideDomain("z must differ from the pole w")
     if not (geo.contains(domain, w) and geo.contains(domain, z)):
         raise PointOutsideDomain("both z and w must be interior")
-    spec = _control_spec(domain, w)
-    nodes = _boundary_nodes(domain, _FIT_NODES)
+    _, poles, powers = spec = _control_spec(domain, w)
+    fit_nodes = max(_FIT_NODES, 4 * (1 + len(poles) + 2 * len(powers)))
+    nodes = domain._nodes(fit_nodes)[0]
     beta = _fit(np.stack(list(_control_columns(spec, nodes)), axis=1), np.log(np.abs(nodes - w)))
 
     def residual(x):
@@ -428,7 +357,7 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
         score -= fit
         return score, float(np.max(size))
 
-    r_nodes, top_nodes = residual(_boundary_nodes(domain, 4 * _FIT_NODES))
+    r_nodes, top_nodes = residual(domain._nodes(4 * fit_nodes)[0])
     r, top = residual(_walk(domain, z, walks, seed))
     lo, hi = min(r_nodes.min(), r.min()), max(r_nodes.max(), r.max())
     fit_z, size_z = (float(a) for a in _fitted(spec, beta, np.asarray(complex(z))))
@@ -510,8 +439,10 @@ def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[co
     Excludes a pole neighborhood of radius 10 cells and filters out minima
     that are incompatible with an actual zero (|f'| should be of order
     |f''| * cell size near one).  The returned points, best first, seed a
-    Newton polish.
+    Newton polish.  A grid_size below 2 is refused (ValueError).
     """
+    if grid_size < 2:
+        raise ValueError(f"need a grid of at least 2 points a side, got {grid_size}")
     core, coeffs, zeta_w = geo.pull_back(domain, w)
     if coeffs is not None:  # scan the core, push the seeds forward
         return [complex(geo.moebius_forward(coeffs, s)) for s in grid_min_gradient(core, zeta_w, grid_size)]

@@ -73,6 +73,17 @@ class TestParsing:
         assert captured.out == ""
         assert "error: need at least" in captured.err
 
+    @pytest.mark.parametrize(
+        "kind, extra, message",
+        [("wos", [], "needs --at"), ("area", [], "needs --level"), ("gridscan", ["--grid", "1"], "at least 2 points")],
+        ids=["wos-without-at", "area-without-level", "gridscan-grid-1"],
+    )
+    def test_oracle_usage_errors_exit_2(self, capsys, kind, extra, message):
+        assert run_cli(["oracle", kind, "--domain", "annulus:0.5", "--pole", "0.7,0", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("SUITA_LAB_SEED", "1234")
         run_cli(["oracle", "wos", "--domain", "disc:0,0,1", "--pole", "0,0", "--at", "0.5,0", "--samples", "2000"])

@@ -197,6 +197,86 @@ class TestBoundarySample:
         assert r_second > r_first
 
 
+def _probe_points(domain, count=4000, seed=3):
+    """Random points in and around the bounding box, at least 1e-9 from
+    every boundary circle."""
+    x0, x1, y0, y1 = geo.bounding_box(domain)
+    pad = 0.2 * (x1 - x0)
+    u = np.random.default_rng(seed).random((2, count))
+    z = (x0 - pad + (x1 - x0 + 2 * pad) * u[0]) + 1j * (y0 - pad + (y1 - y0 + 2 * pad) * u[1])
+    gap = np.min([np.abs(np.abs(z - c) - r) for c, r in domain.circles], axis=0)
+    return z[gap >= 1e-9]
+
+
+_CIRCLE_FAMILIES = ["unit_disc", "annulus_half", "blaschke_disc", "moebius_annulus", "nested_moebius"]
+_L_SHAPE = Polygon((0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j))
+
+
+class TestBoundaryModel:
+    @pytest.mark.parametrize("fixture", _CIRCLE_FAMILIES)
+    def test_wall_sign_is_membership(self, fixture, request):
+        # the nested image lists its outer circle second
+        domain = request.getfixturevalue(fixture)
+        z = _probe_points(domain)
+        inside = geo.contains_mask(domain, z)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(domain._wall(z) > 0, inside)
+
+    @pytest.mark.parametrize("fixture", _CIRCLE_FAMILIES)
+    def test_projection_lands_on_a_circle(self, fixture, request):
+        domain = request.getfixturevalue(fixture)
+        proj = domain._project(_probe_points(domain))
+        off = np.min([np.abs(np.abs(proj - c) - r) / r for c, r in domain.circles], axis=0)
+        assert np.max(off) <= 1e-15
+
+    @pytest.mark.parametrize("polygon", [Polygon([0, 1, 1 + 1j, 1j]), _L_SHAPE], ids=["square", "L"])
+    def test_projection_lands_on_an_edge(self, polygon):
+        x0, x1, y0, y1 = geo.bounding_box(polygon)
+        u = np.random.default_rng(5).random((2, 4000))
+        z = (x0 - 0.5 + (x1 - x0 + 1) * u[0]) + 1j * (y0 - 0.5 + (y1 - y0 + 1) * u[1])
+        proj = polygon._project(z)
+        v = polygon.vertices
+        off = np.full(z.shape, np.inf)
+        for a, b in zip(v, v[1:] + v[:1]):
+            e = b - a
+            t = ((proj - a) * np.conj(e)).real / abs(e) ** 2
+            line = np.abs(((proj - a) * np.conj(e)).imag) / abs(e)
+            off = np.minimum(off, np.where((t >= -1e-15) & (t <= 1 + 1e-15), line, np.inf))
+        assert np.max(off) <= 1e-15 * (x1 - x0)
+
+    @pytest.mark.parametrize("polygon", [Polygon([0, 1, 1 + 1j, 1j]), _L_SHAPE], ids=["square", "L"])
+    def test_polygon_distance_reads_the_wall(self, polygon):
+        for w in interior_points(polygon, 50):
+            v = np.asarray(polygon.vertices)
+            e = np.roll(v, -1) - v
+            t = np.clip(((w - v) * np.conj(e)).real / np.abs(e) ** 2, 0.0, 1.0)
+            assert boundary_distance(polygon, w) == pytest.approx(float(np.min(np.abs(w - (v + t * e)))), rel=1e-15)
+
+    @pytest.mark.parametrize("fixture", _CIRCLE_FAMILIES + ["unit_square"])
+    def test_weights_sum_to_the_perimeter(self, fixture, request):
+        domain = request.getfixturevalue(fixture)
+        pts, nrm, wts = domain._nodes(1000)
+        assert pts.shape == nrm.shape == wts.shape == (1000,)
+        if isinstance(domain, Polygon):
+            perimeter = 4.0
+        else:
+            perimeter = 2 * math.pi * sum(r for _, r in domain.circles)
+        assert float(np.sum(wts)) == pytest.approx(perimeter, rel=1e-14)
+
+    def test_polygon_samples_start_at_each_vertex(self, unit_square):
+        pts = [p for p, _ in boundary_sample(unit_square, 8)]
+        assert pts == [0j, 0.5 + 0j, 1 + 0j, 1 + 0.5j, 1 + 1j, 0.5 + 1j, 1j, 0.5j]
+
+    def test_more_components_than_nodes_refused(self):
+        with pytest.raises(ValueError, match="10 boundary components"):
+            geo.boundary_counts(8, [1.0] * 10)
+        assert geo.boundary_counts(10, [1.0] * 10) == [1] * 10
+        twelve_gon = Polygon([complex(math.cos(a), math.sin(a)) for a in 2 * math.pi * np.arange(12) / 12])
+        with pytest.raises(ValueError):
+            boundary_sample(twelve_gon, 8)
+        assert len(boundary_sample(twelve_gon, 12)) == 12
+
+
 class TestMoebius:
     def test_identity_image_pulls_back_to_its_core(self, unit_disc, annulus_half):
         # the composed map is the identity: the series read the core itself,

@@ -488,3 +488,14 @@ class TestBoundaryFlux:
     def test_node_minimum(self, unit_disc):
         with pytest.raises(ValueError):
             gr.boundary_flux(unit_disc, 0j, 32)
+
+    @pytest.mark.parametrize(
+        "fixture, w",
+        [("blaschke_disc", 0.2 + 0.1j), ("moebius_annulus", 0.75 + 0j), ("nested_moebius", 1 / 0.65 + 0j), (None, 1.5 + 2.5j)],
+        ids=["blaschke_disc", "moebius_annulus", "nested_moebius", "offset_disc"],
+    )
+    def test_images_and_offset_disc(self, fixture, w, request):
+        # the trapezoid nodes of the exact image circles, and f' pushed
+        # through the inverse map: the images need no refusal
+        domain = request.getfixturevalue(fixture) if fixture else Disc(1 + 2j, 3.0)
+        assert abs(gr.boundary_flux(domain, w, 1024) - 2 * math.pi) <= 1e-13

@@ -161,16 +161,28 @@ class TestWosGreen:
         # finite on the boundary and inside
         ell = Polygon((0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j))
         _, poles, _ = spec = oc._control_spec(ell, w)
+        v = ell.vertices
+        stars = [a + (b - a) * ((w - a) / (b - a)).conjugate() for a, b in zip(v, v[1:] + v[:1])]
+        assert poles == [p for p in stars if not geo.contains(ell, p) and ell._wall(np.array([p]))[0] > 0]
         for p in poles:
             assert not geo.contains(ell, p)
-            assert oc._wall_distance(ell, np.array([p]))[0] > 1e-9
+            assert ell._wall(np.array([p]))[0] > 1e-9
         xs = np.linspace(0.0, 2.0, 81)
         grid = (xs[:, None] + 1j * xs[None, :]).ravel()
-        closed = np.concatenate([oc._boundary_nodes(ell, 4096), grid[geo.contains_mask(ell, grid)]])
+        closed = np.concatenate([ell._nodes(4096)[0], grid[geo.contains_mask(ell, grid)]])
         for col in oc._control_columns(spec, closed):
             assert np.all(np.isfinite(col))
         est = oc.wos_green(ell, w, 0.3 + 0.4j, 2_000, 1)
         assert math.isfinite(est.mean) and 0 < est.std_error < 0.1
+
+    def test_many_edged_polygon_fits_four_nodes_per_control(self):
+        # a regular 300-gon keeps the pole's reflections in all its edges:
+        # 309 controls, more than the 256 fit nodes of a short boundary
+        ngon = Polygon([complex(math.cos(a), math.sin(a)) for a in 2 * math.pi * np.arange(300) / 300])
+        _, poles, powers = oc._control_spec(ngon, 0.1 + 0j)
+        assert 1 + len(poles) + 2 * len(powers) > oc._FIT_NODES
+        est = oc.wos_green(ngon, 0.1 + 0j, -0.3 + 0.2j, 200, 1)
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.std_error > 0
 
     def test_collinear_edges_share_a_reflection(self):
         # the two bottom edges reflect the pole to one point: the fit
@@ -190,7 +202,7 @@ class TestWosGreen:
         # ulp low
         z = complex(1 - 0.5 * oc.CAPTURE_EPS)
         exits = oc._walk(unit_disc, z, 1000, 8)
-        assert np.all(exits == oc._project_boundary(unit_disc, np.array([z])))
+        assert np.all(exits == unit_disc._project(np.array([z])))
         assert abs(exits[0] - 1) <= 2**-53
 
     @pytest.mark.parametrize("domain", [Annulus(0.5), Polygon((0j, 1 + 0j, 1 + 1j, 1j))], ids=["annulus", "square"])

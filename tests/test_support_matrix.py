@@ -69,7 +69,7 @@ _LEVELS = ("sublevel_area", "mc_area", "grid_area", "grid_min_gradient")
 
 # (operation, family) -> refusal class; every other pair succeeds
 EXPECTED = {
-    **{(op, family): UnsupportedDomain for op in ("boundary_flux", "wos_green") for family in ("disc image", "annulus image", "nested image")},
+    **{("wos_green", family): UnsupportedDomain for family in ("disc image", "annulus image", "nested image")},
     **{(op, "polygon"): UnsupportedDomain for op in _SERIES + _LEVELS},
     **{(op, "polar complement"): UnsupportedDomain for op in _SERIES + _LEVELS + ("boundary_sample", "bounding_box", "wos_green")},
 }
