@@ -38,12 +38,9 @@ from .sublevel import (
     ConvexityReport,
     LevelField,
     SublevelProfile,
-    coarea_derivative,
     convexity_report,
-    extract_contours,
     monotonicity_check,
     profile_scan,
-    sublevel_area,
 )
 from .oracles import McEstimate, counter_uniform, grid_min_gradient, mc_area, robin_extrapolate, wos_green
 from .weights import WeightValues, eval_weights, identity_residual, war_probe

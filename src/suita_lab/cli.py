@@ -81,6 +81,8 @@ def suite_config_from_file(path: str) -> SuiteConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config(fh.read())
     config = SuiteConfig()
+    if "poles" in raw and "domains" not in raw:
+        raise ConfigError("poles needs domains: the poles are paired with the configured domains")
     if "domains" in raw:
         literals = [s.strip() for s in raw["domains"].split("|") if s.strip()]
         poles = [_parse_point(s.strip()) for s in raw.get("poles", "").split("|") if s.strip()]
@@ -175,8 +177,9 @@ def _svg_path(points: np.ndarray, scale, color: str) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{coords}"/>'
 
 
-def emit_contours(field: sl.LevelField, t_list, path: str) -> None:
-    """SVG with the domain outline and one level curve set per t, at the field's resolution."""
+def emit_contours(field: sl.LevelField, t_list, path: str, resolution: int) -> None:
+    """SVG with the domain outline and one level curve set per t, each curve
+    sampled as LevelField.contours(t, resolution) gives it."""
     domain = field.domain
     x0, x1, y0, y1 = geo.bounding_box(domain)
     pad = 0.05 * max(x1 - x0, y1 - y0)
@@ -197,7 +200,7 @@ def emit_contours(field: sl.LevelField, t_list, path: str) -> None:
         parts.append(f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="{r:.6f}" fill="none" stroke="#000000" stroke-width="1.5"/>')
     for i, t in enumerate(t_list):
         color = _PALETTE[i % len(_PALETTE)]
-        for line in field.contours(float(t)):
+        for line in field.contours(float(t), resolution):
             parts.append(_svg_path(line, scale, color))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -247,26 +250,12 @@ def _cmd_critical(args) -> int:
 def _cmd_sublevel(args) -> int:
     domain = geo.parse_domain(args.domain)
     w = _parse_point(args.pole)
-    field = sl.LevelField(domain, w, args.grid)
-    profile = field.profile(args.tmin, args.tmax, args.steps)
+    p = sl.profile_scan(domain, w, args.tmin, args.tmax, args.steps, args.grid)
     print("t,lambda,log_lambda,gamma_prime,second_diff,e2t_lambda,err_est")
-    for i in range(len(profile.t_samples)):
-        print(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    profile.t_samples[i],
-                    profile.lam[i],
-                    profile.log_lambda[i],
-                    profile.gamma_prime[i],
-                    profile.second_diff[i],
-                    profile.e2t_lambda[i],
-                    profile.err_est[i],
-                )
-            )
-        )
+    for row in zip(p.t_samples, p.lam, p.log_lambda, p.gamma_prime, p.second_diff, p.e2t_lambda, p.err_est):
+        print(",".join(map(_fmt, row)))
     if args.svg:
-        emit_contours(field, profile.t_samples, args.svg)
+        emit_contours(sl.LevelField(domain, w), p.t_samples, args.svg, args.grid)
     return 0
 
 
@@ -305,7 +294,7 @@ def _cmd_oracle(args) -> int:
     elif args.kind == "robin":
         delta = geo.boundary_distance(domain, w)
         radii = [0.25 * delta / 2**k for k in range(5)]
-        value, residual = oc.robin_extrapolate(domain, w, radii, return_residual=True)
+        value, residual = oc.robin_extrapolate(domain, w, radii)
         print(f"{_fmt(value)},{_fmt(residual)},{64 * len(radii)},{args.seed}")
         return 0
     else:  # gridscan

@@ -252,16 +252,6 @@ def green_values_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
     return green_field(domain, w, z, ("g",))[0]
 
 
-def green_fprime_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
-    """f'(z) where G = Re f; grad G = (Re f', -Im f')."""
-    return green_field(domain, w, z, ("f1",))[0]
-
-
-def green_fsecond_raw(domain: Domain, w: Point, z: np.ndarray) -> np.ndarray:
-    """f''(z); the full Hessian of G follows since G is harmonic."""
-    return green_field(domain, w, z, ("f2",))[0]
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------

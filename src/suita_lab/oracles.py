@@ -290,8 +290,8 @@ def _fit(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of y on the columns of basis.
 
     The QR factor R of [basis | y] holds Q^T y in its last column, so beta
-    follows by back substitution; a column whose pivot is below 1e-12 of
-    its norm (one the others already span) gets beta = 0.  Any beta leaves
+    follows by back substitution; a column whose pivot is below 1e-8 of
+    its norm (one the others nearly span) gets beta = 0.  Any beta leaves
     the estimate unbiased, and its residual range is what the bound reads.
     numpy's lstsq would take an SVD, whose workspace raised the peak memory
     of the default plan by 0.7 MB.
@@ -301,7 +301,7 @@ def _fit(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(basis, axis=0)
     beta = np.zeros(m)
     for i in range(m - 1, -1, -1):
-        if abs(r[i, i]) > 1e-12 * norms[i]:
+        if abs(r[i, i]) > 1e-8 * norms[i]:
             beta[i] = (r[i, m] - r[i, i + 1 : m] @ beta[i + 1 :]) / r[i, i]
     return beta
 
@@ -398,8 +398,11 @@ def mc_area(domain: Domain, w: Point, t: float, samples: int, seed: int) -> McEs
     )
 
 
-def robin_extrapolate(domain: Domain, w: Point, radii, return_residual: bool = False):
+def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
     """Capacity via the defining limit: angular means of G - log r, pushed to r = 0.
+
+    Returns (capacity, residual), the residual being the gap between the
+    last two extrapolants of log c.
 
     The angular mean kills the harmonic variation exactly (mean value
     property), so the Richardson table in r^2 is flat up to series and
@@ -428,9 +431,7 @@ def robin_extrapolate(domain: Domain, w: Point, radii, return_residual: bool = F
     last, prev = tableau[-1][0], tableau[-2][-1]
     if abs(last - prev) > 1e-4:
         raise ExtrapolationUnstable(f"extrapolants differ by {abs(last - prev)}")
-    if return_residual:
-        return math.exp(last), abs(last - prev)
-    return math.exp(last)
+    return math.exp(last), abs(last - prev)
 
 
 def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[complex]:
@@ -455,7 +456,7 @@ def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[co
     inside = geo.contains_mask(domain, Z) & (np.abs(Z - w) > 10 * h)
     mag = np.full(Z.shape, np.inf)
     if np.any(inside):
-        mag[inside] = np.abs(gr.green_fprime_raw(domain, w, Z[inside]))
+        mag[inside] = np.abs(gr.green_field(domain, w, Z[inside], ("f1",))[0])
     local = np.ones(Z.shape, dtype=bool)
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
@@ -472,12 +473,12 @@ def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[co
     points: list[complex] = []
     for i, j in zip(*cand):
         z0 = complex(Z[i, j])
-        f2 = abs(complex(gr.green_fsecond_raw(domain, w, np.asarray(z0))))
+        f2 = abs(complex(gr.green_field(domain, w, z0, ("f2",))[0]))
         if mag[i, j] > 3.0 * h * f2:
             continue  # spurious minimum: |f'| too large for a nearby zero
         if all(abs(z0 - p) > 3 * h for p in points):
             points.append(z0)
-    points.sort(key=lambda p: abs(complex(gr.green_fprime_raw(domain, w, np.asarray(p)))))
+    points.sort(key=lambda p: abs(complex(gr.green_field(domain, w, p, ("f1",))[0])))
     return points
 
 

@@ -26,6 +26,10 @@ across each interval (Gauss-Legendre in x).  On a disc core {G < t} =
 M(D(0, e^t)), M the Moebius map of D(0, 1) onto the domain with M(0) = w,
 in closed form (the core is the unit disc).  Level curves come from the
 same slice roots.
+
+LevelField(domain, w) is the one way into the sublevel sets of G(., w):
+its area, coarea and contours read single levels, and profile_scan reads
+a uniform grid of levels from one field.
 """
 
 from __future__ import annotations
@@ -68,9 +72,7 @@ class SublevelProfile:
     log_lambda: np.ndarray
     second_diff: np.ndarray  # centered second differences of log_lambda; nan at ends
     e2t_lambda: np.ndarray  # exp(-2t) * lambda
-    domain: Domain
-    pole: Point
-    resolution: int
+    resolution: int  # recorded as given to profile_scan; no area or gamma' reads it
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,14 @@ class LevelField:
 
     Holds what does not depend on t: for a disc core the map M, for an
     annulus core the rotated pole, the saddle level and the fan of slice
-    minima.  resolution sets the samples along a level curve, not areas.
+    minima.  Build one per (domain, pole) and read every level from it.
     Every set of slice points is read in one pass of the field (_read),
     for all of G, z f' and z f' + z^2 f'' that the step needs there.
     """
 
-    def __init__(self, domain: Domain, w: Point, resolution: int = 1024):
+    def __init__(self, domain: Domain, w: Point):
         core, coeffs, w_eff = geo.pull_back(domain, w)
-        self.domain, self.w, self.resolution, self.core = domain, w, resolution, core
+        self.domain, self.core = domain, core
         self.moebius = coeffs is not None
         coeffs = coeffs or geo.IDENTITY_COEFFS
         self.disc_map = None
@@ -366,11 +368,12 @@ class LevelField:
             raise CriticalLevel(f"gamma' at level {t} not resolved (critical level {self.t0})")
         return float(gam[0])
 
-    def contours(self, t: float) -> list[np.ndarray]:
-        """Level curves of G at level t as closed polylines in image coordinates."""
+    def contours(self, t: float, resolution: int) -> list[np.ndarray]:
+        """Level curves of G at level t as closed polylines in image
+        coordinates; resolution (at least 8) sets the samples along each."""
         if not t < 0:
             raise LevelAbovePeak(f"need t < 0, got {t}")
-        n = max(self.resolution, 8)
+        n = max(resolution, 8)
         if self.disc_map is not None:
             circle = math.exp(t) * np.exp(2j * math.pi * np.arange(n + 1) / n)
             return [geo.moebius_forward(self.disc_map, circle)]
@@ -383,46 +386,6 @@ class LevelField:
         else:
             curves = [np.exp(np.concatenate([hi, lo[-2::-1]]) + 1j * np.concatenate([ring, ring[-2::-1]]))]
         return [geo.moebius_forward(self.frame, c) for c in curves]
-
-    def profile(self, t_min: float, t_max: float, steps: int, with_gamma: bool = True) -> SublevelProfile:
-        """Uniform t grid with areas, co-area derivatives and convexity data."""
-        if not (t_min < t_max < 0):
-            raise LevelAbovePeak(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
-        if steps < 8:
-            raise ValueError("need at least 8 profile steps")
-        ts = np.linspace(t_min, t_max, steps)
-        lam, err, gp = self._levels(ts, with_gamma)
-        ll = np.log(lam)
-        d2 = np.full(steps, np.nan)
-        dt = ts[1] - ts[0]
-        d2[1:-1] = (ll[:-2] - 2 * ll[1:-1] + ll[2:]) / (dt * dt)
-        return SublevelProfile(
-            t_samples=ts,
-            lam=lam,
-            err_est=err,
-            gamma_prime=gp,
-            log_lambda=ll,
-            second_diff=d2,
-            e2t_lambda=np.exp(-2 * ts) * lam,
-            domain=self.domain,
-            pole=self.w,
-            resolution=self.resolution,
-        )
-
-
-def sublevel_area(domain: Domain, w: Point, t: float, resolution: int = 1024) -> AreaEstimate:
-    """Area of the sublevel set {G(., w) < t} with an attached error estimate."""
-    return LevelField(domain, w, resolution).area(t)
-
-
-def coarea_derivative(domain: Domain, w: Point, t: float, resolution: int = 1024) -> float:
-    """gamma'(t) at one level; see LevelField.coarea."""
-    return LevelField(domain, w, resolution).coarea(t)
-
-
-def extract_contours(domain: Domain, w: Point, t: float, resolution: int = 512) -> list[np.ndarray]:
-    """Level curves of G at level t as closed polylines in image coordinates."""
-    return LevelField(domain, w, resolution).contours(t)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +402,29 @@ def profile_scan(
     resolution: int = 1024,
     with_gamma: bool = True,
 ) -> SublevelProfile:
-    """Uniform t grid with areas, co-area derivatives and convexity data."""
-    return LevelField(domain, w, resolution).profile(t_min, t_max, steps, with_gamma)
+    """Uniform t grid with areas, co-area derivatives and convexity data,
+    read from one LevelField.  resolution is only recorded on the profile."""
+    field = LevelField(domain, w)
+    if not (t_min < t_max < 0):
+        raise LevelAbovePeak(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
+    if steps < 8:
+        raise ValueError("need at least 8 profile steps")
+    ts = np.linspace(t_min, t_max, steps)
+    lam, err, gp = field._levels(ts, with_gamma)
+    ll = np.log(lam)
+    d2 = np.full(steps, np.nan)
+    dt = ts[1] - ts[0]
+    d2[1:-1] = (ll[:-2] - 2 * ll[1:-1] + ll[2:]) / (dt * dt)
+    return SublevelProfile(
+        t_samples=ts,
+        lam=lam,
+        err_est=err,
+        gamma_prime=gp,
+        log_lambda=ll,
+        second_diff=d2,
+        e2t_lambda=np.exp(-2 * ts) * lam,
+        resolution=resolution,
+    )
 
 
 def convexity_report(profile: SublevelProfile, t0: float) -> ConvexityReport:

@@ -421,7 +421,7 @@ def _oracle_checks(config: SuiteConfig, overrides) -> list[Check]:
     for domain, w in ((Disc(0j, 1.0), 0.5 + 0j), (ann, 0.7 + 0j), (geo.parse_domain("moebius:1,-0.3,-0.3,1;base=disc:0,0,1"), 0.2 + 0.1j)):
         series = gr.robin_capacity(domain, w).capacity
         radii = [0.25 * geo.boundary_distance(domain, w) / 2**k for k in range(5)]
-        limit = oc.robin_extrapolate(domain, w, radii)
+        limit, _ = oc.robin_extrapolate(domain, w, radii)
         diff = abs(series - limit)
         params = f"radii={radii[0]:.6g}..{radii[-1]:.6g}"
         out.append(_line("oracle_robin", domain, w, params, diff, 1e-6, diff <= 1e-6 + tol))

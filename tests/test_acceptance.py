@@ -164,9 +164,9 @@ def test_criterion_07_coarea(annulus_half):
     recon = prof.lam[0] + np.concatenate([[0.0], np.cumsum(0.5 * (gp[1:] + gp[:-1]) * np.diff(ts))])
     recon_dev = float(np.max(np.abs(recon / prof.lam - 1.0)))
     t0 = gr.critical_points(annulus_half, w)[0].level
-    gammas = [sl.coarea_derivative(annulus_half, w, t0 - gap, GRID) for gap in (1e-1, 1e-2, 1e-3)]
+    gammas = [sl.LevelField(annulus_half, w).coarea(t0 - gap) for gap in (1e-1, 1e-2, 1e-3)]
     increasing = gammas[0] < gammas[1] < gammas[2]
-    mid = sl.coarea_derivative(annulus_half, w, -0.5, GRID)
+    mid = sl.LevelField(annulus_half, w).coarea(-0.5)
     report(
         "7",
         "co-area reconstruction and gamma' growth toward t0",
@@ -212,14 +212,14 @@ def test_criterion_10_oracle_agreement(annulus_half):
         details.append(f"{pulls:.2f}")
     for i, t in enumerate((-0.3, -0.5, -0.8, -1.2, -2.0)):
         est = oc.mc_area(annulus_half, w, t, 1_000_000, 200 + i)
-        ref = sl.sublevel_area(annulus_half, w, t, GRID).value
+        ref = sl.LevelField(annulus_half, w).area(t).value
         pulls = abs(est.mean - ref) / est.std_error
         ok &= pulls <= 3.0
         details.append(f"{pulls:.2f}")
     worst_robin = 0.0
     for domain, w2 in [(Disc(0j, 1.0), 0.5 + 0j), (Disc(0j, 1.0), 0.3 + 0.4j)] + ANNULUS_SAMPLES:
         radii = [0.25 * geo.boundary_distance(domain, w2) / 2**k for k in range(5)]
-        diff = abs(oc.robin_extrapolate(domain, w2, radii) - gr.robin_capacity(domain, w2).capacity)
+        diff = abs(oc.robin_extrapolate(domain, w2, radii)[0] - gr.robin_capacity(domain, w2).capacity)
         worst_robin = max(worst_robin, diff)
     ok &= worst_robin <= 1e-6
     report(

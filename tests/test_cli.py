@@ -130,6 +130,16 @@ class TestConfig:
         assert len(config.entries) == 2
         assert (len(config.blb_entries), len(config.thm4_entries), len(config.char_entries)) == (2, 1, 2)
 
+    def test_poles_without_domains_rejected(self, tmp_path, capsys):
+        # the poles pair with configured domains only; alone they would
+        # leave the default plan running as if they were read
+        cfg = tmp_path / "poles.cfg"
+        cfg.write_text("poles = 0.5,0\n")
+        with pytest.raises(ConfigError, match="poles needs domains"):
+            cli.suite_config_from_file(str(cfg))
+        assert run_cli(["verify", "--suite", "suita", "--config", str(cfg)]) == 2
+        assert "error: poles needs domains" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("domains = disc:0,0,1\nwat = 1\n")
@@ -271,7 +281,7 @@ class TestVerifyCommand:
 class TestSvg:
     def test_disc_contours_are_three_circles(self, tmp_path):
         path = tmp_path / "disc.svg"
-        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 256), [-2.0, -1.0, -0.5], str(path))
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j), [-2.0, -1.0, -0.5], str(path), 256)
         text = path.read_text()
         assert text.count("<circle") == 1  # the outline
         assert text.count("<polyline") == 3  # one closed level curve per t
@@ -279,15 +289,15 @@ class TestSvg:
 
     def test_empty_levels_outline_only(self, tmp_path):
         path = tmp_path / "outline.svg"
-        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 64), [], str(path))
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j), [], str(path), 64)
         text = path.read_text()
         assert "<polyline" not in text
         assert "<circle" in text
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 128), [-1.0], str(a))
-        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j, 128), [-1.0], str(b))
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j), [-1.0], str(a), 128)
+        cli.emit_contours(sl.LevelField(Disc(0j, 1.0), 0j), [-1.0], str(b), 128)
         assert a.read_bytes() == b.read_bytes()
 
     def test_saddle_level_shows_two_lobes(self, tmp_path, annulus_half):
@@ -295,7 +305,7 @@ class TestSvg:
 
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
         path = tmp_path / "saddle.svg"
-        cli.emit_contours(sl.LevelField(annulus_half, 0.7 + 0j, 512), [t0 + 0.4e-6], str(path))
+        cli.emit_contours(sl.LevelField(annulus_half, 0.7 + 0j), [t0 + 0.4e-6], str(path), 512)
         # two collar curves just above the saddle level plus two outline circles
         text = path.read_text()
         assert text.count("<circle") == 2
@@ -305,7 +315,7 @@ class TestSvg:
         # the outline is the two image circles themselves, with no polyline
         # jumping from one boundary component to the other
         path = tmp_path / "moebius.svg"
-        cli.emit_contours(sl.LevelField(moebius_annulus, 0.75 + 0j, 128), [-1.0], str(path))
+        cli.emit_contours(sl.LevelField(moebius_annulus, 0.75 + 0j), [-1.0], str(path), 128)
         text = path.read_text()
         assert text.count("<circle") == 2
         assert 'stroke="#000000" stroke-width="1" points=' not in text

@@ -14,34 +14,32 @@ from suita_lab import sublevel as sl
 from suita_lab import verify
 from suita_lab.errors import BelowResolution, CriticalLevel, LevelAbovePeak, UnsupportedDomain
 
-RES = 512  # contour samples; areas and gamma' do not depend on it
+RES = 512  # contour samples, recorded on a profile; areas and gamma' do not depend on it
 
 
 class TestSublevelArea:
     def test_disc_exact(self, unit_disc):
-        est = sl.sublevel_area(unit_disc, 0j, -1.0, RES)
+        est = sl.LevelField(unit_disc, 0j).area(-1.0)
         assert est.value == pytest.approx(math.pi * math.exp(-2.0), rel=5e-7)
 
     def test_disc_near_zero_level(self, unit_disc):
-        est = sl.sublevel_area(unit_disc, 0j, -0.001, RES)
+        est = sl.LevelField(unit_disc, 0j).area(-0.001)
         assert est.value == pytest.approx(math.pi * math.exp(-0.002), rel=1e-5)
 
     def test_error_estimate_covers_resolution_doubling(self, unit_disc, annulus_half):
-        hits = 0
-        total = 0
+        # resolution is only recorded on a profile: doubling it moves no
+        # bit, so the gap is zero and within every err_est
         for domain, w, ts in (
-            (unit_disc, 0j, (-2.0, -1.0, -0.4, -0.15)),
-            (annulus_half, 0.7 + 0j, (-1.0, -0.5, -0.25)),
+            (unit_disc, 0j, (-2.0, -0.15)),
+            (annulus_half, 0.7 + 0j, (-1.0, -0.25)),
         ):
-            for t in ts:
-                coarse = sl.sublevel_area(domain, w, t, RES)
-                fine = sl.sublevel_area(domain, w, t, 2 * RES)
-                total += 1
-                hits += abs(fine.value - coarse.value) <= coarse.err_est
-        assert hits / total >= 0.95
+            coarse = sl.profile_scan(domain, w, *ts, 8, RES, with_gamma=False)
+            fine = sl.profile_scan(domain, w, *ts, 8, 2 * RES, with_gamma=False)
+            assert (coarse.resolution, fine.resolution) == (RES, 2 * RES)
+            assert _hex(fine.lam) == _hex(coarse.lam) and _hex(fine.err_est) == _hex(coarse.err_est)
 
     def test_annulus_vs_mc(self, annulus_half):
-        est = sl.sublevel_area(annulus_half, 0.7 + 0j, -0.5, RES)
+        est = sl.LevelField(annulus_half, 0.7 + 0j).area(-0.5)
         mc = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 200_000, 5)
         assert abs(est.value - mc.mean) <= 3 * mc.std_error
 
@@ -52,13 +50,13 @@ class TestSublevelArea:
         rho, a = math.exp(t), abs(w)
         exact = math.pi * (rho * (1 - a * a) / (1 - rho * rho * a * a)) ** 2
         for domain in (unit_disc, blaschke_disc):
-            assert sl.sublevel_area(domain, w, t, RES).value == pytest.approx(exact, rel=1e-14)
+            assert sl.LevelField(domain, w).area(t).value == pytest.approx(exact, rel=1e-14)
 
     def test_thin_ring_near_critical_levels(self, annulus_thin):
         # Next to the pole an O(1) field rounds to about 1e-17 on the
         # circles, while |t| is about 1e-19: slice roots there must sit on
         # the circle, or a few percent of the area goes missing.
-        field = sl.LevelField(annulus_thin, 0.9 + 0j, RES)
+        field = sl.LevelField(annulus_thin, 0.9 + 0j)
         for t in (0.5 * field.t0, 1.5 * field.t0):
             est = field.area(t)
             ref = oc.grid_area(annulus_thin, 0.9 + 0j, t, 2048)
@@ -68,46 +66,46 @@ class TestSublevelArea:
     def test_deep_level_asymptotics(self, annulus_half):
         # lambda(t) e^{-2t} -> pi / c^2 as t -> -inf
         cap = gr.robin_capacity(annulus_half, 0.7 + 0j).capacity
-        est = sl.sublevel_area(annulus_half, 0.7 + 0j, -6.0, RES)
+        est = sl.LevelField(annulus_half, 0.7 + 0j).area(-6.0)
         assert est.value * math.exp(12.0) == pytest.approx(math.pi / cap**2, rel=0.01)
 
     def test_level_guard(self, unit_disc):
         with pytest.raises(LevelAbovePeak):
-            sl.sublevel_area(unit_disc, 0j, 0.1, RES)
+            sl.LevelField(unit_disc, 0j).area(0.1)
 
     def test_area_below_its_error_estimate_refused(self, annulus_half):
         # At t = -40 the set is smaller than one ulp of the pole's
         # coordinates: the slice roots give 2.2e-34 with err_est 6.5e-33,
         # while pi e^{-80} / c^2 is 5.4e-36.
         with pytest.raises(BelowResolution):
-            sl.sublevel_area(annulus_half, 0.7 + 0j, -40.0, RES)
+            sl.LevelField(annulus_half, 0.7 + 0j).area(-40.0)
         with pytest.raises(BelowResolution):
             sl.profile_scan(annulus_half, 0.7 + 0j, -40.0, -20.0, 8, RES, with_gamma=False)
         for t in (-20.0, -6.0):
-            est = sl.sublevel_area(annulus_half, 0.7 + 0j, t, RES)
+            est = sl.LevelField(annulus_half, 0.7 + 0j).area(t)
             assert 0 < est.err_est < est.value
 
     def test_polygon_unsupported(self, unit_square):
         with pytest.raises(UnsupportedDomain):
-            sl.sublevel_area(unit_square, 0.5 + 0.5j, -1.0, RES)
+            sl.LevelField(unit_square, 0.5 + 0.5j).area(-1.0)
 
 
 class TestCoareaDerivative:
     def test_disc_exact(self, unit_disc):
-        gp = sl.coarea_derivative(unit_disc, 0j, -1.0, RES)
+        gp = sl.LevelField(unit_disc, 0j).coarea(-1.0)
         assert gp == pytest.approx(2 * math.pi * math.exp(-2.0), rel=1e-3)
 
     def test_matches_area_derivative(self, annulus_half):
         t, h = -0.5, 1e-4
-        gp = sl.coarea_derivative(annulus_half, 0.7 + 0j, t, RES)
-        lam_p = sl.sublevel_area(annulus_half, 0.7 + 0j, t + h, RES).value
-        lam_m = sl.sublevel_area(annulus_half, 0.7 + 0j, t - h, RES).value
+        gp = sl.LevelField(annulus_half, 0.7 + 0j).coarea(t)
+        lam_p = sl.LevelField(annulus_half, 0.7 + 0j).area(t + h).value
+        lam_m = sl.LevelField(annulus_half, 0.7 + 0j).area(t - h).value
         assert gp == pytest.approx((lam_p - lam_m) / (2 * h), rel=1e-3)
 
     def test_growth_toward_critical_level(self, annulus_half):
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
         gaps = (1e-1, 1e-2, 1e-3, 1e-6, 1e-9)
-        values = [sl.coarea_derivative(annulus_half, 0.7 + 0j, t0 - gap, RES) for gap in gaps]
+        values = [sl.LevelField(annulus_half, 0.7 + 0j).coarea(t0 - gap) for gap in gaps]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("r", [0.8999999999999999, 0.9000000000000001])
@@ -124,7 +122,7 @@ class TestCoareaDerivative:
         # at t0 itself the level curve pinches and gamma' diverges
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
         with pytest.raises(CriticalLevel):
-            sl.coarea_derivative(annulus_half, 0.7 + 0j, t0, RES)
+            sl.LevelField(annulus_half, 0.7 + 0j).coarea(t0)
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +224,7 @@ class TestConvexityReport:
 class TestContours:
     def test_disc_levels_are_circles(self, unit_disc):
         for t in (-2.0, -1.0, -0.5):
-            loops = sl.extract_contours(unit_disc, 0j, t, RES)
+            loops = sl.LevelField(unit_disc, 0j).contours(t, RES)
             assert len(loops) == 1
             radii = np.abs(loops[0])
             assert np.allclose(radii, math.exp(t), atol=2e-4)
@@ -235,8 +233,8 @@ class TestContours:
         # below the critical level one curve bounds the sublevel blob; just
         # above it the level set splits into two collar curves
         t0 = gr.critical_points(annulus_half, 0.7 + 0j)[0].level
-        below = sl.extract_contours(annulus_half, 0.7 + 0j, t0 - 5e-7, 1024)
-        above = sl.extract_contours(annulus_half, 0.7 + 0j, t0 + 0.5e-6, 1024)
+        below = sl.LevelField(annulus_half, 0.7 + 0j).contours(t0 - 5e-7, 1024)
+        above = sl.LevelField(annulus_half, 0.7 + 0j).contours(t0 + 0.5e-6, 1024)
         assert len(below) == 1
         assert len(above) == 2
 
@@ -269,9 +267,9 @@ class TestLevelField:
         res = 256
         profile = sl.profile_scan(domain, w, t_min, t_max, 8, res)
         for t, lam, err, gp in zip(profile.t_samples, profile.lam, profile.err_est, profile.gamma_prime):
-            est = sl.sublevel_area(domain, w, float(t), res)
+            est = sl.LevelField(domain, w).area(float(t))
             assert (est.value, est.err_est) == (lam, err)
-            assert sl.coarea_derivative(domain, w, float(t), res) == gp
+            assert sl.LevelField(domain, w).coarea(float(t)) == gp
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +312,8 @@ def _thm4_bits(monkeypatch):
 
 def _contour_bits():
     """The level curve of the Moebius annulus at 1.5 t0, below the saddle level."""
-    field = sl.LevelField(geo.parse_domain(MOEBIUS_RING), 0.75 + 0j, 32)
-    curves = field.contours(1.5 * field.t0)
+    field = sl.LevelField(geo.parse_domain(MOEBIUS_RING), 0.75 + 0j)
+    curves = field.contours(1.5 * field.t0, 32)
     return [{"re": _hex(c.real), "im": _hex(c.imag)} for c in curves]
 
 

@@ -57,7 +57,7 @@ OPERATIONS = {
     "disc_max_green": _disc_max,
     "boundary_flux": lambda d, w, z: gr.boundary_flux(d, w, 64),
     "kernel_j": lambda d, w, z: bg.kernel_j(d, w, 0),
-    "sublevel_area": lambda d, w, z: sl.sublevel_area(d, w, -1.5),
+    "sublevel_area": lambda d, w, z: sl.LevelField(d, w).area(-1.5),
     "wos_green": lambda d, w, z: oc.wos_green(d, w, z, 64, 1),
     "mc_area": lambda d, w, z: oc.mc_area(d, w, -1.5, 1000, 1),
     "grid_area": lambda d, w, z: oc.grid_area(d, w, -1.5, 32),
