@@ -19,7 +19,6 @@ from .geometry import (
     boundary_sample,
     contains,
     domain_literal,
-    moebius_transport,
     parse_domain,
 )
 from .green import (
@@ -32,7 +31,7 @@ from .green import (
     green_eval,
     robin_capacity,
 )
-from .bergman import KernelResult, OrthonormalFrame, basis_norms, build_frame, kernel_j, laplacian_identity_check
+from .bergman import KernelResult, basis_norms, kernel_j, laplacian_identity_check
 from .sublevel import (
     AreaEstimate,
     ConvexityReport,

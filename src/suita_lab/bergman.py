@@ -53,14 +53,6 @@ class KernelResult:
     tail_bound: float
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalFrame:
-    derivative_matrix: np.ndarray  # rows i = 0..j: i-th derivatives of the normalized basis at w
-    basis_norms: np.ndarray  # squared norms of the basis elements (unit variable on a disc)
-    n_lo: int
-    n_hi: int
-
-
 def basis_norms(domain: Domain, n_lo: int, n_hi: int) -> np.ndarray:
     """Squared L2 norms of the monomial basis, n_lo..n_hi inclusive.
 
@@ -199,18 +191,6 @@ def _frame_rows(pb: geo.PullBack, w: Point, j: int, half_n: int) -> np.ndarray:
     core, coeffs, zeta_w = pb
     rows = _derivative_rows(core, zeta_w, j, *_n_range(core, half_n))
     return rows if coeffs is None else _composition_matrix(coeffs, w, j) @ rows
-
-
-def build_frame(domain: Domain, w: Point, j: int, half_n: int = 64) -> OrthonormalFrame:
-    """Expose the derivative matrix and norms backing kernel_j (for tests)."""
-    pb = geo.pull_back(domain, w)
-    n_lo, n_hi = _n_range(pb.core, half_n)
-    return OrthonormalFrame(
-        derivative_matrix=_frame_rows(pb, w, j, half_n),
-        basis_norms=basis_norms(pb.core, n_lo, n_hi),
-        n_lo=n_lo,
-        n_hi=n_hi,
-    )
 
 
 def kernel_j(domain: Domain, w: Point, j: int, rel_tol: float = 1e-11) -> KernelResult:

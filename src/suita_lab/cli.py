@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -340,33 +339,26 @@ def parse_args(argv=None) -> argparse.Namespace:
     argv = merged
     parser = argparse.ArgumentParser(prog="suita-lab", description="Planar potential-theory toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("SUITA_LAB_SEED", "42"))
+    # --domain and --pole, shared by every subcommand that reads a (domain, pole) pair
+    located = argparse.ArgumentParser(add_help=False)
+    located.add_argument("--domain", required=True)
+    located.add_argument("--pole", required=True)
 
-    p = sub.add_parser("green", help="evaluate the Green function")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
+    p = sub.add_parser("green", parents=[located], help="evaluate the Green function")
     p.add_argument("--at", required=True)
     p.set_defaults(func=_cmd_green)
 
-    p = sub.add_parser("capacity", help="logarithmic capacity / Robin constant")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
+    p = sub.add_parser("capacity", parents=[located], help="logarithmic capacity / Robin constant")
     p.set_defaults(func=_cmd_capacity)
 
-    p = sub.add_parser("kernel", help="order-j extremal kernel")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
+    p = sub.add_parser("kernel", parents=[located], help="order-j extremal kernel")
     p.add_argument("--order", type=_nonneg_int, default=0)
     p.set_defaults(func=_cmd_kernel)
 
-    p = sub.add_parser("critical", help="critical points of the Green function")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
+    p = sub.add_parser("critical", parents=[located], help="critical points of the Green function")
     p.set_defaults(func=_cmd_critical)
 
-    p = sub.add_parser("sublevel", help="sublevel-area profile")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
+    p = sub.add_parser("sublevel", parents=[located], help="sublevel-area profile")
     p.add_argument("--tmin", type=float, required=True)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, default=16)
@@ -379,14 +371,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--probe")
     p.set_defaults(func=_cmd_weights)
 
-    p = sub.add_parser("oracle", help="Monte Carlo / brute-force oracles")
+    p = sub.add_parser("oracle", parents=[located], help="Monte Carlo / brute-force oracles")
     p.add_argument("kind", choices=["wos", "area", "robin", "gridscan"])
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
     p.add_argument("--at")
     p.add_argument("--level", type=float)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--grid", type=int, default=512)
     p.set_defaults(func=_cmd_oracle)
 

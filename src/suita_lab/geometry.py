@@ -479,19 +479,6 @@ def pull_back(domain: Domain, w: Point, check: bool = True) -> PullBack:
     return pb
 
 
-def moebius_transport(domain: MoebiusImage, w: Point) -> tuple[Point, float]:
-    """Pull a point of the image domain back to the base.
-
-    Returns ``(base_point, |F'(base_point)|)`` where F is the forward map.
-    Downstream transport rules: capacity scales by 1/|F'|, the diagonal
-    Bergman kernel by 1/|F'|^2.
-    """
-    if not isinstance(domain, MoebiusImage):
-        raise UnsupportedDomain("moebius_transport needs a MoebiusImage domain")
-    _, coeffs, zeta = pull_back(domain, w)
-    return zeta, abs(moebius_fprime(coeffs or IDENTITY_COEFFS, zeta))
-
-
 # ---------------------------------------------------------------------------
 # The queries, each answered by the domain's family
 # ---------------------------------------------------------------------------

@@ -471,5 +471,5 @@ def monotonicity_check(profile: SublevelProfile) -> tuple[float, bool]:
     drop = e2t[:-1] - e2t[1:]
     tol = np.exp(-2 * ts[1:]) * profile.err_est[1:] + np.exp(-2 * ts[:-1]) * profile.err_est[:-1]
     max_drop = float(np.max(drop)) if len(drop) else 0.0
-    passed = bool(np.all(drop <= tol + 1e-12 * np.abs(e2t[:-1])))
+    passed = bool(np.all(drop <= tol))
     return max_drop, passed

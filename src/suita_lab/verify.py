@@ -15,7 +15,11 @@ context, so a failed line can be replayed directly.
 The tolerance table is part of the report.  Margins are compared against
 ``-tol * scale`` with scale = max(|lhs|, |rhs|), except for the Monte
 Carlo checks whose tolerance is 3 times the standard error carried by the
-estimate itself (a stated bound for walk-on-spheres).
+estimate itself (a stated bound for walk-on-spheres).  Lines whose rule
+has no tolerance are not in the table: blb_monotone (a drop must stay
+within the profile's own error estimates), thm4 (a second difference
+below minus its noise floor) and the characterization lines (K_j > 0,
+or K_j == 0 on a polar complement).
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ DEFAULT_TOLERANCES = {
     "thm2": 1e-8,
     "poisson": 1e-8,
     "blb_lower": 1e-4,
-    "blb_monotone": 0.0,  # dynamic: the profile's own error estimates
-    "char_zero": 1e-12,
     "flux": 1e-5,
     "oracle": 0.0,  # dynamic: 3 x the bound each estimate states
 }
@@ -175,10 +177,8 @@ def blb_check(domain: Domain, w: Point, profile: sl.SublevelProfile, overrides=N
     out = []
     for t, e2t in zip(profile.t_samples, profile.e2t_lambda):
         out.append(_check(f"blb_lower[t={t:.6g}]", domain, w, f"t={t:.12g}", 1.0 / e2t, kernel, overrides))
-    max_drop, mono_ok = sl.monotonicity_check(profile)
-    tol = _tol("blb_monotone", overrides)
-    passed = mono_ok if tol == 0.0 else max_drop <= tol
-    out.append(_line("blb_monotone", domain, w, f"steps={len(profile.t_samples)}", max_drop, tol, passed))
+    max_drop, passed = sl.monotonicity_check(profile)
+    out.append(_line("blb_monotone", domain, w, f"steps={len(profile.t_samples)}", max_drop, 0.0, passed))
     return out
 
 
@@ -215,7 +215,7 @@ def thm4_scan(
     return report, _line("thm4", domain, w, params, report.min_second_diff, -report.noise_floor, passed)
 
 
-def characterization_probe(samples: list[tuple[Domain, Point]], overrides=None) -> list[Check]:
+def characterization_probe(samples: list[tuple[Domain, Point]]) -> list[Check]:
     """Positivity (or vanishing, for a polar complement) of K_j, j = 0..6,
     plus strict subharmonicity of log K at five seeded interior points."""
     out = []
@@ -224,7 +224,7 @@ def characterization_probe(samples: list[tuple[Domain, Point]], overrides=None) 
         for j in range(7):
             value = bg.kernel_j(domain, w, j).value
             if polar:
-                out.append(_check(f"char_zero[j={j}]", domain, w, f"j={j}", abs(value), 0.0, overrides))
+                out.append(_line(f"char_zero[j={j}]", domain, w, f"j={j}", abs(value), 0.0, value == 0.0))
             else:
                 out.append(_line(f"char_pos[j={j}]", domain, w, f"j={j}", 0.0, value, value > 0.0))
         if polar:
@@ -361,7 +361,7 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
 
     if want("characterization"):
         samples = [(geo.parse_domain(lit), w) for lit, w in config.char_entries]
-        checks += characterization_probe(samples, overrides)
+        checks += characterization_probe(samples)
 
     if suite == "all":
         checks += _flux_checks(config, overrides)

@@ -6,15 +6,18 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from suita_lab import cli
+from suita_lab import green as gr
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
+from suita_lab import weights as wt
 from suita_lab.errors import ConfigError
-from suita_lab.geometry import Disc
+from suita_lab.geometry import Annulus, Disc
 
 
 GOLDEN = Path(__file__).parent / "default_report.csv"
@@ -84,11 +87,64 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
 
-    def test_env_seed_default(self, capsys, monkeypatch):
+    def test_critical_annulus_row(self, capsys):
+        assert run_cli(["critical", "--domain", "annulus:0.5", "--pole", "0.7,0"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        (cp,) = gr.critical_points(Annulus(0.5), 0.7 + 0j)
+        assert len(rows) == 1
+        x, y, level, residual, order = rows[0].split(",")
+        assert order == "2" and cp.order == 2
+        expect = (cp.location.real, cp.location.imag, cp.level, cp.gradient_residual)
+        assert [x, y, level, residual] == [cli._fmt(v) for v in expect]
+
+    def test_critical_disc_prints_nothing(self, capsys):
+        assert run_cli(["critical", "--domain", "disc:0,0,1", "--pole", "0.3,0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_weights_at_one_s(self, capsys):
+        assert run_cli(["weights", "--s", "-1"]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header == "s,eta0,eta0p,eta0pp,gamma0,gamma0p,identity_residual"
+        v = wt.eval_weights(-1.0)
+        expect = (v.s, v.eta0, v.eta0p, v.eta0pp, v.gamma0, v.gamma0p, wt.identity_residual(-1.0))
+        assert row.split(",") == [cli._fmt(x) for x in expect]
+
+    def test_weights_probe(self, capsys):
+        assert run_cli(["weights", "--probe", "-1,-5"]) == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        assert header == "s,war"
+        probes = wt.war_probe([-1.0, -5.0])
+        assert rows == [f"{cli._fmt(s)},{cli._fmt(p)}" for s, p in zip([-1.0, -5.0], probes)]
+
+    @pytest.mark.parametrize("extra, message", [([], "needs --s or --probe"), (["--s", "0"], "s < 0")], ids=["neither", "s-zero"])
+    def test_weights_usage_errors_exit_2(self, capsys, extra, message):
+        assert run_cli(["weights", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_oracle_robin(self, capsys):
+        assert run_cli(["oracle", "robin", "--domain", "annulus:0.5", "--pole", "0.7,0"]) == 0
+        value, residual, samples, seed = capsys.readouterr().out.strip().split(",")
+        cap = gr.robin_capacity(Annulus(0.5), 0.7 + 0j).capacity
+        # the printed value carries 12 significant digits
+        assert abs(float(value) - cap) <= float(residual) + 1e-11 * cap
+        assert (samples, seed) == ("320", "42")  # 64 angles on each of 5 radii
+
+    def test_oracle_gridscan_finds_the_saddle(self, capsys):
+        assert run_cli(["oracle", "gridscan", "--domain", "annulus:0.5", "--pole", "0.7,0", "--grid", "64"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        x, y = (float(v) for v in rows[0].split(","))
+        (cp,) = gr.critical_points(Annulus(0.5), 0.7 + 0j)
+        cell = 2.0 / 63  # the bounding box [-1, 1]^2 on a 64-point lattice
+        assert abs(complex(x, y) - cp.location) <= 2 * cell
+
+    def test_seed_default_ignores_environment(self, capsys, monkeypatch):
+        # --seed is the one way to set the oracle seed; its default is 42
         monkeypatch.setenv("SUITA_LAB_SEED", "1234")
         run_cli(["oracle", "wos", "--domain", "disc:0,0,1", "--pole", "0,0", "--at", "0.5,0", "--samples", "2000"])
         out = capsys.readouterr().out.strip()
-        assert out.endswith(",1234")
+        assert out.endswith(",42")
 
 
 class TestConfig:
@@ -109,7 +165,17 @@ class TestConfig:
         assert ("annulus:0.5", 0.7 + 0j) in config.entries
         assert ("disc:0,0,1", 0.5 + 0j) in config.entries
 
-    @pytest.mark.parametrize("key", ["tolerance.suite", "tolerance.thm4", "tolerance.char_pos", "tolerance."])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "tolerance.suite",
+            "tolerance.thm4",
+            "tolerance.char_pos",
+            "tolerance.",
+            "tolerance.char_zero",
+            "tolerance.blb_monotone",
+        ],
+    )
     def test_unknown_tolerance_family_rejected(self, tmp_path, key):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(f"domains = disc:0,0,1\npoles = 0.5,0\n{key} = 1e-6\n")
@@ -139,6 +205,16 @@ class TestConfig:
             cli.suite_config_from_file(str(cfg))
         assert run_cli(["verify", "--suite", "suita", "--config", str(cfg)]) == 2
         assert "error: poles needs domains" in capsys.readouterr().err
+
+    def test_steps_key_sets_profile_samples(self, tmp_path):
+        # steps = 8: each blb entry writes 8 blb_lower lines
+        cfg = tmp_path / "steps.cfg"
+        cfg.write_text("domains = disc:0,0,1 | annulus:0.5\npoles = 0.7,0\nsteps = 8\n")
+        out = tmp_path / "r.csv"
+        assert run_cli(["verify", "--suite", "blb", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+        per_entry = Counter((domain, pole) for name, domain, pole, *_ in rows if name.startswith("blb_lower"))
+        assert per_entry == {("disc:0,0,1", "0,0"): 8, ("annulus:0.5", "0.7,0"): 8}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

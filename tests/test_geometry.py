@@ -17,7 +17,6 @@ from suita_lab.geometry import (
     boundary_sample,
     contains,
     domain_literal,
-    moebius_transport,
     parse_domain,
 )
 
@@ -280,29 +279,34 @@ class TestBoundaryModel:
 class TestMoebius:
     def test_identity_image_pulls_back_to_its_core(self, unit_disc, annulus_half):
         # the composed map is the identity: the series read the core itself,
-        # and the transport still reports the point and |F'| = 1
+        # the pole stays where it is and |F'| = 1
         for base, w in ((unit_disc, 0.3 + 0.4j), (annulus_half, -0.2 + 0.6j)):
             m = MoebiusImage(base, 1 + 0j, 0j, 0j, 1 + 0j)
-            assert geo.pull_back(m, w).coeffs is None
-            assert moebius_transport(m, w) == (w, 1.0)
+            pb = geo.pull_back(m, w)
+            assert pb.coeffs is None
+            assert pb.zeta_w == w
+            assert abs(geo.moebius_fprime(geo.flatten_moebius(m)[1], w)) == 1.0
 
     def test_identity_transport(self, unit_disc):
         m = MoebiusImage(unit_disc, 1 + 0j, 0j, 0j, 1 + 0j)
-        zeta, fp = moebius_transport(m, 0.3 + 0.4j)
+        zeta = geo.pull_back(m, 0.3 + 0.4j).zeta_w
+        fp = abs(geo.moebius_fprime(geo.flatten_moebius(m)[1], zeta))
         assert zeta == pytest.approx(0.3 + 0.4j, abs=1e-15)
         assert fp == pytest.approx(1.0, abs=1e-15)
 
     def test_scaling_transport(self, unit_disc):
         m = MoebiusImage(unit_disc, 2 + 0j, 0j, 0j, 1 + 0j)
-        zeta, fp = moebius_transport(m, 0j)
-        assert zeta == 0j
+        pb = geo.pull_back(m, 0j)
+        fp = abs(geo.moebius_fprime(pb.coeffs, pb.zeta_w))
+        assert pb.zeta_w == 0j
         assert fp == pytest.approx(2.0, abs=1e-15)
 
     def test_blaschke_derivative(self, unit_disc):
         # F = (z - 0.5)/(1 - 0.5 z); F(0.5) = 0 and |F'(0.5)| = 4/3
         m = MoebiusImage(unit_disc, 1 + 0j, -0.5 + 0j, -0.5 + 0j, 1 + 0j)
-        zeta, fp = moebius_transport(m, 0j)
-        assert zeta == pytest.approx(0.5 + 0j, abs=1e-14)
+        pb = geo.pull_back(m, 0j)
+        fp = abs(geo.moebius_fprime(pb.coeffs, pb.zeta_w))
+        assert pb.zeta_w == pytest.approx(0.5 + 0j, abs=1e-14)
         assert fp == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("fixture", ["blaschke_disc", "moebius_annulus"])
@@ -357,6 +361,7 @@ class TestLiterals:
             "polygon:0,0;1,0;1,1;0,1",
             "moebius:1,-0.3,-0.3,1;base=disc:0,0,1",
             "moebius:2,0,0,1;base=annulus:0.25",
+            "moebius:1,0.1+0.2j,0.1-0.2j,1;base=disc:0,0,1",
             "polar-complement",
         ],
     )
@@ -364,11 +369,34 @@ class TestLiterals:
         domain = parse_domain(literal)
         assert parse_domain(domain_literal(domain)) == domain
 
-    def test_rejects_garbage(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_domain("sphere:1"),
+            lambda: parse_domain("disc:1,2"),
+            lambda: parse_domain("polygon:0,0;1"),
+            lambda: parse_domain("moebius:1,0,0;base=disc:0,0,1"),
+            lambda: parse_domain("moebius:1,0,0,1"),
+            lambda: parse_domain("foo"),
+            lambda: Disc(0j, -1.0),
+            lambda: Annulus(1.5),
+            lambda: Polygon([0j, 1 + 0j]),
+        ],
+        ids=[
+            "unknown-kind",
+            "disc-two-numbers",
+            "polygon-lone-coordinate",
+            "moebius-three-coefficients",
+            "moebius-without-base",
+            "no-kind",
+            "disc-negative-radius",
+            "annulus-q-above-1",
+            "polygon-two-vertices",
+        ],
+    )
+    def test_rejects_garbage(self, build):
         with pytest.raises(InvalidDomain):
-            parse_domain("sphere:1")
-        with pytest.raises(InvalidDomain):
-            parse_domain("disc:1,2")
+            build()
 
     @given(st.floats(min_value=0.01, max_value=0.99))
     def test_annulus_roundtrip_property(self, q):

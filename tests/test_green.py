@@ -342,7 +342,8 @@ class TestRobinCapacity:
 
     def test_moebius_annulus_matches_product(self, moebius_annulus):
         w = 0.75 + 0j
-        zeta, scale = geo.moebius_transport(moebius_annulus, w)
+        pb = geo.pull_back(moebius_annulus, w)
+        zeta, scale = pb.zeta_w, abs(geo.moebius_fprime(pb.coeffs, pb.zeta_w))
         got = gr.robin_capacity(moebius_annulus, w).capacity
         ref = math.exp(_product_robin(0.5, zeta)) / scale
         assert abs(got - ref) <= 1e-13 * ref

@@ -5,8 +5,10 @@ image (whose map pole lies in the hole, so the inner circle becomes the
 outer boundary), a polygon and the polar complement.  Each is paired with
 an interior pole w and a second interior point z.  An entry of EXPECTED
 names the refusal class of an operation on a family; every pair not
-listed must succeed.  A second matrix puts the pole outside the domain.
-The inputs are small, so both run in well under a second.
+listed must succeed.  A second matrix puts the pole outside the domain,
+and a table of refusals gives a supported family a level range, a level,
+a window or a radius that the operation cannot serve.  The inputs are
+small, so all three run in about a second.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ from suita_lab import geometry as geo
 from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
-from suita_lab.errors import PointOutsideDomain, UnsupportedDomain
+from suita_lab import verify as vf
+from suita_lab.errors import LevelAbovePeak, PointOutsideDomain, UnsupportedDomain, WindowTooNarrow
 from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement, Polygon
 
 _DISC = Disc(0j, 1.0)
@@ -115,3 +118,32 @@ def test_polar_complement_values():
     assert (cap.capacity, cap.robin_constant) == (0.0, -np.inf)
     assert bg.kernel_j(domain, w, 2).value == 0.0
     assert geo.boundary_distance(domain, w) == np.inf
+
+
+# Refusals of the inputs themselves, on a supported family: a level range,
+# a level, a window or a radius that the operation cannot serve.
+REFUSALS = {
+    "profile_scan t_max = 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.0, 8), LevelAbovePeak),
+    "profile_scan t_max > 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.5, 8), LevelAbovePeak),
+    "profile_scan t_min = t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -1.0, 8), LevelAbovePeak),
+    "profile_scan t_min > t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -2.0, 8), LevelAbovePeak),
+    "profile_scan 7 steps": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, -1.0, 7), ValueError),
+    "contours t > 0": (lambda: sl.LevelField(_RING, 0.7 + 0j).contours(0.1, 64), LevelAbovePeak),
+    "convexity_report far window": (
+        lambda: sl.convexity_report(
+            sl.profile_scan(_RING, 0.7 + 0j, -2.0, -1.0, 8), gr.critical_points(_RING, 0.7 + 0j)[0].level
+        ),
+        WindowTooNarrow,
+    ),
+    "mc_area t = 0": (lambda: oc.mc_area(_RING, 0.7 + 0j, 0.0, 1000, 1), LevelAbovePeak),
+    "poisson r = delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, geo.boundary_distance(_RING, 0.7 + 0j)), ValueError),
+    "poisson r > delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, 0.3), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_input_refused(case):
+    call, expected = REFUSALS[case]
+    with pytest.raises(expected) as info:
+        call()
+    assert type(info.value) is expected
