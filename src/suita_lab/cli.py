@@ -351,7 +351,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = sub.add_parser("capacity", parents=[located], help="logarithmic capacity / Robin constant")
     p.set_defaults(func=_cmd_capacity)
 
-    p = sub.add_parser("kernel", parents=[located], help="order-j extremal kernel")
+    p = sub.add_parser(
+        "kernel",
+        parents=[located],
+        help="order-j extremal kernel: prints j, K_j, the images summed and a bound on the error that includes rounding",
+    )
     p.add_argument("--order", type=_nonneg_int, default=0)
     p.set_defaults(func=_cmd_kernel)
 

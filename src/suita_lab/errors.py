@@ -80,3 +80,8 @@ class SkippedDegenerate(SuitaLabError):
 
 class ConfigError(SuitaLabError):
     """Malformed CLI configuration input."""
+
+
+class InvalidArgument(SuitaLabError, ValueError):
+    """An argument outside the range the operation serves (an order, a
+    count, a radius).  Also a ValueError, which callers may still catch."""

@@ -42,7 +42,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import InvalidDomain, PointOutsideDomain, UnsupportedDomain
+from .errors import InvalidArgument, InvalidDomain, PointOutsideDomain, UnsupportedDomain
 
 Point = complex  # a point of the plane; real/imag parts are the coordinates
 
@@ -65,9 +65,9 @@ def _format_complex(z: complex) -> str:
 def boundary_counts(n: int, lengths) -> list[int]:
     """Nodes per boundary component (a circle or a polygon edge), n in all,
     in proportion to the lengths: the cut after each falls at its rounded
-    share of n, and each keeps a node (ValueError when n cannot)."""
+    share of n, and each keeps a node (InvalidArgument when n cannot)."""
     if n < len(lengths):
-        raise ValueError(f"{n} boundary nodes cannot cover {len(lengths)} boundary components")
+        raise InvalidArgument(f"{n} boundary nodes cannot cover {len(lengths)} boundary components")
     total = sum(lengths)
     cuts, acc = [0], 0.0
     for i, length in enumerate(lengths[:-1], start=1):
@@ -513,11 +513,11 @@ def boundary_sample(domain: Domain, n: int) -> list[tuple[Point, Point]]:
 
     Points are ordered per boundary circle, in the order of ``circles``, or
     per polygon edge, and boundary_counts splits n among them by length
-    (ValueError for a polygon of more than n edges).  Each circle's samples
+    (InvalidArgument for a polygon of more than n edges).  Each circle's samples
     run counterclockwise from angle 0, each edge's from its first vertex.
     """
     if n < 8:
-        raise ValueError(f"need n >= 8 boundary samples, got {n}")
+        raise InvalidArgument(f"need n >= 8 boundary samples, got {n}")
     pts, nrm, _ = domain._nodes(n)
     return list(zip(pts.tolist(), nrm.tolist()))
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import CoincidentPoints, ConvergenceFailure, PointOutsideDomain, RadiusTooLarge
+from .errors import CoincidentPoints, ConvergenceFailure, InvalidArgument, PointOutsideDomain, RadiusTooLarge
 from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def boundary_flux(domain: Domain, w: Point, n: int) -> float:
     """
     pb = geo.pull_back(domain, w)
     if n < 64:
-        raise ValueError("need at least 64 quadrature nodes")
+        raise InvalidArgument("need at least 64 quadrature nodes")
     pts, nrm, wts = domain._nodes(n)
     (f1,) = _field(pb, pb.pull(pts), pts, ("f1",))
     return float(np.sum((f1 * nrm).real * wts))

@@ -54,7 +54,15 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import ExtrapolationUnstable, LevelAbovePeak, NonConvergence, PointOutsideDomain, TooFewSamples, UnsupportedDomain
+from .errors import (
+    ExtrapolationUnstable,
+    InvalidArgument,
+    LevelAbovePeak,
+    NonConvergence,
+    PointOutsideDomain,
+    TooFewSamples,
+    UnsupportedDomain,
+)
 from .geometry import Annulus, Disc, Domain, Point, Polygon
 from .sublevel import AreaEstimate
 
@@ -411,10 +419,10 @@ def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
     """
     radii = [float(r) for r in radii]
     if len(radii) < 4 or any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("need at least 4 strictly decreasing radii")
+        raise InvalidArgument("need at least 4 strictly decreasing radii")
     delta = geo.boundary_distance(domain, w)
     if radii[0] > 0.5 * delta:
-        raise ValueError(f"largest radius {radii[0]} exceeds half the boundary distance {delta / 2}")
+        raise InvalidArgument(f"largest radius {radii[0]} exceeds half the boundary distance {delta / 2}")
     theta = np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
     means = []
     for r in radii:
@@ -440,10 +448,10 @@ def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[co
     Excludes a pole neighborhood of radius 10 cells and filters out minima
     that are incompatible with an actual zero (|f'| should be of order
     |f''| * cell size near one).  The returned points, best first, seed a
-    Newton polish.  A grid_size below 2 is refused (ValueError).
+    Newton polish.  A grid_size below 2 is refused (InvalidArgument).
     """
     if grid_size < 2:
-        raise ValueError(f"need a grid of at least 2 points a side, got {grid_size}")
+        raise InvalidArgument(f"need a grid of at least 2 points a side, got {grid_size}")
     core, coeffs, zeta_w = geo.pull_back(domain, w)
     if coeffs is not None:  # scan the core, push the seeds forward
         return [complex(geo.moebius_forward(coeffs, s)) for s in grid_min_gradient(core, zeta_w, grid_size)]

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import BelowResolution, ConvergenceFailure, CriticalLevel, LevelAbovePeak, WindowTooNarrow
+from .errors import BelowResolution, ConvergenceFailure, CriticalLevel, InvalidArgument, LevelAbovePeak, WindowTooNarrow
 from .geometry import Disc, Domain, Point
 
 _EPS = float(np.finfo(float).eps)
@@ -408,7 +408,7 @@ def profile_scan(
     if not (t_min < t_max < 0):
         raise LevelAbovePeak(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
     if steps < 8:
-        raise ValueError("need at least 8 profile steps")
+        raise InvalidArgument("need at least 8 profile steps")
     ts = np.linspace(t_min, t_max, steps)
     lam, err, gp = field._levels(ts, with_gamma)
     ll = np.log(lam)

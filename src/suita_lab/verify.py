@@ -1,10 +1,11 @@
 """Named theorem checks and the verification suite that strings them together.
 
-Kernels come from the orthonormal-frame module, capacities and Green
-maxima from the dual-nome image series or closed forms, areas from slice
-quadrature, and the Monte Carlo module supplies statistical referees.
-So the kernel checks (suita, thm1, thm2, blb) compare two routes that
-share no series; poisson reads G and c from the same images.  The
+Kernels, capacities and Green maxima come from the dual-nome images of
+the Green function or from closed forms, areas from slice quadrature, and
+the Monte Carlo module supplies statistical referees.  So the kernel
+checks (suita, thm1, thm2, blb) read K and c from one series, as poisson
+reads G and c; the Laurent frame that computed K before referees
+kernel_j in the test suite, wherever the frame resolves.  The
 annulus capacity is the closed-form k = 0 limit plus the other images at
 the pole; oracle_robin checks that limit against the numeric limit of the
 same series (angular means of G - log r, extrapolated to r = 0).  Its
@@ -35,7 +36,7 @@ from . import geometry as geo
 from . import green as gr
 from . import oracles as oc
 from . import sublevel as sl
-from .errors import ConvergenceFailure, NoCriticalPoint, SkippedDegenerate, UnsupportedDomain
+from .errors import ConvergenceFailure, InvalidArgument, NoCriticalPoint, SkippedDegenerate, UnsupportedDomain
 from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
@@ -122,7 +123,7 @@ def _check(name, domain, w, params, lhs, rhs, overrides=None) -> Check:
 def suita_check(domain: Domain, w: Point, j_max: int = 3, overrides=None) -> list[Check]:
     """K_j(w) >= j!(j+1)!/pi * c(w)^(2j+2) for j = 0..j_max (j=0 is the Suita bound)."""
     if not 0 <= j_max <= 6:
-        raise ValueError("j_max must be within 0..6")
+        raise InvalidArgument("j_max must be within 0..6")
     cap = gr.robin_capacity(domain, w).capacity
     out = []
     for j in range(j_max + 1):
@@ -164,7 +165,7 @@ def poisson_step_check(domain: Domain, w: Point, r: float, overrides=None) -> Ch
     """max G on the r-circle <= ((R-r)/(R+r)) log(R c), R the boundary distance."""
     R = geo.boundary_distance(domain, w)
     if not (0 < r < R):
-        raise ValueError(f"need 0 < r < delta = {R}")
+        raise InvalidArgument(f"need 0 < r < delta = {R}")
     cap = gr.robin_capacity(domain, w).capacity
     max_g = gr.disc_max_green(domain, w, r)
     bound = (R - r) / (R + r) * math.log(R * cap)

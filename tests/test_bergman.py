@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -143,8 +144,10 @@ class TestKernel:
         assert large < small
 
     def test_truncation_stability(self, annulus_half):
-        k = bg.kernel_j(annulus_half, 0.7 + 0j, 2)
-        doubled = bg.pinned_kernel(annulus_half, 0.7 + 0j, 2, 0.7 + 0j, 2 * k.truncation_order)
+        # the referee frame: its value at twice the cutoff it settled at
+        w = 0.7 + 0j
+        k = bg._frame_kernel(annulus_half, w, 2)
+        doubled = bg._qr_residual_sq(bg._frame_rows(geo.pull_back(annulus_half, w), w, 2, 2 * k.truncation_order))
         assert abs(doubled - k.value) <= k.tail_bound
 
     def test_moebius_scaling(self, unit_disc):
@@ -183,8 +186,14 @@ class TestKernel:
             bg.kernel_j(unit_square, 0.5 + 0.5j, 0)
 
     def test_truncation_failure_near_boundary(self, unit_disc):
+        # the referee frame refuses; kernel_j answers in closed form, within
+        # its bound: 1 - |w| is exact here, so 1 - |w|^2 = (1 - |w|)(1 + |w|)
+        w = (1 - 1e-9) + 0j
         with pytest.raises(TruncationFailure):
-            bg.kernel_j(unit_disc, (1 - 1e-9) + 0j, 0)
+            bg._frame_kernel(unit_disc, w, 0)
+        k = bg.kernel_j(unit_disc, w, 0)
+        exact = disc_kernel_exact(0, 1.0 / ((1.0 - w.real) * (1.0 + w.real)))
+        assert abs(k.value - exact) <= k.tail_bound
 
 
 # K_j(w), j = 0..3, on Annulus(q) at w = q + f (1 - q), from the Laurent sum
@@ -205,12 +214,108 @@ class TestAnnulusFrameOverflow:
     def test_against_decimal_laurent_sum(self, q, f):
         w = q + f * (1 - q)
         for j, ref in enumerate(_NEAR_INNER_CIRCLE[(q, f)]):
-            try:
-                k = bg.kernel_j(geo.Annulus(q), w, j)
-            except TruncationFailure:
-                assert j >= 2
-                continue
+            k = bg.kernel_j(geo.Annulus(q), w, j)
             assert abs(k.value - ref) <= 1e-12 * ref
+
+
+# K_j(w), j = 0..3, on Annulus(q) at w = q + f (1 - q), to 40 digits: the
+# Gram matrix of the derivative vectors of the Laurent basis in mpmath at 60
+# digits, each side of the sum carried until 50 successive terms stay below
+# 1e-48 of every entry (|n| up to 13,237), then factored by Cholesky.  The
+# entries at f = 0.02 agree with _NEAR_INNER_CIRCLE to every digit shown.
+_LAURENT_40 = {
+    (0.3, 0.02): [389.8095030989074, 954739.1112704946, 7015170993.589437, 103091250106109.6],
+    (0.3, 0.05): [59.86963498979162, 22521.28193805698, 25415630.381443813, 57363901279.95696],
+    (0.3, 0.5): [1.5766944426774179, 15.619774706154157, 464.2186922329192, 27593.227317960936],
+    (0.3, 0.95): [67.51870903344202, 28643.634834174107, 36454687.70553117, 92791593341.4126],
+    (0.5, 0.02): [782.295132299293, 3845219.395201644, 56701281601.14209, 1672224653409375.0],
+    (0.5, 0.05): [123.28141743174533, 95493.78479062484, 221908454.41945776, 1031341720318.4296],
+    (0.5, 0.5): [3.123433576222554, 61.29773361395246, 3608.9246541144025, 424953.302226715],
+    (0.5, 0.95): [131.17036262921042, 108106.37544788168, 267293346.87093246, 1321767249812.3865],
+    (0.8, 0.02): [4956.9997132540875, 154389462.7452032, 14425725793176.389, 2.6958001013755085e18],
+    (0.8, 0.05): [794.0233482574104, 3961379.177609812, 59289912657.75718, 1774782763959246.8],
+    (0.8, 0.5): [19.62282216156173, 2419.3728583217744, 894881.2223936833, 661999988.4997514],
+    (0.8, 0.95): [809.2056630767396, 4114316.479491179, 62756357990.81422, 1914466467469363.0],
+}
+
+
+class TestImageSums:
+    @pytest.mark.parametrize("q, f", list(_LAURENT_40))
+    def test_within_the_stated_bound_of_a_40_digit_reference(self, q, f):
+        w = q + f * (1 - q)
+        for j, ref in enumerate(_LAURENT_40[(q, f)]):
+            k = bg.kernel_j(geo.Annulus(q), w, j)
+            assert abs(k.value - ref) <= k.tail_bound
+            assert k.tail_bound <= 1e-10 * ref
+
+    def test_meets_the_frame_on_the_baseline_grid(self):
+        # a seeded third of the grid q in {0.05, ..., 0.95}, poles at 2-98%
+        # of the width, four angles, j = 0..3: the two routes agree within
+        # the sum of their bounds wherever the frame resolves, and kernel_j
+        # answers where it does not (next to a circle of a thin ring)
+        grid = [
+            (q, f, angle)
+            for q in (0.05, 0.1, 0.3, 0.5, 0.8, 0.9, 0.95)
+            for f in (0.02, 0.05, 0.2, 0.5, 0.8, 0.95, 0.98)
+            for angle in (0.0, 0.7, 2.0, -2.9)
+        ]
+        refused = 0
+        for q, f, angle in random.Random(21).sample(grid, 64):
+            w = (q + f * (1 - q)) * cmath.exp(1j * angle)
+            for j in range(4):
+                k = bg.kernel_j(geo.Annulus(q), w, j)
+                try:
+                    frame = bg._frame_kernel(geo.Annulus(q), w, j)
+                except TruncationFailure:
+                    refused += 1
+                    continue
+                assert abs(k.value - frame.value) <= k.tail_bound + frame.tail_bound
+        assert refused > 0
+
+    def test_pinned_kernel_is_the_kernel_at_its_pole(self, moebius_annulus, blaschke_disc):
+        for domain, w in ((geo.Annulus(0.3), 0.5 + 0.2j), (moebius_annulus, 0.75 + 0j), (blaschke_disc, 0.2 + 0.1j)):
+            for j in range(4):
+                k = bg.kernel_j(domain, w, j)
+                assert abs(bg.pinned_kernel(domain, w, j, w) - k.value) <= k.tail_bound
+
+
+# (pi K - c^2)/c^2 on Annulus(0.8): the image sum of K (k = -60..60) minus c^2
+# from the Robin series (k = 1..59), in mpmath at 90 digits
+_DEFECT_THIN_RING = {
+    0.85 + 0j: 1.9730107432749757e-38,
+    0.9 + 0j: 6.024420615740263e-38,
+    0.63 + 0.63j: 6.080778852875612e-38,
+    0.804 + 0j: 1.4823347066297678e-42,
+}
+
+
+class TestSuitaDefect:
+    @pytest.mark.parametrize("w", list(_DEFECT_THIN_RING))
+    def test_thin_ring_reference(self, w):
+        value, bound = bg.suita_defect(geo.Annulus(0.8), w)
+        assert abs(value - _DEFECT_THIN_RING[w]) <= bound
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5])
+    def test_meets_the_difference_where_it_resolves(self, q):
+        domain = geo.Annulus(q)
+        for w in interior_points(domain, 6):
+            value, bound = bg.suita_defect(domain, w)
+            k = bg.kernel_j(domain, w, 0)
+            cap = gr.robin_capacity(domain, w)
+            c2 = cap.capacity**2
+            direct = (math.pi * k.value - c2) / c2
+            slack = math.pi * k.tail_bound / c2 + 2 * (cap.truncation_bound + 8 * np.finfo(float).eps) * (1 + direct)
+            assert value > 0
+            assert abs(value - direct) <= bound + slack
+
+    def test_conformal_invariance_and_discs(self, moebius_annulus, blaschke_disc):
+        _, coeffs = geo.flatten_moebius(moebius_annulus)
+        zeta = 0.7 + 0.1j
+        w = complex(geo.moebius_forward(coeffs, zeta))
+        assert bg.suita_defect(moebius_annulus, w)[0] == pytest.approx(bg.suita_defect(geo.Annulus(0.5), zeta)[0], rel=1e-10)
+        assert bg.suita_defect(blaschke_disc, 0.2 + 0.1j) == (0.0, 0.0)
+        with pytest.raises(UnsupportedDomain):
+            bg.suita_defect(PolarComplement(), 1 + 0j)
 
 
 class TestLaplacianIdentity:
@@ -247,7 +352,7 @@ FROZEN_POLES = [(lit, case["w"]) for lit, cases in FROZEN["domains"].items() for
 
 def _frozen_row(domain, w, j):
     try:
-        k = bg.kernel_j(domain, w, j)
+        k = bg._frame_kernel(domain, w, j)
     except TruncationFailure:
         return [j, "TruncationFailure"]
     return [j, k.value.hex(), k.tail_bound.hex(), k.truncation_order]
@@ -275,10 +380,10 @@ class TestFrozenKernel:
         domain, w = geo.parse_domain(literal), complex(w)
         for j in range(5):
             try:
-                k = bg.kernel_j(domain, w, j)
+                k = bg._frame_kernel(domain, w, j)
             except TruncationFailure:
                 continue
-            assert k.value == bg.pinned_kernel(domain, w, j, w, k.truncation_order)
+            assert k.value == bg._qr_residual_sq(bg._frame_rows(geo.pull_back(domain, w), w, j, k.truncation_order))
 
 
 def _disc_poles():
@@ -287,9 +392,11 @@ def _disc_poles():
 
 
 class TestDiscRadius:
-    # K_j = j!(j+1)!/pi c^(2j+2), c = R/(R^2 - |w - c0|^2), on every radius:
-    # the frame's true norms pi R^(2n+2)/(n+1) leave the double range once
-    # n > 354/|log R|, and the rows are formed in (w - c0)/R instead
+    # K_j = j!(j+1)!/pi c^(2j+2), c = R/(R^2 - |w - c0|^2), on every radius.
+    # kernel_j takes the closed form.  The referee frame's true norms
+    # pi R^(2n+2)/(n+1) leave the double range once n > 354/|log R|, and its
+    # rows are formed in (w - c0)/R instead: it meets the closed form too,
+    # or refuses where the unit disc's frame refuses.
     @pytest.mark.parametrize("center", [0j, 0.3 - 0.2j])
     @pytest.mark.parametrize("radius", [0.01, 0.1, 0.5, 1.0, 1.3, 2.0, 4.0])
     def test_closed_form_or_refused_with_the_unit_disc(self, radius, center):
@@ -300,24 +407,26 @@ class TestDiscRadius:
             for j in range(4):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
+                    k = bg.kernel_j(domain, w, j)
                     try:
-                        k = bg.kernel_j(domain, w, j)
+                        frame = bg._frame_kernel(domain, w, j)
                     except TruncationFailure:
-                        k = None
+                        frame = None
                 assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
-                if k is None:
+                assert k.value == pytest.approx(disc_kernel_exact(j, cap), rel=1e-12, abs=0)
+                if frame is None:
                     with pytest.raises(TruncationFailure):
-                        bg.kernel_j(Disc(0j, 1.0), u, j)
+                        bg._frame_kernel(Disc(0j, 1.0), u, j)
                 else:
-                    assert k.value == pytest.approx(disc_kernel_exact(j, cap), rel=1e-12, abs=0)
+                    assert frame.value == pytest.approx(disc_kernel_exact(j, cap), rel=1e-12, abs=0)
 
     def test_unit_disc_refuses_only_at_the_edge(self):
-        # the sweep above is not empty: the refusals are j = 2, 3 at 0.995
+        # the sweep above is not empty: the frame refuses j = 2, 3 at 0.995
         refused = []
         for u in _disc_poles():
             for j in range(4):
                 try:
-                    bg.kernel_j(Disc(0j, 1.0), u, j)
+                    bg._frame_kernel(Disc(0j, 1.0), u, j)
                 except TruncationFailure:
                     refused.append((round(abs(u), 3), j))
         assert refused == [(0.995, 2), (0.995, 3)]

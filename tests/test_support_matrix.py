@@ -7,8 +7,8 @@ an interior pole w and a second interior point z.  An entry of EXPECTED
 names the refusal class of an operation on a family; every pair not
 listed must succeed.  A second matrix puts the pole outside the domain,
 and a table of refusals gives a supported family a level range, a level,
-a window or a radius that the operation cannot serve.  The inputs are
-small, so all three run in about a second.
+a window, a radius, an order or a count that the operation cannot serve.
+The inputs are small, so all three run in about a second.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
-from suita_lab.errors import LevelAbovePeak, PointOutsideDomain, UnsupportedDomain, WindowTooNarrow
+from suita_lab.errors import InvalidArgument, LevelAbovePeak, PointOutsideDomain, UnsupportedDomain, WindowTooNarrow
 from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement, Polygon
 
 _DISC = Disc(0j, 1.0)
@@ -121,13 +121,14 @@ def test_polar_complement_values():
 
 
 # Refusals of the inputs themselves, on a supported family: a level range,
-# a level, a window or a radius that the operation cannot serve.
+# a level, a window, a radius, an order or a count that the operation cannot
+# serve.  An InvalidArgument is also a ValueError, for callers that catch one.
 REFUSALS = {
     "profile_scan t_max = 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.0, 8), LevelAbovePeak),
     "profile_scan t_max > 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.5, 8), LevelAbovePeak),
     "profile_scan t_min = t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -1.0, 8), LevelAbovePeak),
     "profile_scan t_min > t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -2.0, 8), LevelAbovePeak),
-    "profile_scan 7 steps": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, -1.0, 7), ValueError),
+    "profile_scan 7 steps": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, -1.0, 7), InvalidArgument),
     "contours t > 0": (lambda: sl.LevelField(_RING, 0.7 + 0j).contours(0.1, 64), LevelAbovePeak),
     "convexity_report far window": (
         lambda: sl.convexity_report(
@@ -136,8 +137,13 @@ REFUSALS = {
         WindowTooNarrow,
     ),
     "mc_area t = 0": (lambda: oc.mc_area(_RING, 0.7 + 0j, 0.0, 1000, 1), LevelAbovePeak),
-    "poisson r = delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, geo.boundary_distance(_RING, 0.7 + 0j)), ValueError),
-    "poisson r > delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, 0.3), ValueError),
+    "poisson r = delta": (
+        lambda: vf.poisson_step_check(_RING, 0.7 + 0j, geo.boundary_distance(_RING, 0.7 + 0j)),
+        InvalidArgument,
+    ),
+    "poisson r > delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, 0.3), InvalidArgument),
+    "kernel_j order 13": (lambda: bg.kernel_j(_RING, 0.7 + 0j, 13), InvalidArgument),
+    "basis_norms empty range": (lambda: bg.basis_norms(_RING, 3, 2), InvalidArgument),
 }
 
 
@@ -147,3 +153,4 @@ def test_input_refused(case):
     with pytest.raises(expected) as info:
         call()
     assert type(info.value) is expected
+    assert isinstance(info.value, ValueError) == (expected is InvalidArgument)
