@@ -34,10 +34,11 @@ def _fmt(x: float) -> str:
 
 
 def _parse_point(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"point needs x,y: {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        x, y = map(float, text.split(","))
+    except ValueError:
+        raise ConfigError(f"point needs x,y: {text!r}") from None
+    return complex(x, y)
 
 
 def _nonneg_int(text: str) -> int:
@@ -56,6 +57,7 @@ _KNOWN_KEYS = {"domains", "poles", "seeds", "steps"}
 
 def parse_config(text: str) -> dict:
     out: dict = {"tolerances": {}}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,16 +66,26 @@ def parse_config(text: str) -> dict:
         if not sep:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key!r} given twice")
+        seen.add(key)
         if key.startswith("tolerance."):
             family = key[len("tolerance.") :]
             if family != "all" and family not in vf.DEFAULT_TOLERANCES:
                 raise ConfigError(f"line {lineno}: no tolerance family {family!r}; known: all, {', '.join(vf.DEFAULT_TOLERANCES)}")
-            out["tolerances"][family] = float(value)
+            out["tolerances"][family] = _number(key, value, float)
         elif key in _KNOWN_KEYS:
             out[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return out
+
+
+def _number(key: str, value: str, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key} needs {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
 def suite_config_from_file(path: str) -> SuiteConfig:
@@ -85,27 +97,16 @@ def suite_config_from_file(path: str) -> SuiteConfig:
     if "domains" in raw:
         literals = [s.strip() for s in raw["domains"].split("|") if s.strip()]
         poles = [_parse_point(s.strip()) for s in raw.get("poles", "").split("|") if s.strip()]
-        entries, canonical = [], set()
-        for lit in literals:
-            domain = geo.parse_domain(lit)
-            canonical.add(geo.domain_literal(domain))
-            for w in poles:
-                if geo.contains(domain, w):
-                    entries.append((lit, w))
-        if not entries:
+        domains = [(lit, geo.parse_domain(lit)) for lit in literals]
+        config.entries = [(lit, w) for lit, domain in domains for w in poles if geo.contains(domain, w)]
+        if not config.entries:
             raise ConfigError("no (domain, pole) pair from the config has the pole inside the domain")
-        config.entries = entries
-        # profile/scan/probe plans follow the configured domains, however their literals are written
-        configured = lambda plan: [e for e in plan if geo.domain_literal(geo.parse_domain(e[0])) in canonical]
-        config.blb_entries = configured(config.blb_entries)
-        config.thm4_entries = configured(config.thm4_entries)
-        config.char_entries = configured(config.char_entries)
     if "seeds" in raw:
         if "," in raw["seeds"]:
             raise ConfigError(f"seeds takes one seed, got {raw['seeds']!r}")
-        config.seed = int(raw["seeds"])
+        config.seed = _number("seeds", raw["seeds"], int)
     if "steps" in raw:
-        config.profile_steps = int(raw["steps"])
+        config.profile_steps = _number("steps", raw["steps"], int)
     config.tolerances = raw["tolerances"]
     return config
 
@@ -125,6 +126,8 @@ def _row(c: Check) -> list[str]:
 
 def _typed(row: list[str]) -> list:
     """A printed row read back: the numbers as floats, pass as a bool."""
+    if row[7] not in ("true", "false"):
+        raise ValueError(f"pass must be true or false, got {row[7]!r}")
     return [*row[:4], *map(float, row[4:7]), row[7] == "true"]
 
 

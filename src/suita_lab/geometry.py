@@ -339,6 +339,7 @@ class PolarComplement:
 Domain = Union[Disc, Annulus, MoebiusImage, Polygon, PolarComplement]
 
 UNIT_DISC = Disc(0j, 1.0)
+SERIES_CORES = (Disc, Annulus)  # the cores with a series Green function (pull_back)
 
 
 def _polygon_signed_area(vertices) -> float:
@@ -463,7 +464,7 @@ def pull_back(domain: Domain, w: Point, check: bool = True) -> PullBack:
     the image of infinity raises ZeroDivisionError.
     """
     core, coeffs = flatten_moebius(domain)
-    if not isinstance(core, (Disc, Annulus)):
+    if not isinstance(core, SERIES_CORES):
         raise UnsupportedDomain(f"no series Green function for {type(core).__name__}; use the Monte Carlo oracle")
     if coeffs == IDENTITY_COEFFS:
         pb = PullBack(core, None, w)
@@ -534,8 +535,16 @@ def bounding_box(domain: Domain) -> tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace("i", "j"))
+def _numbers(text: str, shape: str, literal: str, kind=float) -> list:
+    """The comma-separated numbers of one field of a literal, as many as
+    shape names: floats, or complex numbers written with i or j."""
+    parts = text.split(",")
+    if len(parts) != shape.count(",") + 1:
+        raise InvalidDomain(f"{literal!r} needs {shape}, got {text!r}")
+    try:
+        return [complex(p.strip().replace("i", "j")) if kind is complex else float(p) for p in parts]
+    except ValueError:
+        raise InvalidDomain(f"not a number in {text!r} of {literal!r}") from None
 
 
 def parse_domain(literal: str) -> Domain:
@@ -553,30 +562,17 @@ def parse_domain(literal: str) -> Domain:
     if not sep:
         raise InvalidDomain(f"malformed domain literal {literal!r}")
     if head == "disc":
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise InvalidDomain(f"disc literal needs cx,cy,r: {literal!r}")
-        cx, cy, r = (float(p) for p in parts)
+        cx, cy, r = _numbers(rest, "cx,cy,r", literal)
         return Disc(complex(cx, cy), r)
     if head == "annulus":
-        return Annulus(float(rest))
+        return Annulus(*_numbers(rest, "q", literal))
     if head == "polygon":
-        pts = []
-        for chunk in rest.split(";"):
-            xy = chunk.split(",")
-            if len(xy) != 2:
-                raise InvalidDomain(f"polygon vertex needs x,y: {chunk!r}")
-            pts.append(complex(float(xy[0]), float(xy[1])))
-        return Polygon(pts)
+        return Polygon([complex(*_numbers(chunk, "x,y", literal)) for chunk in rest.split(";")])
     if head == "moebius":
         coeff_text, sep, base_text = rest.partition(";base=")
         if not sep:
             raise InvalidDomain(f"moebius literal needs ;base=<literal>: {literal!r}")
-        parts = coeff_text.split(",")
-        if len(parts) != 4:
-            raise InvalidDomain(f"moebius literal needs a,b,c,d: {literal!r}")
-        a, b, c, d = (_parse_complex(p) for p in parts)
-        return MoebiusImage(parse_domain(base_text), a, b, c, d)
+        return MoebiusImage(parse_domain(base_text), *_numbers(coeff_text, "a,b,c,d", literal, complex))
     raise InvalidDomain(f"unknown domain kind {head!r}")
 
 

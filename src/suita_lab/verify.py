@@ -21,6 +21,12 @@ has no tolerance are not in the table: blb_monotone (a drop must stay
 within the profile's own error estimates), thm4 (a second difference
 below minus its noise floor) and the characterization lines (K_j > 0,
 or K_j == 0 on a polar complement).
+
+The plan is one list of rows (family, literal, pole, params) in report
+order (plan_rows), and run_suite runs each row through its function in
+FAMILIES.  Every row, flux and oracles included, runs only on a domain that
+the config's entries name; a check that does not apply to its sample gives
+one passing line whose params open with status=.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from . import geometry as geo
 from . import green as gr
 from . import oracles as oc
 from . import sublevel as sl
-from .errors import ConvergenceFailure, InvalidArgument, NoCriticalPoint, SkippedDegenerate, UnsupportedDomain
-from .geometry import Annulus, Disc, Domain, Point, PolarComplement
+from .errors import ConvergenceFailure, InvalidArgument, NoCriticalPoint, SkippedDegenerate
+from .geometry import Domain, Point, PolarComplement
 
 THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
 GOLDEN_RADIUS_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0
@@ -102,11 +108,6 @@ def _line(name, domain, w, params, lhs, rhs, passed, margin=None) -> Check:
     if margin is None:
         margin = rhs - lhs
     return Check(name, geo.domain_literal(domain), _fmt_pole(w), params, lhs, rhs, margin, bool(passed))
-
-
-def _skipped(name, domain, w, status, exc) -> Check:
-    """A passing line for a sample where the check does not apply."""
-    return _line(name, domain, w, f"status={status};{exc}", 0.0, 0.0, True)
 
 
 def _check(name, domain, w, params, lhs, rhs, overrides=None) -> Check:
@@ -253,7 +254,7 @@ def _seeded_interior_points(domain: Domain, w: Point, count: int, seed: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# Suite assembly
+# Suite assembly: the plan is a list of rows, and one loop runs them
 # ---------------------------------------------------------------------------
 
 
@@ -261,8 +262,9 @@ def _seeded_interior_points(domain: Domain, w: Point, count: int, seed: int) -> 
 class SuiteConfig:
     """Sample plan and knobs for run_suite; defaults mirror default_plan().
 
-    seed drives the Monte Carlo oracles (the polygon symmetry check also
-    uses seed + 1).
+    entries also names the domains of the whole plan (plan_rows).  seed
+    drives the Monte Carlo oracles (the polygon symmetry check also uses
+    seed + 1).
     """
 
     entries: list[tuple[str, complex]] = field(default_factory=lambda: default_plan())
@@ -283,8 +285,6 @@ class SuiteConfig:
     seed: int = 42
     profile_steps: int = 16
     j_max: int = 3
-    wos_walks: int = 10_000
-    mc_samples: int = 200_000
 
 
 def default_plan() -> list[tuple[str, complex]]:
@@ -305,69 +305,121 @@ def default_plan() -> list[tuple[str, complex]]:
     return plan
 
 
-def _kernel_supported(domain: Domain, w: Point) -> bool:
-    """Whether domain has the series that the kernel and Green checks read."""
-    try:
-        geo.pull_back(domain, w)
-    except UnsupportedDomain:
-        return False
-    return True
+# A row is (family, literal, pole, params): a family of FAMILIES run at
+# (literal, pole).  The referee rows carry their own walk and sample counts.
+REFEREE_ROWS = [
+    ("flux", "disc:0,0,1", 0j, {"n": 512}),
+    ("flux", "disc:0,0,1", 0.5 + 0j, {"n": 512}),
+    ("flux", "annulus:0.5", 0.7 + 0j, {"n": 1024}),
+    ("oracle_wos_green", "annulus:0.5", 0.7 + 0j, {"at": 0.55 + 0.3j, "walks": 10_000}),
+    ("oracle_wos_green", "annulus:0.5", 0.7 + 0j, {"at": -0.62 + 0.1j, "walks": 10_000}),
+    ("oracle_mc_area", "annulus:0.5", 0.7 + 0j, {"levels": (-0.5, -1.0), "samples": 200_000}),
+    ("oracle_robin", "disc:0,0,1", 0.5 + 0j, {}),
+    ("oracle_robin", "annulus:0.5", 0.7 + 0j, {}),
+    ("oracle_robin", "moebius:1,-0.3,-0.3,1;base=disc:0,0,1", 0.2 + 0.1j, {}),
+    ("oracle_polygon_symmetry", "polygon:0,0;1,0;1,1;0,1", 0.5 + 0.5j, {"at": 0.25 + 0.25j, "walks": 5_000}),
+]
+
+
+def _flux(domain, w, params, config) -> list[Check]:
+    flux = gr.boundary_flux(domain, w, params["n"])
+    error = abs(flux - 2 * math.pi)
+    passed = error <= _tol("flux", config.tolerances) * 2 * math.pi
+    return [_line("flux", domain, w, f"n={params['n']}", flux, 2 * math.pi, passed, margin=-error)]
+
+
+def _within(name, domain, w, params, diff, bound, config) -> list[Check]:
+    """An oracle line: |diff| at most the bound, plus the oracle tolerance."""
+    return [_line(name, domain, w, params, abs(diff), bound, abs(diff) <= bound + _tol("oracle", config.tolerances))]
+
+
+def _wos_green(domain, w, params, config) -> list[Check]:
+    z, seed = params["at"], config.seed
+    est = oc.wos_green(domain, w, z, params["walks"], seed)
+    diff = est.mean - gr.green_eval(domain, w, z).value
+    return _within("oracle_wos_green", domain, w, f"z={_fmt_pole(z)};walks={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
+
+
+def _mc_area(domain, w, params, config) -> list[Check]:
+    """Every level of the row reads its reference from one LevelField."""
+    levels, seed, out = sl.LevelField(domain, w), config.seed, []
+    for t in params["levels"]:
+        est = oc.mc_area(domain, w, t, params["samples"], seed)
+        diff = est.mean - levels.area(t).value
+        out += _within("oracle_mc_area", domain, w, f"t={t};samples={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
+    return out
+
+
+def _robin(domain, w, params, config) -> list[Check]:
+    radii = [0.25 * geo.boundary_distance(domain, w) / 2**k for k in range(5)]
+    diff = gr.robin_capacity(domain, w).capacity - oc.robin_extrapolate(domain, w, radii)[0]
+    return _within("oracle_robin", domain, w, f"radii={radii[0]:.6g}..{radii[-1]:.6g}", diff, 1e-6, config)
+
+
+def _polygon_symmetry(domain, w, params, config) -> list[Check]:
+    """G(w, z) = G(z, w) from two walk estimates, seeded seed and seed + 1."""
+    z, walks, seed = params["at"], params["walks"], config.seed
+    a = oc.wos_green(domain, w, z, walks, seed)
+    b = oc.wos_green(domain, z, w, walks, seed + 1)
+    bound = 3.0 * math.hypot(a.std_error, b.std_error)
+    return _within("oracle_polygon_symmetry", domain, w, f"walks={a.samples};seed={seed}", a.mean - b.mean, bound, config)
+
+
+# family -> (domain, pole, row params, config) -> report lines
+FAMILIES = {
+    "suita": lambda d, w, p, cfg: suita_check(d, w, cfg.j_max, cfg.tolerances),
+    "thm1": lambda d, w, p, cfg: thm1_check(d, w, overrides=cfg.tolerances),
+    "thm2": lambda d, w, p, cfg: [thm2_check(d, w, cfg.tolerances)],
+    "poisson": lambda d, w, p, cfg: [poisson_step_check(d, w, 0.5 * geo.boundary_distance(d, w), cfg.tolerances)],
+    "blb": lambda d, w, p, cfg: blb_check(d, w, sl.profile_scan(d, w, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances),
+    "thm4": lambda d, w, p, cfg: [thm4_scan(d, w, steps=THM4_STEPS)[1]],
+    "characterization": lambda d, w, p, cfg: characterization_probe([(d, w)]),
+    "flux": _flux,
+    "oracle_wos_green": _wos_green,
+    "oracle_mc_area": _mc_area,
+    "oracle_robin": _robin,
+    "oracle_polygon_symmetry": _polygon_symmetry,
+}
+
+# The series gate: the kernel families run only on a domain whose core has
+# a series, and suita also on the polar complement, where K = c = 0.
+_CORES = {"suita": (*geo.SERIES_CORES, PolarComplement), "thm1": geo.SERIES_CORES, "thm2": geo.SERIES_CORES, "poisson": geo.SERIES_CORES}
+
+
+def plan_rows(config: SuiteConfig) -> list[tuple]:
+    """The rows of run_suite in report order: suita, thm1, thm2 and poisson
+    per entry, the blb, thm4 and characterization entries, then the referee
+    rows; each kept only on a domain that config.entries names."""
+    canonical = lambda literal: geo.domain_literal(geo.parse_domain(literal))
+    named = {canonical(literal) for literal, _ in config.entries}
+    rows = [(fam, lit, w, {}) for lit, w in config.entries for fam in ("suita", "thm1", "thm2", "poisson")]
+    rows += [("blb", lit, w, {"t": (t_min, t_max)}) for lit, w, t_min, t_max in config.blb_entries]
+    rows += [("thm4", lit, w, {}) for lit, w in config.thm4_entries]
+    rows += [("characterization", lit, w, {}) for lit, w in config.char_entries]
+    return [row for row in rows + REFEREE_ROWS if canonical(row[1]) in named]
 
 
 def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> VerificationReport:
-    """Run the configured checks; failures are recorded, never raised."""
+    """Run the plan's rows, or one family's; failures are recorded, never
+    raised.  A row that fails the series gate (_CORES) gives no line."""
     config = config or SuiteConfig()
     t_start = time.perf_counter()
-    overrides = config.tolerances
     checks: list[Check] = []
-    thm2_ratios: list[float] = []
-    want = lambda fam: suite in ("all", fam)
-
-    for literal, w in config.entries:
-        domain = geo.parse_domain(literal)
-        polar = isinstance(domain, PolarComplement)
-        series = _kernel_supported(domain, w)
-        if want("suita") and (series or polar):
-            checks += suita_check(domain, w, config.j_max, overrides)
-        if not series:
+    for family, literal, w, params in plan_rows(config):
+        if suite not in ("all", family):
             continue
-        if want("thm1"):
-            checks += thm1_check(domain, w, overrides=overrides)
-        if want("thm2"):
-            try:
-                check = thm2_check(domain, w, overrides)
-                checks.append(check)
-                # empirical constant K * delta^2 * log(1/(delta c)) as data
-                thm2_ratios.append(check.lhs / check.rhs * THM2_CONSTANT)
-            except SkippedDegenerate as exc:
-                checks.append(_skipped("thm2", domain, w, "skipped_degenerate", exc))
-        if want("poisson"):
-            delta = geo.boundary_distance(domain, w)
-            checks.append(poisson_step_check(domain, w, 0.5 * delta, overrides))
+        domain = geo.parse_domain(literal)
+        cores = _CORES.get(family)
+        if cores and not isinstance(geo.flatten_moebius(domain)[0], cores):
+            continue
+        try:
+            checks += FAMILIES[family](domain, w, params, config)
+        except (SkippedDegenerate, NoCriticalPoint) as exc:
+            status = "skipped_degenerate" if isinstance(exc, SkippedDegenerate) else "skipped"
+            checks.append(_line(family, domain, w, f"status={status};{exc}", 0.0, 0.0, True))
 
-    if want("blb"):
-        for literal, w, t_min, t_max in config.blb_entries:
-            domain = geo.parse_domain(literal)
-            profile = sl.profile_scan(domain, w, t_min, t_max, config.profile_steps, with_gamma=False)
-            checks += blb_check(domain, w, profile, overrides)
-
-    if want("thm4"):
-        for literal, w in config.thm4_entries:
-            domain = geo.parse_domain(literal)
-            try:
-                _, check = thm4_scan(domain, w, steps=THM4_STEPS)
-                checks.append(check)
-            except NoCriticalPoint as exc:
-                checks.append(_skipped("thm4", domain, w, "skipped", exc))
-
-    if want("characterization"):
-        samples = [(geo.parse_domain(lit), w) for lit, w in config.char_entries]
-        checks += characterization_probe(samples)
-
-    if suite == "all":
-        checks += _flux_checks(config, overrides)
-        checks += _oracle_checks(config, overrides)
-
+    # the empirical constant K * delta^2 * log(1/(delta c)) of each thm2 line, as data
+    thm2_ratios = [c.lhs / c.rhs * THM2_CONSTANT for c in checks if c.name == "thm2" and c.rhs != 0]
     metadata = {
         "suite": suite,
         "domains": [lit for lit, _ in config.entries],
@@ -375,67 +427,10 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
         "seed": config.seed,
         "profile_steps": config.profile_steps,
         "j_max": config.j_max,
-        "tolerances": {**DEFAULT_TOLERANCES, **overrides},
+        "tolerances": {**DEFAULT_TOLERANCES, **config.tolerances},
         "thm2_empirical_max": max(thm2_ratios) if thm2_ratios else None,
         "checks_total": len(checks),
         "checks_failed": sum(1 for c in checks if not c.passed),
         "wall_time_s": round(time.perf_counter() - t_start, 3),
     }
     return VerificationReport(checks=checks, metadata=metadata)
-
-
-def _flux_checks(config: SuiteConfig, overrides) -> list[Check]:
-    out = []
-    for literal, w, n in (
-        ("disc:0,0,1", 0j, 512),
-        ("disc:0,0,1", 0.5 + 0j, 512),
-        ("annulus:0.5", 0.7 + 0j, 1024),
-    ):
-        domain = geo.parse_domain(literal)
-        flux = gr.boundary_flux(domain, w, n)
-        error = abs(flux - 2 * math.pi)
-        passed = error <= _tol("flux", overrides) * 2 * math.pi
-        out.append(_line("flux", domain, w, f"n={n}", flux, 2 * math.pi, passed, margin=-error))
-    return out
-
-
-def _oracle_checks(config: SuiteConfig, overrides) -> list[Check]:
-    seed = config.seed
-    tol = _tol("oracle", overrides)
-    out = []
-
-    def stat_check(name, domain, w, params, diff, sigma):
-        out.append(_line(name, domain, w, params, abs(diff), 3.0 * sigma, abs(diff) <= 3.0 * sigma + tol))
-
-    ann = Annulus(0.5)
-    for z in (0.55 + 0.3j, -0.62 + 0.1j):
-        est = oc.wos_green(ann, 0.7 + 0j, z, config.wos_walks, seed)
-        ref = gr.green_eval(ann, 0.7 + 0j, z).value
-        stat_check("oracle_wos_green", ann, 0.7 + 0j, f"z={_fmt_pole(z)};walks={est.samples};seed={seed}", est.mean - ref, est.std_error)
-
-    field = sl.LevelField(ann, 0.7 + 0j)
-    for t in (-0.5, -1.0):
-        est = oc.mc_area(ann, 0.7 + 0j, t, config.mc_samples, seed)
-        ref = field.area(t).value
-        stat_check("oracle_mc_area", ann, 0.7 + 0j, f"t={t};samples={est.samples};seed={seed}", est.mean - ref, est.std_error)
-
-    for domain, w in ((Disc(0j, 1.0), 0.5 + 0j), (ann, 0.7 + 0j), (geo.parse_domain("moebius:1,-0.3,-0.3,1;base=disc:0,0,1"), 0.2 + 0.1j)):
-        series = gr.robin_capacity(domain, w).capacity
-        radii = [0.25 * geo.boundary_distance(domain, w) / 2**k for k in range(5)]
-        limit, _ = oc.robin_extrapolate(domain, w, radii)
-        diff = abs(series - limit)
-        params = f"radii={radii[0]:.6g}..{radii[-1]:.6g}"
-        out.append(_line("oracle_robin", domain, w, params, diff, 1e-6, diff <= 1e-6 + tol))
-
-    square = geo.parse_domain("polygon:0,0;1,0;1,1;0,1")
-    a = oc.wos_green(square, 0.5 + 0.5j, 0.25 + 0.25j, config.wos_walks // 2, seed)
-    b = oc.wos_green(square, 0.25 + 0.25j, 0.5 + 0.5j, config.wos_walks // 2, seed + 1)
-    stat_check(
-        "oracle_polygon_symmetry",
-        square,
-        0.5 + 0.5j,
-        f"walks={a.samples};seed={seed}",
-        a.mean - b.mean,
-        math.hypot(a.std_error, b.std_error),
-    )
-    return out

@@ -262,8 +262,6 @@ def test_criterion_12_negative_controls(unit_disc):
         char_entries=[],
         tolerances={"all": 0.0},
         profile_steps=8,
-        wos_walks=10_000,
-        mc_samples=20_000,
     )
     zero_tol = vf.run_suite(config)
     report(

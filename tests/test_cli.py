@@ -16,7 +16,7 @@ from suita_lab import green as gr
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
 from suita_lab import weights as wt
-from suita_lab.errors import ConfigError
+from suita_lab.errors import ConfigError, InvalidDomain
 from suita_lab.geometry import Annulus, Disc
 
 
@@ -188,13 +188,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("domains", ["disc:0,0,1 | annulus:0.5", "disc:0,0,1.0 | annulus:0.50"])
     def test_plans_follow_equivalent_literals(self, tmp_path, domains):
-        # the profile, thm4 and probe plans are kept for a configured domain
+        # the profile, thm4 and probe rows are kept for a configured domain
         # however its literal is written
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(f"domains = {domains}\npoles = 0.7,0\n")
         config = cli.suite_config_from_file(str(cfg))
         assert len(config.entries) == 2
-        assert (len(config.blb_entries), len(config.thm4_entries), len(config.char_entries)) == (2, 1, 2)
+        families = Counter(family for family, *_ in vf.plan_rows(config))
+        assert (families["blb"], families["thm4"], families["characterization"]) == (2, 1, 2)
 
     def test_poles_without_domains_rejected(self, tmp_path, capsys):
         # the poles pair with configured domains only; alone they would
@@ -234,6 +235,52 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             cli.suite_config_from_file(str(cfg))
 
+    def test_one_domain_config_stays_on_its_domain(self, tmp_path):
+        # every row, flux and oracles included, runs only on the configured
+        # domain: 4 suita, 4 thm1, thm2, poisson and thm4 on annulus:0.3
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("domains = annulus:0.3\npoles = 0.55,0\n")
+        out = tmp_path / "r.csv"
+        assert run_cli(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+        assert len(rows) == 11
+        assert {domain for _, domain, *_ in rows} == {"annulus:0.3"}
+        families = Counter(name.split("[", 1)[0] for name, *_ in rows)
+        assert families == {"suita": 4, "thm1": 4, "thm2": 1, "poisson": 1, "thm4": 1}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("poles = 0.2,0\n", "line 3: 'poles' given twice"),
+            ("tolerance.suita = 1e-6\ntolerance.suita = 1e-7\n", "line 4: 'tolerance.suita' given twice"),
+            ("seeds = 1.5\n", "seeds needs an integer, got '1.5'"),
+            ("steps = x\n", "steps needs an integer, got 'x'"),
+            ("tolerance.suita = abc\n", "tolerance.suita needs a number, got 'abc'"),
+        ],
+        ids=["poles-twice", "tolerance-twice", "seeds-float", "steps-word", "tolerance-word"],
+    )
+    def test_unreadable_values_refused(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("domains = disc:0,0,1\npoles = 0.5,0\n" + text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli.suite_config_from_file(str(cfg))
+        assert run_cli(["verify", "--suite", "suita", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("domains = annulus:abc\npoles = 0.5,0\n", InvalidDomain, "not a number in 'abc' of 'annulus:abc'"),
+            ("domains = disc:0,0,1\npoles = x,0\n", ConfigError, "point needs x,y: 'x,0'"),
+        ],
+        ids=["domain", "pole"],
+    )
+    def test_unreadable_entries_refused(self, tmp_path, text, error, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(error, match=re.escape(message)):
+            cli.suite_config_from_file(str(cfg))
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -242,8 +289,6 @@ def report():
         blb_entries=[],
         thm4_entries=[],
         char_entries=[],
-        wos_walks=5_000,
-        mc_samples=10_000,
     )
     return vf.run_suite(config, suite="suita")
 
@@ -298,6 +343,17 @@ class TestReports:
         with pytest.raises(ConfigError, match=message):
             cli.parse_report_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["yes", "True", "1", ""])
+    def test_pass_value_is_true_or_false(self, report, tmp_path, value):
+        # any other pass value is refused, not read as a failed check
+        path = tmp_path / "bad.csv"
+        cli.emit_report(report, str(path), "csv")
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"line 3: pass must be true or false, got '{value}'"):
+            cli.parse_report_csv(str(path))
+
 
 class TestVerifyCommand:
     def test_exit_zero_when_green(self, tmp_path, capsys):
@@ -342,6 +398,12 @@ class TestVerifyCommand:
         # tests/default_report.csv holds the default plan's report.csv; a
         # change that moves a line regenerates it and names the line
         assert cli.report_csv_text(default_report).encode() == GOLDEN.read_bytes()
+
+    def test_verify_command_writes_golden_report(self, tmp_path, capsys):
+        # the cli.main path that users and the benchmark take
+        out = tmp_path / "cli.csv"
+        assert run_cli(["verify", "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN.read_bytes()
 
     def test_default_plan_json_rows_match_golden_report(self, default_report):
         header, *rows = csv.reader(io.StringIO(GOLDEN.read_text()))

@@ -20,7 +20,7 @@ from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
-from suita_lab.errors import InvalidArgument, LevelAbovePeak, PointOutsideDomain, UnsupportedDomain, WindowTooNarrow
+from suita_lab.errors import InvalidArgument, InvalidDomain, LevelAbovePeak, PointOutsideDomain, UnsupportedDomain, WindowTooNarrow
 from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement, Polygon
 
 _DISC = Disc(0j, 1.0)
@@ -122,7 +122,7 @@ def test_polar_complement_values():
 
 # Refusals of the inputs themselves, on a supported family: a level range,
 # a level, a window, a radius, an order or a count that the operation cannot
-# serve.  An InvalidArgument is also a ValueError, for callers that catch one.
+# serve, and a domain literal with a field that is not a number.  An InvalidArgument is also a ValueError, for callers that catch one.
 REFUSALS = {
     "profile_scan t_max = 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.0, 8), LevelAbovePeak),
     "profile_scan t_max > 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.5, 8), LevelAbovePeak),
@@ -144,6 +144,10 @@ REFUSALS = {
     "poisson r > delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, 0.3), InvalidArgument),
     "kernel_j order 13": (lambda: bg.kernel_j(_RING, 0.7 + 0j, 13), InvalidArgument),
     "basis_norms empty range": (lambda: bg.basis_norms(_RING, 3, 2), InvalidArgument),
+    **{
+        f"literal {literal}": (lambda literal=literal: geo.parse_domain(literal), InvalidDomain)
+        for literal in ("annulus:abc", "disc:0,x,1", "moebius:1,0,0,zz;base=disc:0,0,1", "polygon:0,0;1,q;1,1")
+    },
 }
 
 

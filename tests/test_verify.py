@@ -1,13 +1,15 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from suita_lab import cli
 from suita_lab import green as gr
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
-from suita_lab.errors import ConvergenceFailure, NoCriticalPoint, SkippedDegenerate
+from suita_lab.errors import ConvergenceFailure, NoCriticalPoint, SkippedDegenerate, UnsupportedDomain
 from suita_lab.geometry import Disc, PolarComplement, parse_domain
 
 
@@ -169,8 +171,6 @@ def small_config():
         thm4_entries=[],
         char_entries=[("polar-complement", 1 + 0j)],
         profile_steps=8,
-        wos_walks=20_000,
-        mc_samples=50_000,
     )
 
 
@@ -213,9 +213,10 @@ class TestRunSuite:
                 super().__init__(*args)
 
         monkeypatch.setattr(sl, "LevelField", Counted)
-        cfg = vf.SuiteConfig(wos_walks=1000, mc_samples=1000)
-        checks = vf._oracle_checks(cfg, {})
-        assert [c.params.split(";")[0] for c in checks if c.name == "oracle_mc_area"] == ["t=-0.5", "t=-1.0"]
+        (row,) = [row for row in vf.REFEREE_ROWS if row[0] == "oracle_mc_area"]
+        family, literal, w, params = row
+        checks = vf.FAMILIES[family](parse_domain(literal), w, {**params, "samples": 1000}, vf.SuiteConfig())
+        assert [c.params.split(";")[0] for c in checks] == ["t=-0.5", "t=-1.0"]
         assert len(built) == 1
 
     def test_default_plan_shape(self):
@@ -232,3 +233,65 @@ class TestRunSuite:
             from suita_lab.geometry import contains
 
             assert contains(domain, w)
+
+
+GOLDEN = Path(__file__).parent / "default_report.csv"
+
+# the report families of each --suite choice
+SUITE_LINES = {
+    "suita": ("suita",),
+    "thm1": ("thm1",),
+    "thm2": ("thm2",),
+    "blb": ("blb_lower", "blb_monotone"),
+    "thm4": ("thm4",),
+    "poisson": ("poisson",),
+    "characterization": ("char_pos", "char_zero", "char_subharmonic"),
+}
+
+
+def _name_family(line: str) -> str:
+    return line.split(",", 1)[0].split("[", 1)[0]
+
+
+class TestPlan:
+    @pytest.mark.parametrize("suite", list(SUITE_LINES))
+    def test_suite_choice_is_its_golden_lines(self, suite):
+        header, *lines = GOLDEN.read_text().splitlines()
+        expected = [line for line in lines if _name_family(line) in SUITE_LINES[suite]]
+        assert expected
+        assert cli.report_csv_text(vf.run_suite(suite=suite)).splitlines() == [header, *expected]
+
+    def test_every_family_has_a_default_row(self):
+        assert {family for family, *_ in vf.plan_rows(vf.SuiteConfig())} == set(vf.FAMILIES)
+
+    @pytest.mark.parametrize("family", ["thm1", "suita", "flux"])
+    def test_family_tolerance_reaches_only_its_lines(self, family):
+        # tolerance.<family> = 0 fails exactly the lines of that family with a
+        # negative margin (none for thm1), and leaves every other line as it was
+        config = vf.SuiteConfig(tolerances=cli.parse_config(f"tolerance.{family} = 0\n")["tolerances"])
+        header, *golden = GOLDEN.read_text().splitlines()
+        flips = {i for i, c in enumerate(cli.parse_report_csv(str(GOLDEN))) if _name_family(c.name) == family and c.margin < 0}
+        expected = [line.removesuffix(",true") + ",false" if i in flips else line for i, line in enumerate(golden)]
+        assert cli.report_csv_text(vf.run_suite(config)).splitlines() == [header, *expected]
+        assert bool(flips) == (family != "thm1")
+
+    def test_thm4_skip_on_a_disc(self):
+        config = vf.SuiteConfig(entries=[("disc:0,0,1", 0j)], thm4_entries=[("disc:0,0,1", 0j)])
+        (check,) = vf.run_suite(config, suite="thm4").checks
+        assert (check.name, check.passed) == ("thm4", True)
+        assert check.params.startswith("status=skipped;")
+
+    def test_series_gate_does_not_hide_a_refusal(self, monkeypatch):
+        # the gate is taken per row before the family runs, so a refusal
+        # raised inside a check on a supported domain still reaches the caller
+        def refuse(*args):
+            raise UnsupportedDomain("refused inside the check")
+
+        monkeypatch.setattr(gr, "disc_max_green", refuse)
+        with pytest.raises(UnsupportedDomain, match="inside the check"):
+            vf.run_suite(vf.SuiteConfig(entries=[("disc:0,0,1", 0.5 + 0j)]), suite="thm1")
+
+    def test_empty_entries_give_an_empty_plan(self):
+        config = vf.SuiteConfig(entries=[])
+        assert vf.plan_rows(config) == []
+        assert vf.run_suite(config).checks == []
