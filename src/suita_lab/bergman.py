@@ -55,9 +55,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry as geo
-from .errors import InvalidArgument, PointOutsideDomain, StencilOutsideDomain, TruncationFailure, UnsupportedDomain
+from .errors import InvalidArgument, PointOutsideDomain, TruncationFailure, UnsupportedDomain
 from .geometry import Annulus, Disc, Domain, Point, PolarComplement
-from .green import _dual_log_nome, annulus_dual_terms
+from .green import _dual_log_nome, annulus_dual_terms, robin_capacity
 
 MAX_ORDER = 12  # factorial growth makes higher orders pointless in doubles
 _EPS = float(np.finfo(float).eps)
@@ -270,11 +270,12 @@ def kernel_j(domain: Domain, w: Point, j: int) -> KernelResult:
     pb = geo.pull_back(domain, w)
     r = abs(pb.zeta_w)
     if isinstance(pb.core, Disc):
-        cap = 1.0 / ((1.0 - r) * (1.0 + r))
-        if pb.coeffs is not None:
-            cap /= abs(geo.moebius_fprime(pb.coeffs, pb.zeta_w))
-        value = math.factorial(j) * math.factorial(j + 1) / math.pi * cap ** (2 * j + 2)
-        bound = value * ((2 * j + 2) * 8 * _EPS / (1.0 - r) + (2 * j + 4) * _EPS)
+        cap = robin_capacity(domain, w)
+        value = math.factorial(j) * math.factorial(j + 1) / math.pi * cap.capacity ** (2 * j + 2)
+        # c is off by a few roundings of |zeta| and, on an image, by those of
+        # the log and exp that scale it by 1/|F'|: log c_0 <= -log(1 - r)
+        rel = 8 * _EPS / (1.0 - r) + 2 * _EPS * (abs(cap.robin_constant) - 2 * math.log1p(-r) + 1)
+        bound = value * ((2 * j + 2) * rel + (2 * j + 4) * _EPS)
         return KernelResult(order=j, value=value, truncation_order=1, tail_bound=bound)
     p = _point(pb, w, j)
     value, bound = _last_pivot(*_block(p, p, j, j))
@@ -316,7 +317,7 @@ def laplacian_identity_check(
     stencil = [w, w + h, w - h, w + 1j * h, w - 1j * h]
     for p in stencil:
         if not geo.contains(domain, p):
-            raise StencilOutsideDomain(f"stencil point {p} leaves the domain")
+            raise PointOutsideDomain(f"stencil point {p} leaves the domain")
     ratio = kernel_j(domain, w, j + 1).value / kernel_j(domain, w, j).value
     logs = [math.log(pinned_kernel(domain, w, j, p)) for p in stencil]
     fd = (logs[1] + logs[2] + logs[3] + logs[4] - 4 * logs[0]) / (4 * h * h)

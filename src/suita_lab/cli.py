@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -73,7 +74,10 @@ def parse_config(text: str) -> dict:
             family = key[len("tolerance.") :]
             if family != "all" and family not in vf.DEFAULT_TOLERANCES:
                 raise ConfigError(f"line {lineno}: no tolerance family {family!r}; known: all, {', '.join(vf.DEFAULT_TOLERANCES)}")
-            out["tolerances"][family] = _number(key, value, float)
+            tol = _number(key, value, float)
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ConfigError(f"line {lineno}: {key} needs a finite number >= 0, got {value!r}")
+            out["tolerances"][family] = tol
         elif key in _KNOWN_KEYS:
             out[key] = value
         else:

@@ -2,7 +2,8 @@
 
 Every operation that can reject its input raises one of these instead of a
 bare ValueError, so callers (and the verification suite) can tell a contract
-violation from a numerical failure.
+violation from a numerical failure.  Each kind of refusal has one class; the
+README's refusal table gives each with an example.
 """
 
 
@@ -15,23 +16,17 @@ class InvalidDomain(SuitaLabError):
 
 
 class PointOutsideDomain(SuitaLabError):
-    """A query point required to be interior is not."""
+    """A point required to be interior is not: a pole or query point outside
+    the domain, a stencil point past the boundary, or a query at the pole."""
 
 
 class UnsupportedDomain(SuitaLabError):
     """The operation has no implementation for this domain variant."""
 
 
-class CoincidentPoints(SuitaLabError):
-    """Green function evaluated at its pole."""
-
-
-class RadiusTooLarge(SuitaLabError):
-    """Disc radius exceeds the distance to the boundary."""
-
-
 class ConvergenceFailure(SuitaLabError):
-    """An iterative refinement stalled above its residual tolerance."""
+    """An iteration did not settle: Newton sweeps, Richardson extrapolants or
+    Monte Carlo walks that fail to reach the boundary."""
 
 
 class NoCriticalPoint(SuitaLabError):
@@ -42,36 +37,12 @@ class TruncationFailure(SuitaLabError):
     """Series truncation target unreachable within the term budget."""
 
 
-class ExtrapolationUnstable(SuitaLabError):
-    """Richardson extrapolants failed to settle."""
-
-
-class NonConvergence(SuitaLabError):
-    """Monte Carlo walks failed to reach the boundary capture rate."""
-
-
-class TooFewSamples(SuitaLabError):
-    """A Monte Carlo estimate needs more samples than were asked for."""
-
-
-class LevelAbovePeak(SuitaLabError):
-    """Sublevel queries need a negative level t < 0."""
-
-
 class CriticalLevel(SuitaLabError):
     """Level too close to a critical value of the Green function."""
 
 
 class BelowResolution(SuitaLabError):
     """Sublevel area smaller than its own error estimate."""
-
-
-class StencilOutsideDomain(SuitaLabError):
-    """Finite-difference stencil leaves the domain."""
-
-
-class WindowTooNarrow(SuitaLabError):
-    """Convexity window contains too few profile samples."""
 
 
 class SkippedDegenerate(SuitaLabError):
@@ -84,4 +55,5 @@ class ConfigError(SuitaLabError):
 
 class InvalidArgument(SuitaLabError, ValueError):
     """An argument outside the range the operation serves (an order, a
-    count, a radius).  Also a ValueError, which callers may still catch."""
+    count, a radius, a level, a window).  Also a ValueError, which callers
+    may still catch."""

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import CoincidentPoints, ConvergenceFailure, InvalidArgument, PointOutsideDomain, RadiusTooLarge
+from .errors import ConvergenceFailure, InvalidArgument, PointOutsideDomain
 from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def green_eval(domain: Domain, w: Point, z: Point) -> GreenValue:
     on the series truncation error of G (0 for closed forms)."""
     pb = geo.pull_back(domain, w)
     if z == w:
-        raise CoincidentPoints("Green function pole: z == w")
+        raise PointOutsideDomain("Green function pole: z == w")
     zs = np.asarray(z, dtype=complex)
     zeta = pb.pull(zs)
     if not geo.contains(pb.core, zeta):
@@ -325,7 +325,7 @@ def disc_max_green(domain: Domain, w: Point, r: float) -> float:
     geo.pull_back(domain, w)  # refuses a domain with no series and a pole outside
     delta = geo.boundary_distance(domain, w)
     if not (0 < r <= delta * (1 + 1e-12)):
-        raise RadiusTooLarge(f"r={r} exceeds boundary distance {delta}")
+        raise InvalidArgument(f"r={r} exceeds boundary distance {delta}")
     if r >= delta:
         return 0.0
     dtheta = 2 * math.pi / _DISC_MAX_ANGLES

@@ -54,15 +54,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import (
-    ExtrapolationUnstable,
-    InvalidArgument,
-    LevelAbovePeak,
-    NonConvergence,
-    PointOutsideDomain,
-    TooFewSamples,
-    UnsupportedDomain,
-)
+from .errors import ConvergenceFailure, InvalidArgument, PointOutsideDomain, UnsupportedDomain
 from .geometry import Annulus, Disc, Domain, Point, Polygon
 from .sublevel import AreaEstimate
 
@@ -232,7 +224,7 @@ def _walk(domain: Domain, z: Point, walks: int, seed: int) -> np.ndarray:
             p.imag += sin
             d[blk] = domain._wall(p)
     if walk.size > 0.001 * walks:
-        raise NonConvergence(f"{walk.size} of {walks} walks uncaptured after {MAX_STEPS} steps")
+        raise ConvergenceFailure(f"{walk.size} of {walks} walks uncaptured after {MAX_STEPS} steps")
     ends[walk] = pos
     for b in range(0, walks, _BLOCK):
         ends[b : b + _BLOCK] = domain._project(ends[b : b + _BLOCK])
@@ -345,7 +337,7 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
     CAPTURE_EPS, or cutting it to 1e-8), three orders below their bounds.
     """
     if walks < 2:
-        raise TooFewSamples(f"need at least 2 walks for a standard error, got {walks}")
+        raise InvalidArgument(f"need at least 2 walks for a standard error, got {walks}")
     if not isinstance(domain, (Disc, Annulus, Polygon)):
         raise UnsupportedDomain("walk-on-spheres supports Disc, Annulus and Polygon")
     if z == w:
@@ -382,9 +374,9 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
 def mc_area(domain: Domain, w: Point, t: float, samples: int, seed: int) -> McEstimate:
     """Rejection-sampled area of {G(., w) < t} over the domain bounding box."""
     if samples < 1:
-        raise TooFewSamples(f"need at least 1 sample, got {samples}")
+        raise InvalidArgument(f"need at least 1 sample, got {samples}")
     if not (t < 0):
-        raise LevelAbovePeak(f"need t < 0, got {t}")
+        raise InvalidArgument(f"need t < 0, got {t}")
     geo.pull_back(domain, w)  # the indicator reads the series field
     x0, x1, y0, y1 = geo.bounding_box(domain)
     hits = 0
@@ -438,7 +430,7 @@ def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
         tableau.append(cur)
     last, prev = tableau[-1][0], tableau[-2][-1]
     if abs(last - prev) > 1e-4:
-        raise ExtrapolationUnstable(f"extrapolants differ by {abs(last - prev)}")
+        raise ConvergenceFailure(f"extrapolants differ by {abs(last - prev)}")
     return math.exp(last), abs(last - prev)
 
 
@@ -567,7 +559,7 @@ def grid_area(domain: Domain, w: Point, t: float, resolution: int = 2048) -> Are
     the subcells the line cuts.  The grid is built in blocks of rows.
     """
     if not (t < 0):
-        raise LevelAbovePeak(f"need t < 0, got {t}")
+        raise InvalidArgument(f"need t < 0, got {t}")
     core, coeffs, w_eff = geo.pull_back(domain, w)
     coeffs = coeffs or geo.IDENTITY_COEFFS
     xs = ys = np.linspace(-1.02, 1.02, resolution + 1)  # the outer circle, |z| = 1

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import BelowResolution, ConvergenceFailure, CriticalLevel, InvalidArgument, LevelAbovePeak, WindowTooNarrow
+from .errors import BelowResolution, ConvergenceFailure, CriticalLevel, InvalidArgument
 from .geometry import Disc, Domain, Point
 
 _EPS = float(np.finfo(float).eps)
@@ -334,7 +334,7 @@ class LevelField:
         is not below its lambda is refused (BelowResolution)."""
         ts = np.asarray(ts, dtype=float)
         if not np.all(ts < 0):
-            raise LevelAbovePeak(f"need t < 0, got {float(np.max(ts))}")
+            raise InvalidArgument(f"need t < 0, got {float(np.max(ts))}")
         if self.disc_map is not None:  # M(D(0, rho)), rho = e^t, for M = (a z + b)/(c z + d)
             a, b, c, d = self.disc_map
             rho2 = np.exp(2.0 * ts)
@@ -372,7 +372,7 @@ class LevelField:
         """Level curves of G at level t as closed polylines in image
         coordinates; resolution (at least 8) sets the samples along each."""
         if not t < 0:
-            raise LevelAbovePeak(f"need t < 0, got {t}")
+            raise InvalidArgument(f"need t < 0, got {t}")
         n = max(resolution, 8)
         if self.disc_map is not None:
             circle = math.exp(t) * np.exp(2j * math.pi * np.arange(n + 1) / n)
@@ -406,7 +406,7 @@ def profile_scan(
     read from one LevelField.  resolution is only recorded on the profile."""
     field = LevelField(domain, w)
     if not (t_min < t_max < 0):
-        raise LevelAbovePeak(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
+        raise InvalidArgument(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
     if steps < 8:
         raise InvalidArgument("need at least 8 profile steps")
     ts = np.linspace(t_min, t_max, steps)
@@ -440,7 +440,7 @@ def convexity_report(profile: SublevelProfile, t0: float) -> ConvexityReport:
     hi = min(ts[-1], t0 + 0.2)
     inner = (ts >= lo) & (ts <= hi) & ~np.isnan(profile.second_diff)
     if np.count_nonzero(inner) < 8:
-        raise WindowTooNarrow(f"only {np.count_nonzero(inner)} usable samples in [{lo}, {hi}]")
+        raise InvalidArgument(f"only {np.count_nonzero(inner)} usable samples in [{lo}, {hi}]")
     rel = profile.err_est / profile.lam
     bound = np.full(len(ts), np.nan)
     bound[1:-1] = (rel[:-2] + 2 * rel[1:-1] + rel[2:]) / (ts[1] - ts[0]) ** 2

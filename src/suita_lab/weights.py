@@ -34,11 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SuitaLabError
-
-
-class DomainError(SuitaLabError):
-    """Weight functions are defined for s < 0 only."""
+from .errors import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ class WeightValues:
 
 def _check_negative(s: np.ndarray):
     if np.any(~(np.asarray(s) < 0)):
-        raise DomainError("weight functions need s < 0")
+        raise InvalidArgument("weight functions need s < 0")
 
 
 def eval_weights(s: float) -> WeightValues:

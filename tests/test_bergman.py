@@ -11,7 +11,7 @@ import pytest
 from suita_lab import bergman as bg
 from suita_lab import geometry as geo
 from suita_lab import green as gr
-from suita_lab.errors import StencilOutsideDomain, TruncationFailure, UnsupportedDomain
+from suita_lab.errors import PointOutsideDomain, TruncationFailure, UnsupportedDomain
 from suita_lab.geometry import Disc, MoebiusImage, PolarComplement
 
 from conftest import interior_points
@@ -338,7 +338,7 @@ class TestLaplacianIdentity:
         assert 2.8 <= rel1 / rel2 <= 5.5
 
     def test_stencil_guard(self, unit_disc):
-        with pytest.raises(StencilOutsideDomain):
+        with pytest.raises(PointOutsideDomain, match="leaves the domain"):
             bg.laplacian_identity_check(unit_disc, 0.9995 + 0j, 0, 1e-3)
 
 

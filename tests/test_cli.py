@@ -256,8 +256,22 @@ class TestConfig:
             ("seeds = 1.5\n", "seeds needs an integer, got '1.5'"),
             ("steps = x\n", "steps needs an integer, got 'x'"),
             ("tolerance.suita = abc\n", "tolerance.suita needs a number, got 'abc'"),
+            ("tolerance.suita = inf\n", "line 3: tolerance.suita needs a finite number >= 0, got 'inf'"),
+            ("tolerance.suita = nan\n", "line 3: tolerance.suita needs a finite number >= 0, got 'nan'"),
+            ("tolerance.suita = -1\n", "line 3: tolerance.suita needs a finite number >= 0, got '-1'"),
+            ("tolerance.all = inf\n", "line 3: tolerance.all needs a finite number >= 0, got 'inf'"),
         ],
-        ids=["poles-twice", "tolerance-twice", "seeds-float", "steps-word", "tolerance-word"],
+        ids=[
+            "poles-twice",
+            "tolerance-twice",
+            "seeds-float",
+            "steps-word",
+            "tolerance-word",
+            "tolerance-inf",
+            "tolerance-nan",
+            "tolerance-negative",
+            "tolerance-all-inf",
+        ],
     )
     def test_unreadable_values_refused(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "bad.cfg"
@@ -279,6 +293,12 @@ class TestConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         with pytest.raises(error, match=re.escape(message)):
+            cli.suite_config_from_file(str(cfg))
+
+    def test_no_pole_inside_any_domain_refused(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("domains = annulus:0.5 | disc:0,0,0.1\npoles = 2,0 | 0.3,0\n")
+        with pytest.raises(ConfigError, match=re.escape("no (domain, pole) pair from the config has the pole inside")):
             cli.suite_config_from_file(str(cfg))
 
 
@@ -341,6 +361,12 @@ class TestReports:
         lines[2] = edit(lines[2])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=message):
+            cli.parse_report_csv(str(path))
+
+    def test_foreign_header_refused(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("name,value\nx,1\n")
+        with pytest.raises(ConfigError, match="other.csv is not a verify report"):
             cli.parse_report_csv(str(path))
 
     @pytest.mark.parametrize("value", ["yes", "True", "1", ""])

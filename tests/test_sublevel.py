@@ -12,7 +12,7 @@ from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify
-from suita_lab.errors import BelowResolution, CriticalLevel, LevelAbovePeak, UnsupportedDomain
+from suita_lab.errors import BelowResolution, CriticalLevel, InvalidArgument, UnsupportedDomain
 
 RES = 512  # contour samples, recorded on a profile; areas and gamma' do not depend on it
 
@@ -70,7 +70,7 @@ class TestSublevelArea:
         assert est.value * math.exp(12.0) == pytest.approx(math.pi / cap**2, rel=0.01)
 
     def test_level_guard(self, unit_disc):
-        with pytest.raises(LevelAbovePeak):
+        with pytest.raises(InvalidArgument):
             sl.LevelField(unit_disc, 0j).area(0.1)
 
     def test_area_below_its_error_estimate_refused(self, annulus_half):

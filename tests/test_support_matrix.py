@@ -7,8 +7,9 @@ an interior pole w and a second interior point z.  An entry of EXPECTED
 names the refusal class of an operation on a family; every pair not
 listed must succeed.  A second matrix puts the pole outside the domain,
 and a table of refusals gives a supported family a level range, a level,
-a window, a radius, an order or a count that the operation cannot serve.
-The inputs are small, so all three run in about a second.
+a window, a radius, an order or a count that the operation cannot serve;
+the table reaches every `raise InvalidArgument` of the package.  The
+inputs are small, so all of it runs in about a second.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ from suita_lab import green as gr
 from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
-from suita_lab.errors import InvalidArgument, InvalidDomain, LevelAbovePeak, PointOutsideDomain, UnsupportedDomain, WindowTooNarrow
+from suita_lab import weights as wt
+from suita_lab.errors import InvalidArgument, InvalidDomain, PointOutsideDomain, UnsupportedDomain
 from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement, Polygon
 
 _DISC = Disc(0j, 1.0)
@@ -122,30 +124,69 @@ def test_polar_complement_values():
 
 # Refusals of the inputs themselves, on a supported family: a level range,
 # a level, a window, a radius, an order or a count that the operation cannot
-# serve, and a domain literal with a field that is not a number.  An InvalidArgument is also a ValueError, for callers that catch one.
+# serve, a point that must be interior and is not (a query at the pole, a
+# stencil point past the boundary), and a domain that breaks its invariants.
+# Each entry names the class and a piece of the message, which tells two
+# refusals of one class apart.  An InvalidArgument is also a ValueError, for
+# callers that catch one.
+_TWELVE_GON = Polygon([np.exp(2j * np.pi * k / 12) for k in range(12)])
+_LEVELS_ARG = "need t_min < t_max < 0"
+
 REFUSALS = {
-    "profile_scan t_max = 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.0, 8), LevelAbovePeak),
-    "profile_scan t_max > 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.5, 8), LevelAbovePeak),
-    "profile_scan t_min = t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -1.0, 8), LevelAbovePeak),
-    "profile_scan t_min > t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -2.0, 8), LevelAbovePeak),
-    "profile_scan 7 steps": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, -1.0, 7), InvalidArgument),
-    "contours t > 0": (lambda: sl.LevelField(_RING, 0.7 + 0j).contours(0.1, 64), LevelAbovePeak),
+    "profile_scan t_max = 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.0, 8), InvalidArgument, _LEVELS_ARG),
+    "profile_scan t_max > 0": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, 0.5, 8), InvalidArgument, _LEVELS_ARG),
+    "profile_scan t_min = t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -1.0, 8), InvalidArgument, _LEVELS_ARG),
+    "profile_scan t_min > t_max": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -1.0, -2.0, 8), InvalidArgument, _LEVELS_ARG),
+    "profile_scan 7 steps": (lambda: sl.profile_scan(_RING, 0.7 + 0j, -2.0, -1.0, 7), InvalidArgument, "8 profile steps"),
+    "area t = 0": (lambda: sl.LevelField(_RING, 0.7 + 0j).area(0.0), InvalidArgument, "need t < 0"),
+    "contours t > 0": (lambda: sl.LevelField(_RING, 0.7 + 0j).contours(0.1, 64), InvalidArgument, "need t < 0"),
     "convexity_report far window": (
         lambda: sl.convexity_report(
             sl.profile_scan(_RING, 0.7 + 0j, -2.0, -1.0, 8), gr.critical_points(_RING, 0.7 + 0j)[0].level
         ),
-        WindowTooNarrow,
+        InvalidArgument,
+        "usable samples",
     ),
-    "mc_area t = 0": (lambda: oc.mc_area(_RING, 0.7 + 0j, 0.0, 1000, 1), LevelAbovePeak),
+    "mc_area t = 0": (lambda: oc.mc_area(_RING, 0.7 + 0j, 0.0, 1000, 1), InvalidArgument, "need t < 0"),
+    "mc_area 0 samples": (lambda: oc.mc_area(_RING, 0.7 + 0j, -1.5, 0, 1), InvalidArgument, "at least 1 sample"),
+    "grid_area t = 0": (lambda: oc.grid_area(_RING, 0.7 + 0j, 0.0, 64), InvalidArgument, "need t < 0"),
+    "grid_min_gradient grid 1": (lambda: oc.grid_min_gradient(_RING, 0.7 + 0j, 1), InvalidArgument, "at least 2 points"),
+    "wos_green 1 walk": (lambda: oc.wos_green(_RING, 0.7 + 0j, -0.6 + 0j, 1, 1), InvalidArgument, "at least 2 walks"),
+    "robin_extrapolate 3 radii": (
+        lambda: oc.robin_extrapolate(_RING, 0.7 + 0j, [0.04, 0.02, 0.01]),
+        InvalidArgument,
+        "at least 4 strictly decreasing",
+    ),
+    "robin_extrapolate radius > delta/2": (
+        lambda: oc.robin_extrapolate(_RING, 0.7 + 0j, [0.2, 0.1, 0.05, 0.02]),
+        InvalidArgument,
+        "exceeds half the boundary distance",
+    ),
     "poisson r = delta": (
         lambda: vf.poisson_step_check(_RING, 0.7 + 0j, geo.boundary_distance(_RING, 0.7 + 0j)),
         InvalidArgument,
+        "need 0 < r < delta",
     ),
-    "poisson r > delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, 0.3), InvalidArgument),
-    "kernel_j order 13": (lambda: bg.kernel_j(_RING, 0.7 + 0j, 13), InvalidArgument),
-    "basis_norms empty range": (lambda: bg.basis_norms(_RING, 3, 2), InvalidArgument),
+    "poisson r > delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, 0.3), InvalidArgument, "need 0 < r < delta"),
+    "disc_max_green r > delta": (lambda: gr.disc_max_green(_RING, 0.7 + 0j, 0.3), InvalidArgument, "exceeds boundary distance"),
+    "boundary_flux 63 nodes": (lambda: gr.boundary_flux(_RING, 0.7 + 0j, 63), InvalidArgument, "64 quadrature nodes"),
+    "boundary_sample 7 nodes": (lambda: geo.boundary_sample(_RING, 7), InvalidArgument, "n >= 8"),
+    "boundary_sample 8 nodes on 12 edges": (lambda: geo.boundary_sample(_TWELVE_GON, 8), InvalidArgument, "cannot cover"),
+    "kernel_j order 13": (lambda: bg.kernel_j(_RING, 0.7 + 0j, 13), InvalidArgument, "derivative order"),
+    "basis_norms empty range": (lambda: bg.basis_norms(_RING, 3, 2), InvalidArgument, "empty basis range"),
+    "basis_norms disc n < 0": (lambda: bg.basis_norms(_DISC, -1, 2), InvalidArgument, "disc basis starts"),
+    "suita_check j_max 7": (lambda: vf.suita_check(_RING, 0.7 + 0j, 7), InvalidArgument, "j_max"),
+    "eval_weights s = 0": (lambda: wt.eval_weights(0.0), InvalidArgument, "s < 0"),
+    "green_eval z = w": (lambda: gr.green_eval(_RING, 0.7 + 0j, 0.7 + 0j), PointOutsideDomain, "z == w"),
+    "laplacian stencil past the boundary": (
+        lambda: bg.laplacian_identity_check(_DISC, 0.9995 + 0j, 0, 1e-3),
+        PointOutsideDomain,
+        "leaves the domain",
+    ),
+    "disc centre not finite": (lambda: Disc(complex(np.inf, 0), 1.0), InvalidDomain, "finite"),
+    "bow-tie polygon": (lambda: Polygon([0, 2, 2 + 2j, 1 - 1j, 2j]), InvalidDomain, "simple"),
     **{
-        f"literal {literal}": (lambda literal=literal: geo.parse_domain(literal), InvalidDomain)
+        f"literal {literal}": (lambda literal=literal: geo.parse_domain(literal), InvalidDomain, "not a number")
         for literal in ("annulus:abc", "disc:0,x,1", "moebius:1,0,0,zz;base=disc:0,0,1", "polygon:0,0;1,q;1,1")
     },
 }
@@ -153,8 +194,9 @@ REFUSALS = {
 
 @pytest.mark.parametrize("case", list(REFUSALS))
 def test_input_refused(case):
-    call, expected = REFUSALS[case]
-    with pytest.raises(expected) as info:
+    call, expected, match = REFUSALS[case]
+    with pytest.raises(expected, match=match) as info:
         call()
     assert type(info.value) is expected
     assert isinstance(info.value, ValueError) == (expected is InvalidArgument)
+

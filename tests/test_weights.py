@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from suita_lab import weights as wt
+from suita_lab.errors import InvalidArgument
 
 
 def test_eta0_at_minus_one_exact():
@@ -78,9 +79,9 @@ class TestInvariants:
         assert -s + math.expm1(s) > 0
 
     def test_domain_guard(self):
-        with pytest.raises(wt.DomainError):
+        with pytest.raises(InvalidArgument):
             wt.eval_weights(0.0)
-        with pytest.raises(wt.DomainError):
+        with pytest.raises(InvalidArgument):
             wt.eval_weights(1.0)
-        with pytest.raises(wt.DomainError):
+        with pytest.raises(InvalidArgument):
             wt.identity_residual(0.5)
