@@ -45,6 +45,7 @@ from .oracles import McEstimate, counter_uniform, grid_min_gradient, mc_area, ro
 from .weights import WeightValues, eval_weights, identity_residual, war_probe
 from .verify import (
     Check,
+    Pole,
     SuiteConfig,
     VerificationReport,
     blb_check,

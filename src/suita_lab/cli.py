@@ -296,7 +296,7 @@ def _cmd_oracle(args) -> int:
     elif args.kind == "area":
         if args.level is None:
             raise ConfigError("oracle area needs --level")
-        est = oc.mc_area(domain, w, args.level, args.samples, args.seed)
+        (est,) = oc.mc_area(domain, w, [args.level], args.samples, args.seed)
     elif args.kind == "robin":
         delta = geo.boundary_distance(domain, w)
         radii = [0.25 * delta / 2**k for k in range(5)]

@@ -5,7 +5,8 @@ Nothing here shares series machinery with the quantities it validates:
 * ``wos_green``  -- walk-on-spheres simulation of the Green function, with
   harmonic control variates fitted before the walks and a stated bound
   on its standard error,
-* ``mc_area``    -- rejection-sampled sublevel areas,
+* ``mc_area``    -- rejection-sampled sublevel areas, every level of a call
+  from one draw,
 * ``robin_extrapolate`` -- the capacity limit evaluated as a genuine limit
   with Richardson extrapolation,
 * ``grid_min_gradient`` -- lattice localization of the zeros of grad G.
@@ -371,15 +372,23 @@ def wos_green(domain: Domain, w: Point, z: Point, walks: int, seed: int) -> McEs
     )
 
 
-def mc_area(domain: Domain, w: Point, t: float, samples: int, seed: int) -> McEstimate:
-    """Rejection-sampled area of {G(., w) < t} over the domain bounding box."""
+def mc_area(domain: Domain, w: Point, levels, samples: int, seed: int) -> list[McEstimate]:
+    """Rejection-sampled areas of {G(., w) < t} over the domain bounding
+    box, one estimate per level t of levels, in their order.
+
+    One draw and one pass of the field serve every level: the hits of each
+    level are counted on the same samples and the same values of G, so each
+    estimate is that of a call with its level alone, bit for bit.
+    """
+    levels = list(levels)
     if samples < 1:
         raise InvalidArgument(f"need at least 1 sample, got {samples}")
-    if not (t < 0):
-        raise InvalidArgument(f"need t < 0, got {t}")
+    for t in levels:
+        if not (t < 0):
+            raise InvalidArgument(f"need t < 0, got {t}")
     geo.pull_back(domain, w)  # the indicator reads the series field
     x0, x1, y0, y1 = geo.bounding_box(domain)
-    hits = 0
+    hits = [0] * len(levels)
     for b in range(0, samples, _BLOCK):  # each sample is a function of its index alone
         idx = np.arange(b, min(b + _BLOCK, samples), dtype=np.uint64)
         xs = x0 + (x1 - x0) * counter_uniform(seed, _STREAM_AREA_X, idx)
@@ -387,27 +396,46 @@ def mc_area(domain: Domain, w: Point, t: float, samples: int, seed: int) -> McEs
         pts = xs + 1j * ys
         inside = geo.contains_mask(domain, pts)
         if np.any(inside):
-            hits += int(np.count_nonzero(gr.green_values_raw(domain, w, pts[inside]) < t))
+            g = gr.green_values_raw(domain, w, pts[inside])
+            for k, t in enumerate(levels):
+                hits[k] += int(np.count_nonzero(g < t))
     box = (x1 - x0) * (y1 - y0)
-    p = float(hits) / samples
-    return McEstimate(
-        mean=box * p,
-        std_error=box * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples),
-        samples=samples,
-        seed=seed,
-    )
+    out = []
+    for h in hits:
+        p = float(h) / samples
+        std_error = box * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+        out.append(McEstimate(mean=box * p, std_error=std_error, samples=samples, seed=seed))
+    return out
+
+
+_MEAN_ULPS = 4.0  # rounding of one angular mean of robin_extrapolate, in units of eps (s / r + |log r| + |mean|)
+_STEP_ULPS = 8.0  # rounding of one Richardson step, in units of eps (|extrapolant| + |correction|)
 
 
 def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
     """Capacity via the defining limit: angular means of G - log r, pushed to r = 0.
 
-    Returns (capacity, residual), the residual being the gap between the
-    last two extrapolants of log c.
+    Returns (capacity, residual).  The residual bounds the error of the
+    capacity in units of c: the gap between the last two extrapolants of
+    log c plus the rounding of the means carried through the tableau,
+    taken through exp.
 
     The angular mean kills the harmonic variation exactly (mean value
     property), so the Richardson table in r^2 is flat up to series and
     quadrature error; it still guards against an inconsistent Green
-    function, which is the point of the oracle.
+    function, which is the point of the oracle.  What it cannot flatten is
+    rounding, which grows as r shrinks: the points of the r-circle are
+    rounded by about eps s, s the larger of |w| and the pole's modulus in
+    the core times |F'| there, where |grad G| is about 1/r, and the series
+    forms G next to its pole from differences of the same size.  Each mean
+    is charged _MEAN_ULPS eps (s / r + |log r| + |mean|).  Against 50-digit
+    Robin constants, on 300 random poles of discs, annuli (q = 0.1 to 0.9)
+    and Moebius images of both, and on 32 poles next to a circle, at the
+    centre of a disc or on a disc far from 0, the rounding of a mean was
+    at most 0.97 of eps times that sum (at the centre of the unit disc,
+    where s = 0).  A step x_i -> x_{i+k} of the tableau takes the
+    errors of its two entries with weights 1 + a and a, a = x_{i+k} /
+    (x_i - x_{i+k}), and adds its own rounding.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 4 or any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -415,23 +443,34 @@ def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
     delta = geo.boundary_distance(domain, w)
     if radii[0] > 0.5 * delta:
         raise InvalidArgument(f"largest radius {radii[0]} exceeds half the boundary distance {delta / 2}")
+    _, coeffs, zeta_w = geo.pull_back(domain, w)
+    s = abs(w) if coeffs is None else max(abs(w), abs(zeta_w) * abs(geo.moebius_fprime(coeffs, zeta_w)))
+    eps = float(np.finfo(float).eps)
     theta = np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
-    means = []
+    means, err = [], []  # err: bounds on the rounding of the current column
     for r in radii:
         ring = w + r * theta
-        means.append(float(np.mean(gr.green_values_raw(domain, w, ring))) - math.log(r))
+        mean = float(np.mean(gr.green_values_raw(domain, w, ring))) - math.log(r)
+        means.append(mean)
+        err.append(_MEAN_ULPS * eps * (s / r + abs(math.log(r)) + abs(mean)))
     x = np.array([r * r for r in radii])
     tableau = [np.array(means)]
     for k in range(1, len(radii)):
         prev = tableau[-1]
         cur = np.empty(len(prev) - 1)
+        cur_err = []
         for i in range(len(cur)):
             cur[i] = prev[i + 1] + (prev[i + 1] - prev[i]) * x[i + k] / (x[i] - x[i + k])
+            a = float(x[i + k] / (x[i] - x[i + k]))
+            step = _STEP_ULPS * eps * (abs(cur[i]) + abs(prev[i + 1] - prev[i]) * a)
+            cur_err.append((1.0 + a) * err[i + 1] + a * err[i] + step)
         tableau.append(cur)
+        err = cur_err
     last, prev = tableau[-1][0], tableau[-2][-1]
     if abs(last - prev) > 1e-4:
         raise ConvergenceFailure(f"extrapolants differ by {abs(last - prev)}")
-    return math.exp(last), abs(last - prev)
+    capacity = math.exp(last)
+    return capacity, capacity * (math.expm1(abs(last - prev) + err[0]) + eps)
 
 
 def grid_min_gradient(domain: Domain, w: Point, grid_size: int = 512) -> list[complex]:

@@ -27,6 +27,17 @@ order (plan_rows), and run_suite runs each row through its function in
 FAMILIES.  Every row, flux and oracles included, runs only on a domain that
 the config's entries name; a check that does not apply to its sample gives
 one passing line whose params open with status=.
+
+The checks read the numbers at the pole from a Pole: delta, the capacity,
+K_j by order and max G on discs by radius, each computed the first time a
+row asks.  run_suite keeps one Pole per (canonical literal, pole) for the
+length of one call, so the suita, thm1, thm2, poisson, blb,
+characterization and oracle_robin rows of a pole share them: poisson reads
+thm1's disc maximum at delta/2, and thm1, thm2, blb and characterization
+read the kernels that suita computed.  Every value is the one a fresh
+computation gives; suita still asks kernel_j once per order, because K_0..K_3
+read off the one Cholesky factor of order 3 differ from kernel_j in the
+last bits.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,66 +128,100 @@ def _check(name, domain, w, params, lhs, rhs, overrides=None) -> Check:
     return _line(name, domain, w, params, lhs, rhs, rhs - lhs >= -_tol(name, overrides) * scale)
 
 
+class Pole:
+    """One (domain, pole) that checks read: delta, the capacity, K_j by
+    order and max G on discs by radius, each computed the first time a
+    check asks for it and then kept.
+
+    run_suite makes one Pole per (canonical literal, pole) and drops them
+    all when it returns; a check called on its own takes Pole(domain, w).
+    """
+
+    def __init__(self, domain: Domain, w: Point):
+        self.domain, self.w = domain, w
+        self._kernels: dict[int, bg.KernelResult] = {}
+        self._disc_max: dict[float, float] = {}
+
+    @cached_property
+    def delta(self) -> float:
+        return geo.boundary_distance(self.domain, self.w)
+
+    @cached_property
+    def capacity(self) -> gr.CapacityResult:
+        return gr.robin_capacity(self.domain, self.w)
+
+    def kernel(self, j: int) -> bg.KernelResult:
+        if j not in self._kernels:
+            self._kernels[j] = bg.kernel_j(self.domain, self.w, j)
+        return self._kernels[j]
+
+    def disc_max(self, r: float) -> float:
+        if r not in self._disc_max:
+            self._disc_max[r] = gr.disc_max_green(self.domain, self.w, r)
+        return self._disc_max[r]
+
+
 # ---------------------------------------------------------------------------
 # Individual theorem checks
 # ---------------------------------------------------------------------------
 
 
-def suita_check(domain: Domain, w: Point, j_max: int = 3, overrides=None) -> list[Check]:
+def suita_check(pole: Pole, j_max: int = 3, overrides=None) -> list[Check]:
     """K_j(w) >= j!(j+1)!/pi * c(w)^(2j+2) for j = 0..j_max (j=0 is the Suita bound)."""
     if not 0 <= j_max <= 6:
         raise InvalidArgument("j_max must be within 0..6")
-    cap = gr.robin_capacity(domain, w).capacity
+    domain, w, cap = pole.domain, pole.w, pole.capacity.capacity
     out = []
     for j in range(j_max + 1):
-        kernel = bg.kernel_j(domain, w, j)
+        kernel = pole.kernel(j)
         lhs = math.factorial(j) * math.factorial(j + 1) / math.pi * cap ** (2 * j + 2)
         out.append(_check(f"suita[j={j}]", domain, w, f"j={j};c={cap:.12g}", lhs, kernel.value, overrides))
     return out
 
 
-def thm1_check(domain: Domain, w: Point, r_list=None, overrides=None) -> list[Check]:
+def thm1_check(pole: Pole, r_list=None, overrides=None) -> list[Check]:
     """K(w) <= 1 / (-2 pi r^2 max_{|z-w|<=r} G) for each r, plus the golden radius.
 
     A disc that touches the boundary has max G = 0 and an infinite bound."""
-    delta = geo.boundary_distance(domain, w)
-    kernel = bg.kernel_j(domain, w, 0).value
+    domain, w, delta = pole.domain, pole.w, pole.delta
+    kernel = pole.kernel(0).value
     radii = [float(r) for r in (r_list if r_list is not None else [0.25 * delta, 0.5 * delta, 0.8 * delta])]
     radii.append(GOLDEN_RADIUS_FACTOR * delta)
     out = []
     for r in radii:
-        max_g = gr.disc_max_green(domain, w, r)
+        max_g = pole.disc_max(r)
         bound = math.inf if max_g == 0 else 1.0 / (-2.0 * math.pi * r * r * max_g)
         out.append(_check(f"thm1[r={r:.6g}]", domain, w, f"r={r:.12g};maxG={max_g:.12g}", kernel, bound, overrides))
     return out
 
 
-def thm2_check(domain: Domain, w: Point, overrides=None) -> Check:
+def thm2_check(pole: Pole, overrides=None) -> Check:
     """K(w) <= C / (delta^2 log(1/(delta c))) with C = (11 + 5 sqrt 5)/(4 pi)."""
-    delta = geo.boundary_distance(domain, w)
-    cap = gr.robin_capacity(domain, w).capacity
+    delta, cap = pole.delta, pole.capacity.capacity
     dc = delta * cap
     if dc >= 1.0 - 1e-12:
         raise SkippedDegenerate(f"delta*c = {dc}; the bound is vacuous for a centered disc")
-    kernel = bg.kernel_j(domain, w, 0).value
+    kernel = pole.kernel(0).value
     bound = THM2_CONSTANT / (delta * delta * math.log(1.0 / dc))
-    return _check("thm2", domain, w, f"delta={delta:.12g};c={cap:.12g}", kernel, bound, overrides)
+    return _check("thm2", pole.domain, pole.w, f"delta={delta:.12g};c={cap:.12g}", kernel, bound, overrides)
 
 
-def poisson_step_check(domain: Domain, w: Point, r: float, overrides=None) -> Check:
+def poisson_step_check(pole: Pole, r: float, overrides=None) -> Check:
     """max G on the r-circle <= ((R-r)/(R+r)) log(R c), R the boundary distance."""
-    R = geo.boundary_distance(domain, w)
+    R = pole.delta
     if not (0 < r < R):
         raise InvalidArgument(f"need 0 < r < delta = {R}")
-    cap = gr.robin_capacity(domain, w).capacity
-    max_g = gr.disc_max_green(domain, w, r)
+    cap = pole.capacity.capacity
+    max_g = pole.disc_max(r)
     bound = (R - r) / (R + r) * math.log(R * cap)
-    return _check(f"poisson[r={r:.6g}]", domain, w, f"r={r:.12g};R={R:.12g};c={cap:.12g}", max_g, bound, overrides)
+    params = f"r={r:.12g};R={R:.12g};c={cap:.12g}"
+    return _check(f"poisson[r={r:.6g}]", pole.domain, pole.w, params, max_g, bound, overrides)
 
 
-def blb_check(domain: Domain, w: Point, profile: sl.SublevelProfile, overrides=None) -> list[Check]:
+def blb_check(pole: Pole, profile: sl.SublevelProfile, overrides=None) -> list[Check]:
     """K(w) >= 1/(e^{-2t} lambda(t)) at every profile sample, plus monotonicity."""
-    kernel = bg.kernel_j(domain, w, 0).value
+    domain, w = pole.domain, pole.w
+    kernel = pole.kernel(0).value
     out = []
     for t, e2t in zip(profile.t_samples, profile.e2t_lambda):
         out.append(_check(f"blb_lower[t={t:.6g}]", domain, w, f"t={t:.12g}", 1.0 / e2t, kernel, overrides))
@@ -217,14 +263,15 @@ def thm4_scan(
     return report, _line("thm4", domain, w, params, report.min_second_diff, -report.noise_floor, passed)
 
 
-def characterization_probe(samples: list[tuple[Domain, Point]]) -> list[Check]:
+def characterization_probe(poles: list[Pole]) -> list[Check]:
     """Positivity (or vanishing, for a polar complement) of K_j, j = 0..6,
     plus strict subharmonicity of log K at five seeded interior points."""
     out = []
-    for domain, w in samples:
+    for pole in poles:
+        domain, w = pole.domain, pole.w
         polar = isinstance(domain, PolarComplement)
         for j in range(7):
-            value = bg.kernel_j(domain, w, j).value
+            value = pole.kernel(j).value
             if polar:
                 out.append(_line(f"char_zero[j={j}]", domain, w, f"j={j}", abs(value), 0.0, value == 0.0))
             else:
@@ -321,7 +368,8 @@ REFEREE_ROWS = [
 ]
 
 
-def _flux(domain, w, params, config) -> list[Check]:
+def _flux(pole, params, config) -> list[Check]:
+    domain, w = pole.domain, pole.w
     flux = gr.boundary_flux(domain, w, params["n"])
     error = abs(flux - 2 * math.pi)
     passed = error <= _tol("flux", config.tolerances) * 2 * math.pi
@@ -333,31 +381,35 @@ def _within(name, domain, w, params, diff, bound, config) -> list[Check]:
     return [_line(name, domain, w, params, abs(diff), bound, abs(diff) <= bound + _tol("oracle", config.tolerances))]
 
 
-def _wos_green(domain, w, params, config) -> list[Check]:
+def _wos_green(pole, params, config) -> list[Check]:
+    domain, w = pole.domain, pole.w
     z, seed = params["at"], config.seed
     est = oc.wos_green(domain, w, z, params["walks"], seed)
     diff = est.mean - gr.green_eval(domain, w, z).value
     return _within("oracle_wos_green", domain, w, f"z={_fmt_pole(z)};walks={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
 
 
-def _mc_area(domain, w, params, config) -> list[Check]:
-    """Every level of the row reads its reference from one LevelField."""
+def _mc_area(pole, params, config) -> list[Check]:
+    """One draw gives every level of the row its estimate, and one
+    LevelField every reference."""
+    domain, w = pole.domain, pole.w
     levels, seed, out = sl.LevelField(domain, w), config.seed, []
-    for t in params["levels"]:
-        est = oc.mc_area(domain, w, t, params["samples"], seed)
+    for t, est in zip(params["levels"], oc.mc_area(domain, w, params["levels"], params["samples"], seed)):
         diff = est.mean - levels.area(t).value
         out += _within("oracle_mc_area", domain, w, f"t={t};samples={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
     return out
 
 
-def _robin(domain, w, params, config) -> list[Check]:
-    radii = [0.25 * geo.boundary_distance(domain, w) / 2**k for k in range(5)]
-    diff = gr.robin_capacity(domain, w).capacity - oc.robin_extrapolate(domain, w, radii)[0]
+def _robin(pole, params, config) -> list[Check]:
+    domain, w = pole.domain, pole.w
+    radii = [0.25 * pole.delta / 2**k for k in range(5)]
+    diff = pole.capacity.capacity - oc.robin_extrapolate(domain, w, radii)[0]
     return _within("oracle_robin", domain, w, f"radii={radii[0]:.6g}..{radii[-1]:.6g}", diff, 1e-6, config)
 
 
-def _polygon_symmetry(domain, w, params, config) -> list[Check]:
+def _polygon_symmetry(pole, params, config) -> list[Check]:
     """G(w, z) = G(z, w) from two walk estimates, seeded seed and seed + 1."""
+    domain, w = pole.domain, pole.w
     z, walks, seed = params["at"], params["walks"], config.seed
     a = oc.wos_green(domain, w, z, walks, seed)
     b = oc.wos_green(domain, z, w, walks, seed + 1)
@@ -365,15 +417,17 @@ def _polygon_symmetry(domain, w, params, config) -> list[Check]:
     return _within("oracle_polygon_symmetry", domain, w, f"walks={a.samples};seed={seed}", a.mean - b.mean, bound, config)
 
 
-# family -> (domain, pole, row params, config) -> report lines
+# family -> (pole, row params, config) -> report lines
 FAMILIES = {
-    "suita": lambda d, w, p, cfg: suita_check(d, w, cfg.j_max, cfg.tolerances),
-    "thm1": lambda d, w, p, cfg: thm1_check(d, w, overrides=cfg.tolerances),
-    "thm2": lambda d, w, p, cfg: [thm2_check(d, w, cfg.tolerances)],
-    "poisson": lambda d, w, p, cfg: [poisson_step_check(d, w, 0.5 * geo.boundary_distance(d, w), cfg.tolerances)],
-    "blb": lambda d, w, p, cfg: blb_check(d, w, sl.profile_scan(d, w, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances),
-    "thm4": lambda d, w, p, cfg: [thm4_scan(d, w, steps=THM4_STEPS)[1]],
-    "characterization": lambda d, w, p, cfg: characterization_probe([(d, w)]),
+    "suita": lambda pole, p, cfg: suita_check(pole, cfg.j_max, cfg.tolerances),
+    "thm1": lambda pole, p, cfg: thm1_check(pole, overrides=cfg.tolerances),
+    "thm2": lambda pole, p, cfg: [thm2_check(pole, cfg.tolerances)],
+    "poisson": lambda pole, p, cfg: [poisson_step_check(pole, 0.5 * pole.delta, cfg.tolerances)],
+    "blb": lambda pole, p, cfg: blb_check(
+        pole, sl.profile_scan(pole.domain, pole.w, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances
+    ),
+    "thm4": lambda pole, p, cfg: [thm4_scan(pole.domain, pole.w, steps=THM4_STEPS)[1]],
+    "characterization": lambda pole, p, cfg: characterization_probe([pole]),
     "flux": _flux,
     "oracle_wos_green": _wos_green,
     "oracle_mc_area": _mc_area,
@@ -401,10 +455,12 @@ def plan_rows(config: SuiteConfig) -> list[tuple]:
 
 def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> VerificationReport:
     """Run the plan's rows, or one family's; failures are recorded, never
-    raised.  A row that fails the series gate (_CORES) gives no line."""
+    raised.  A row that fails the series gate (_CORES) gives no line.  The
+    rows of one (domain, pole) share one Pole, which lives for this call."""
     config = config or SuiteConfig()
     t_start = time.perf_counter()
     checks: list[Check] = []
+    poles: dict[tuple[str, complex], Pole] = {}
     for family, literal, w, params in plan_rows(config):
         if suite not in ("all", family):
             continue
@@ -412,8 +468,9 @@ def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> Verifica
         cores = _CORES.get(family)
         if cores and not isinstance(geo.flatten_moebius(domain)[0], cores):
             continue
+        pole = poles.setdefault((geo.domain_literal(domain), complex(w)), Pole(domain, w))
         try:
-            checks += FAMILIES[family](domain, w, params, config)
+            checks += FAMILIES[family](pole, params, config)
         except (SkippedDegenerate, NoCriticalPoint) as exc:
             status = "skipped_degenerate" if isinstance(exc, SkippedDegenerate) else "skipped"
             checks.append(_line(family, domain, w, f"status={status};{exc}", 0.0, 0.0, True))

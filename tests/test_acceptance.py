@@ -84,10 +84,10 @@ def test_criterion_03_thm1_bound(unit_disc, annulus_half, blaschke_disc, moebius
         (blaschke_disc, 0.2 + 0.1j),
         (moebius_annulus, 0.75 + 0j),
     ] + ANNULUS_SAMPLES:
-        checks = vf.thm1_check(domain, w)
+        checks = vf.thm1_check(vf.Pole(domain, w))
         all_pass &= all(c.passed for c in checks)
     # centered disc: sharpest sampled bound within a factor 3 of K
-    checks = vf.thm1_check(unit_disc, 0j)
+    checks = vf.thm1_check(vf.Pole(unit_disc, 0j))
     kernel = bg.kernel_j(unit_disc, 0j, 0).value
     sharpest = min(c.rhs for c in checks)
     ratio = sharpest / kernel
@@ -110,7 +110,7 @@ def test_criterion_04_thm2_uniform_bound(unit_disc, blaschke_disc, moebius_annul
         (moebius_annulus, 0.75 + 0j),
     ] + ANNULUS_SAMPLES:
         try:
-            all_pass &= vf.thm2_check(domain, w).passed
+            all_pass &= vf.thm2_check(vf.Pole(domain, w)).passed
         except SkippedDegenerate:
             degenerate += 1
     report(
@@ -219,7 +219,7 @@ def test_criterion_10_oracle_agreement(annulus_half):
         ok &= pulls <= 3.0
         details.append(f"{pulls:.2f}")
     for i, t in enumerate((-0.3, -0.5, -0.8, -1.2, -2.0)):
-        est = oc.mc_area(annulus_half, w, t, 1_000_000, 200 + i)
+        (est,) = oc.mc_area(annulus_half, w, [t], 1_000_000, 200 + i)
         ref = sl.LevelField(annulus_half, w).area(t).value
         pulls = abs(est.mean - ref) / est.std_error
         ok &= pulls <= 3.0

@@ -131,6 +131,13 @@ class TestParsing:
         assert abs(float(value) - cap) <= float(residual) + 1e-11 * cap
         assert (samples, seed) == ("320", "42")  # 64 angles on each of 5 radii
 
+    def test_oracle_area_row(self, capsys):
+        # mc_area draws every level of a call at once; the command's one
+        # level prints the row it printed when mc_area took a single level
+        args = ["oracle", "area", "--domain", "annulus:0.5", "--pole", "0.7,0", "--level", "-0.5", "--samples", "100000"]
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == "0.11872,0.00214659162767,100000,42\n"
+
     def test_oracle_gridscan_finds_the_saddle(self, capsys):
         assert run_cli(["oracle", "gridscan", "--domain", "annulus:0.5", "--pole", "0.7,0", "--grid", "64"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()

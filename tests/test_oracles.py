@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -278,35 +279,51 @@ class TestWosGreen:
 
 class TestMcArea:
     def test_disc_level(self, unit_disc):
-        est = oc.mc_area(unit_disc, 0j, -1.0, 400_000, 11)
+        (est,) = oc.mc_area(unit_disc, 0j, [-1.0], 400_000, 11)
         assert abs(est.mean - math.pi * math.exp(-2.0)) <= 3 * est.std_error
 
     def test_deep_level_nearly_empty(self, unit_disc):
-        est = oc.mc_area(unit_disc, 0j, -20.0, 100_000, 13)
+        (est,) = oc.mc_area(unit_disc, 0j, [-20.0], 100_000, 13)
         assert est.mean <= 3 * est.std_error + 1e-12
 
     def test_annulus_matches_grid(self, annulus_half):
-        est = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 200_000, 12)
+        (est,) = oc.mc_area(annulus_half, 0.7 + 0j, [-0.5], 200_000, 12)
         ref = sl.LevelField(annulus_half, 0.7 + 0j).area(-0.5).value
         assert abs(est.mean - ref) <= 3 * est.std_error
 
     def test_too_few_samples_refused(self, unit_disc):
         for samples in (-5, 0):
             with pytest.raises(InvalidArgument, match="sample"):
-                oc.mc_area(unit_disc, 0j, -1.0, samples, 1)
-        assert oc.mc_area(unit_disc, 0j, -1.0, 1, 1).samples == 1
+                oc.mc_area(unit_disc, 0j, [-1.0], samples, 1)
+        assert oc.mc_area(unit_disc, 0j, [-1.0], 1, 1)[0].samples == 1
 
     def test_deterministic(self, annulus_half):
-        a = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 50_000, 21)
-        b = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 50_000, 21)
+        a = oc.mc_area(annulus_half, 0.7 + 0j, [-0.5], 50_000, 21)
+        b = oc.mc_area(annulus_half, 0.7 + 0j, [-0.5], 50_000, 21)
         assert a == b
 
     def test_block_size_does_not_change_estimate(self, annulus_half, monkeypatch):
         # each sample is a function of its index, and the hits are counted
         # per block, so the blocks cannot move the estimate
-        ref = oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 20_000, 9)
+        ref = oc.mc_area(annulus_half, 0.7 + 0j, [-0.5], 20_000, 9)
         monkeypatch.setattr(oc, "_BLOCK", 96)
-        assert oc.mc_area(annulus_half, 0.7 + 0j, -0.5, 20_000, 9) == ref
+        assert oc.mc_area(annulus_half, 0.7 + 0j, [-0.5], 20_000, 9) == ref
+
+    @pytest.mark.parametrize("block", [oc._BLOCK, 96])
+    @pytest.mark.parametrize("literal, w", [("annulus:0.5", 0.7 + 0j), ("moebius:1,0.15,0.15,1;base=annulus:0.5", 0.75 + 0j)])
+    def test_levels_share_one_draw(self, monkeypatch, block, literal, w):
+        # every level counts its hits on the same samples and the same values
+        # of G, so each estimate is that of a call with its level alone
+        domain = geo.parse_domain(literal)
+        monkeypatch.setattr(oc, "_BLOCK", block)
+        levels = (-1.0, -0.3, -2.5)
+        alone = {t: oc.mc_area(domain, w, [t], 20_000, 9)[0] for t in levels}
+        for order in itertools.permutations(levels):
+            together = oc.mc_area(domain, w, order, 20_000, 9)
+            assert [(e.mean.hex(), e.std_error.hex(), e.samples, e.seed) for e in together] == [
+                (alone[t].mean.hex(), alone[t].std_error.hex(), alone[t].samples, alone[t].seed) for t in order
+            ]
+        assert oc.mc_area(domain, w, [-0.3, -0.3], 20_000, 9) == [alone[-0.3], alone[-0.3]]
 
 
 class TestGridArea:
@@ -350,6 +367,24 @@ class TestRobinExtrapolate:
         series = gr.robin_capacity(blaschke_disc, w).capacity
         limit, _ = oc.robin_extrapolate(blaschke_disc, w, [0.15 / 2**k for k in range(5)])
         assert limit == pytest.approx(series, abs=1e-6)
+
+    # the plan's three oracle_robin rows, then poles next to a circle, where
+    # the rounding of the angular means (about eps |w| / r) is largest
+    @pytest.mark.parametrize(
+        "literal, w, limit",
+        [(row[1], row[2], 1e-10) for row in vf.REFEREE_ROWS if row[0] == "oracle_robin"]
+        + [("annulus:0.5", 0.505 + 0j, 1e-7), ("annulus:0.8", 0.998 + 0j, 1e-7), ("disc:100,0,1", 100.99 + 0j, 1e-7)],
+    )
+    def test_residual_bounds_the_error(self, literal, w, limit):
+        # the residual covers the gap to the series capacity beyond that
+        # capacity's own bound; it read 0 on Annulus(0.5) at 0.7 when it was
+        # only the gap between the last two extrapolants
+        domain = geo.parse_domain(literal)
+        radii = [0.25 * geo.boundary_distance(domain, w) / 2**k for k in range(5)]
+        c, residual = oc.robin_extrapolate(domain, w, radii)
+        series = gr.robin_capacity(domain, w)
+        assert abs(c - series.capacity) <= residual + series.capacity * series.truncation_bound
+        assert residual <= limit
 
     def test_radii_validation(self, unit_disc):
         with pytest.raises(ValueError):

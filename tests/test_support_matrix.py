@@ -64,7 +64,7 @@ OPERATIONS = {
     "kernel_j": lambda d, w, z: bg.kernel_j(d, w, 0),
     "sublevel_area": lambda d, w, z: sl.LevelField(d, w).area(-1.5),
     "wos_green": lambda d, w, z: oc.wos_green(d, w, z, 64, 1),
-    "mc_area": lambda d, w, z: oc.mc_area(d, w, -1.5, 1000, 1),
+    "mc_area": lambda d, w, z: oc.mc_area(d, w, [-1.5], 1000, 1),
     "grid_area": lambda d, w, z: oc.grid_area(d, w, -1.5, 32),
     "grid_min_gradient": lambda d, w, z: oc.grid_min_gradient(d, w, 48),
 }
@@ -147,8 +147,8 @@ REFUSALS = {
         InvalidArgument,
         "usable samples",
     ),
-    "mc_area t = 0": (lambda: oc.mc_area(_RING, 0.7 + 0j, 0.0, 1000, 1), InvalidArgument, "need t < 0"),
-    "mc_area 0 samples": (lambda: oc.mc_area(_RING, 0.7 + 0j, -1.5, 0, 1), InvalidArgument, "at least 1 sample"),
+    "mc_area t = 0": (lambda: oc.mc_area(_RING, 0.7 + 0j, [0.0], 1000, 1), InvalidArgument, "need t < 0"),
+    "mc_area 0 samples": (lambda: oc.mc_area(_RING, 0.7 + 0j, [-1.5], 0, 1), InvalidArgument, "at least 1 sample"),
     "grid_area t = 0": (lambda: oc.grid_area(_RING, 0.7 + 0j, 0.0, 64), InvalidArgument, "need t < 0"),
     "grid_min_gradient grid 1": (lambda: oc.grid_min_gradient(_RING, 0.7 + 0j, 1), InvalidArgument, "at least 2 points"),
     "wos_green 1 walk": (lambda: oc.wos_green(_RING, 0.7 + 0j, -0.6 + 0j, 1, 1), InvalidArgument, "at least 2 walks"),
@@ -163,11 +163,11 @@ REFUSALS = {
         "exceeds half the boundary distance",
     ),
     "poisson r = delta": (
-        lambda: vf.poisson_step_check(_RING, 0.7 + 0j, geo.boundary_distance(_RING, 0.7 + 0j)),
+        lambda: vf.poisson_step_check(vf.Pole(_RING, 0.7 + 0j), geo.boundary_distance(_RING, 0.7 + 0j)),
         InvalidArgument,
         "need 0 < r < delta",
     ),
-    "poisson r > delta": (lambda: vf.poisson_step_check(_RING, 0.7 + 0j, 0.3), InvalidArgument, "need 0 < r < delta"),
+    "poisson r > delta": (lambda: vf.poisson_step_check(vf.Pole(_RING, 0.7 + 0j), 0.3), InvalidArgument, "need 0 < r < delta"),
     "disc_max_green r > delta": (lambda: gr.disc_max_green(_RING, 0.7 + 0j, 0.3), InvalidArgument, "exceeds boundary distance"),
     "boundary_flux 63 nodes": (lambda: gr.boundary_flux(_RING, 0.7 + 0j, 63), InvalidArgument, "64 quadrature nodes"),
     "boundary_sample 7 nodes": (lambda: geo.boundary_sample(_RING, 7), InvalidArgument, "n >= 8"),
@@ -175,7 +175,7 @@ REFUSALS = {
     "kernel_j order 13": (lambda: bg.kernel_j(_RING, 0.7 + 0j, 13), InvalidArgument, "derivative order"),
     "basis_norms empty range": (lambda: bg.basis_norms(_RING, 3, 2), InvalidArgument, "empty basis range"),
     "basis_norms disc n < 0": (lambda: bg.basis_norms(_DISC, -1, 2), InvalidArgument, "disc basis starts"),
-    "suita_check j_max 7": (lambda: vf.suita_check(_RING, 0.7 + 0j, 7), InvalidArgument, "j_max"),
+    "suita_check j_max 7": (lambda: vf.suita_check(vf.Pole(_RING, 0.7 + 0j), 7), InvalidArgument, "j_max"),
     "eval_weights s = 0": (lambda: wt.eval_weights(0.0), InvalidArgument, "s < 0"),
     "green_eval z = w": (lambda: gr.green_eval(_RING, 0.7 + 0j, 0.7 + 0j), PointOutsideDomain, "z == w"),
     "laplacian stencil past the boundary": (

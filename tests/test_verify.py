@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from suita_lab import bergman as bg
 from suita_lab import cli
+from suita_lab import geometry as geo
 from suita_lab import green as gr
+from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
 from suita_lab.errors import ConvergenceFailure, NoCriticalPoint, SkippedDegenerate, UnsupportedDomain
@@ -15,48 +19,48 @@ from suita_lab.geometry import Disc, PolarComplement, parse_domain
 
 class TestSuitaCheck:
     def test_disc_center_equality(self, unit_disc):
-        checks = vf.suita_check(unit_disc, 0j, 3)
+        checks = vf.suita_check(vf.Pole(unit_disc, 0j), 3)
         assert len(checks) == 4
         for c in checks:
             assert c.passed
             assert abs(c.margin) <= 1e-8 * max(abs(c.lhs), abs(c.rhs))
 
     def test_annulus_strict(self, annulus_half):
-        checks = vf.suita_check(annulus_half, 0.7 + 0j, 0)
+        checks = vf.suita_check(vf.Pole(annulus_half, 0.7 + 0j), 0)
         assert checks[0].passed
         assert checks[0].margin > 0
 
     def test_polar_degenerate(self):
-        checks = vf.suita_check(PolarComplement(), 1 + 0j, 0)
+        checks = vf.suita_check(vf.Pole(PolarComplement(), 1 + 0j), 0)
         assert checks[0].passed
         assert checks[0].lhs == checks[0].rhs == 0.0
 
     def test_jmax_guard(self, unit_disc):
         with pytest.raises(ValueError):
-            vf.suita_check(unit_disc, 0j, 7)
+            vf.suita_check(vf.Pole(unit_disc, 0j), 7)
 
 
 class TestThm1Check:
     def test_disc_example(self, unit_disc):
-        checks = vf.thm1_check(unit_disc, 0j, r_list=[0.6])
+        checks = vf.thm1_check(vf.Pole(unit_disc, 0j), r_list=[0.6])
         by_r = checks[0]
         assert by_r.lhs == pytest.approx(1 / math.pi, rel=1e-10)
         assert by_r.rhs == pytest.approx(1.0 / (-2 * math.pi * 0.36 * math.log(0.6)), rel=1e-6)
         assert by_r.passed
 
     def test_golden_radius_included(self, unit_disc):
-        checks = vf.thm1_check(unit_disc, 0j)
+        checks = vf.thm1_check(vf.Pole(unit_disc, 0j))
         golden = (math.sqrt(5) - 1) / 2
         assert any(abs(float(c.params.split(";")[0].split("=")[1]) - golden) < 1e-9 for c in checks)
         assert all(c.passed for c in checks)
 
     def test_annulus_radii(self, annulus_half):
-        checks = vf.thm1_check(annulus_half, 0.7 + 0j, r_list=[0.1, 0.15, 0.2])
+        checks = vf.thm1_check(vf.Pole(annulus_half, 0.7 + 0j), r_list=[0.1, 0.15, 0.2])
         assert all(c.passed for c in checks)
 
     def test_touching_disc_infinite_bound(self, annulus_half):
         # r = delta: the closed disc touches the boundary, max G = 0
-        checks = vf.thm1_check(annulus_half, 0.7 + 0j, r_list=[0.2])
+        checks = vf.thm1_check(vf.Pole(annulus_half, 0.7 + 0j), r_list=[0.2])
         assert checks[0].rhs == math.inf
         assert checks[0].passed
         assert math.isfinite(checks[1].rhs)  # the golden radius stays inside
@@ -68,32 +72,32 @@ class TestThm2Check:
 
     def test_centered_disc_degenerate(self, unit_disc):
         with pytest.raises(SkippedDegenerate):
-            vf.thm2_check(unit_disc, 0j)
+            vf.thm2_check(vf.Pole(unit_disc, 0j))
 
     def test_offcenter_disc(self, unit_disc):
-        c = vf.thm2_check(unit_disc, 0.5 + 0j)
+        c = vf.thm2_check(vf.Pole(unit_disc, 0.5 + 0j))
         # delta = 0.5, cap = 4/3, delta*cap = 2/3
         assert c.rhs == pytest.approx(vf.THM2_CONSTANT / (0.25 * math.log(1.5)), rel=1e-10)
         assert c.passed
 
     def test_annulus(self, annulus_half):
-        assert vf.thm2_check(annulus_half, 0.7 + 0j).passed
+        assert vf.thm2_check(vf.Pole(annulus_half, 0.7 + 0j)).passed
 
 
 class TestPoissonCheck:
     def test_disc_center(self, unit_disc):
-        c = vf.poisson_step_check(unit_disc, 0j, 0.5)
+        c = vf.poisson_step_check(vf.Pole(unit_disc, 0j), 0.5)
         assert c.lhs == pytest.approx(math.log(0.5), abs=1e-8)
         assert c.rhs == 0.0  # log(R c) = log 1
         assert c.passed
 
     def test_offcenter_both_negative(self, unit_disc):
-        c = vf.poisson_step_check(unit_disc, 0.5 + 0j, 0.25)
+        c = vf.poisson_step_check(vf.Pole(unit_disc, 0.5 + 0j), 0.25)
         assert c.lhs < 0 and c.rhs < 0
         assert c.passed
 
     def test_annulus(self, annulus_half):
-        assert vf.poisson_step_check(annulus_half, 0.7 + 0j, 0.1).passed
+        assert vf.poisson_step_check(vf.Pole(annulus_half, 0.7 + 0j), 0.1).passed
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +108,7 @@ def profile():
 class TestBlbCheck:
 
     def test_disc_equality(self, unit_disc, profile):
-        checks = vf.blb_check(unit_disc, 0j, profile)
+        checks = vf.blb_check(vf.Pole(unit_disc, 0j), profile)
         lower = [c for c in checks if c.name.startswith("blb_lower")]
         assert len(lower) == 10
         for c in lower:
@@ -122,7 +126,7 @@ class TestBlbCheck:
             log_lambda=np.log(lam),
             e2t_lambda=np.exp(-2 * profile.t_samples) * lam,
         )
-        checks = vf.blb_check(unit_disc, 0j, bad)
+        checks = vf.blb_check(vf.Pole(unit_disc, 0j), bad)
         assert any(not c.passed for c in checks)
 
 
@@ -148,7 +152,7 @@ class TestThm4Scan:
 class TestCharacterization:
     def test_probe_families(self, annulus_half, unit_disc):
         checks = vf.characterization_probe(
-            [(annulus_half, 0.7 + 0j), (unit_disc, 0j), (PolarComplement(), 1 + 0j)]
+            [vf.Pole(annulus_half, 0.7 + 0j), vf.Pole(unit_disc, 0j), vf.Pole(PolarComplement(), 1 + 0j)]
         )
         pos = [c for c in checks if c.name.startswith("char_pos")]
         zero = [c for c in checks if c.name.startswith("char_zero")]
@@ -157,7 +161,7 @@ class TestCharacterization:
         assert all(c.passed for c in checks)
 
     def test_disc_center_values(self, unit_disc):
-        checks = vf.characterization_probe([(unit_disc, 0j)])
+        checks = vf.characterization_probe([vf.Pole(unit_disc, 0j)])
         for j, c in enumerate(c for c in checks if c.name.startswith("char_pos")):
             expect = math.factorial(j) * math.factorial(j + 1) / math.pi
             assert c.rhs == pytest.approx(expect, rel=1e-9)
@@ -215,7 +219,7 @@ class TestRunSuite:
         monkeypatch.setattr(sl, "LevelField", Counted)
         (row,) = [row for row in vf.REFEREE_ROWS if row[0] == "oracle_mc_area"]
         family, literal, w, params = row
-        checks = vf.FAMILIES[family](parse_domain(literal), w, {**params, "samples": 1000}, vf.SuiteConfig())
+        checks = vf.FAMILIES[family](vf.Pole(parse_domain(literal), w), {**params, "samples": 1000}, vf.SuiteConfig())
         assert [c.params.split(";")[0] for c in checks] == ["t=-0.5", "t=-1.0"]
         assert len(built) == 1
 
@@ -233,6 +237,54 @@ class TestRunSuite:
             from suita_lab.geometry import contains
 
             assert contains(domain, w)
+
+
+class TestPoleSharing:
+    """run_suite reads delta, c, K_j and disc maxima once per (domain, pole),
+    and draws the Monte Carlo samples of a row once."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Calls of disc_max_green, kernel_j and mc_area: (calling module, args)."""
+        calls = {}
+        for module, name in ((gr, "disc_max_green"), (bg, "kernel_j"), (oc, "mc_area")):
+
+            def counted(*args, _fn=getattr(module, name), _seen=calls.setdefault(name, [])):
+                _seen.append((sys._getframe(1).f_globals["__name__"], args))
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_default_plan(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        counts = []
+        for _ in range(2):  # nothing outlives a run: the second one computes everything again
+            for seen in calls.values():
+                seen.clear()
+            report = vf.run_suite()
+            # 14 series poles x (0.25, 0.5, 0.8 and the golden ratio of delta);
+            # poisson reads thm1's 0.5 delta
+            assert len(calls["disc_max_green"]) == 56
+            asked = [
+                (geo.domain_literal(d), complex(w), j) for caller, (d, w, j) in calls["kernel_j"] if caller == vf.__name__
+            ]
+            assert asked and len(set(asked)) == len(asked)
+            mc_rows = [row for row in vf.plan_rows(vf.SuiteConfig()) if row[0] == "oracle_mc_area"]
+            assert len(calls["mc_area"]) == len(mc_rows) == 1
+            assert report.all_passed
+            counts.append({name: len(seen) for name, seen in calls.items()})
+        assert counts[0] == counts[1]
+
+    def test_checks_share_one_pole(self, annulus_half, monkeypatch):
+        calls = self._count(monkeypatch)
+        pole = vf.Pole(annulus_half, 0.7 + 0j)
+        vf.suita_check(pole)
+        vf.thm1_check(pole)
+        vf.thm2_check(pole)
+        vf.poisson_step_check(pole, 0.5 * pole.delta)
+        assert [args[2] for _, args in calls["kernel_j"]] == [0, 1, 2, 3]
+        assert len(calls["disc_max_green"]) == 4
 
 
 GOLDEN = Path(__file__).parent / "default_report.csv"
