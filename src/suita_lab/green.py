@@ -284,8 +284,9 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
             raise PointOutsideDomain(f"{w} outside domain")
         return CapacityResult(capacity=0.0, robin_constant=-math.inf, truncation_bound=0.0)
     core, coeffs, zeta_w = geo.pull_back(domain, w)
-    if isinstance(core, Disc):  # the unit disc
-        cap = 1.0 / (1.0 - abs(zeta_w) ** 2)
+    if isinstance(core, Disc):  # the unit disc; (1 - r)(1 + r) keeps its digits next to the circle
+        r = abs(zeta_w)
+        cap = 1.0 / ((1.0 - r) * (1.0 + r))
         robin, tail = math.log(cap), 0.0
     else:
         # The k = 0 image gives log|z - w| + log(pi / (2 h |w| sin(theta0)))
@@ -309,18 +310,133 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
     return CapacityResult(capacity=cap, robin_constant=robin, truncation_bound=tail)
 
 
-_DISC_MAX_ANGLES = 4096  # samples of the circle in disc_max_green
+_DISC_MAX_SCAN = 64  # angles of the coarse scan of the circle on an annulus core
+_ULP = 0.5 * np.finfo(float).eps  # unit roundoff u = 2^-53
+
+
+def _point_shift(pb: geo.PullBack, w: Point, r: float) -> float:
+    """Lambda such that G computed at a computed point of the circle |z -
+    w| = r is G at a point within u Lambda of it (u the unit roundoff),
+    times 1 + eps with |eps| <= 16 u.  The point w + r e^{i theta} is
+    rounded by 2 u s, s = |w| + r.  The pull-back (dz - b) / (a - cz) is
+    rounded by 3 u (|a| + |b| + (|c| + |d|) s) / |a - cz| on the core,
+    where |zeta| <= 1, and a shift of zeta is one of z scaled by |a -
+    cz|^2 / |ad - bc|.  The core's forms read their arguments as at a
+    point within 8 u of zeta on the unit disc (|zeta - w| and 1 - conj(w)
+    zeta), and within (8 + 4h) u on Annulus(q), h = log(1/q), where the
+    strip coordinates come from log(|zeta|/q) and the angle of zeta
+    conj(w); the image terms of G have one sign, each good to 16 u."""
+    a, b, c, d = geo.IDENTITY_COEFFS if pb.coeffs is None else pb.coeffs
+    s = abs(w) + r
+    far = abs(a - c * w) + abs(c) * r  # the largest |a - cz| on the circle
+    forms = 8.0 if isinstance(pb.core, Disc) else 8.0 - 4.0 * math.log(pb.core.q)  # the core's forms, in u
+    return 2.0 * s + (3.0 * (abs(a) + abs(b) + (abs(c) + abs(d)) * s) + forms * far) * far / abs(a * d - b * c)
+
+
+def _disc_core_max(domain: Domain, w: Point, r: float) -> tuple[float, float]:
+    """Max of G on the circle and the largest |grad G| there, on a domain
+    whose core is the unit disc.  Such a domain is the disc (centre, R) of
+    its one boundary circle (moebius_circles for an image), and G is
+    conformally invariant.  Scaled by R, the pole sits at t = |w - centre|
+    / R, and the automorphism that sends it to 0 maps the circle of radius
+    rho = r / R to one of centre c' and radius rho', on which G = log|zeta|
+    peaks at |c'| + rho' = rho / (1 - t^2 - t rho).  With delta = R - |w -
+    centre| and eps = delta - r, 1 - t^2 - t rho = (delta + t eps) / R and
+    1 - |c'| - rho' = (1 + t) eps / (delta + t eps): sums of positive
+    terms, with no cancellation next to the circle."""
+    ((centre, radius),) = domain.circles
+    dist = abs(w - centre)
+    t, delta = dist / radius, radius - dist
+    eps = delta - r
+    den = delta + t * eps
+    peak = r / den  # |c'| + rho'
+    value = math.log(peak) if peak < 0.5 else math.log1p(-(1.0 + t) * eps / den)
+    # |grad G| = |phi'| / |phi| <= max |phi'| / min |phi| on the circle
+    grad = delta * (1.0 + t) * (delta * (1.0 + t) + t * r) / (r * den * den)
+    return value, grad
+
+
+def _circle_field(domain: Domain, w: Point, r: float, theta: np.ndarray):
+    """G, G_theta, G_theta_theta and |f'| at w + r e^{i theta}, from one pass."""
+    e = r * np.exp(1j * theta)
+    g, f1, f2 = green_field(domain, w, w + e, ("g", "f1", "f2"))
+    ef1 = e * f1
+    return g, -ef1.imag, (-(e * e) * f2 - ef1).real, np.abs(f1)
+
+
+def _annulus_core_max(domain: Domain, w: Point, r: float, shift: float) -> tuple[float, float, float]:
+    """Max of G on the circle, the largest |f'| met there and what the last
+    Newton step would still add, on a domain whose core is an annulus.
+
+    A scan of _DISC_MAX_SCAN angles reads G, f' and f''.  Every discrete
+    local maximum whose interval could reach the best sample, with
+    G_theta_theta = Re(-r^2 e^{2 i theta} f'' - r e^{i theta} f') bounded
+    by its largest sampled size, starts a bracketed Newton iteration on
+    G_theta = -Im(r e^{i theta} f'), all of them in one pass of the field
+    per step.  The iteration stops when no step would raise G by more than
+    an eighth of the rounding of one evaluation (_point_shift)."""
+    h = 2.0 * math.pi / _DISC_MAX_SCAN
+    theta = h * np.arange(_DISC_MAX_SCAN)
+    g, gt, gtt, grad = _circle_field(domain, w, r, theta)
+    best, steep = float(np.max(g)), float(np.max(grad))
+    curv = float(np.max(np.abs(gtt)))
+    peak = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
+    k = np.nonzero(peak & (g + np.abs(gt) * h + 0.5 * curv * h * h >= best))[0]
+    # the root of G_theta lies on the side of the sample that G_theta points to
+    t, gt, gtt = theta[k], gt[k], gtt[k]
+    lo = t - h * (gt < 0)
+    hi = lo + h
+    for _ in range(64):  # bisection alone narrows a bracket to rounding within 64 steps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(gtt < 0, t - gt / gtt, math.nan)
+        # a step below the spacing of doubles lands on a bracket end, not in it
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        rise = float(np.max(np.abs(gt * (nxt - t))))
+        if rise <= _ULP * (16.0 * abs(best) + shift * steep) / 8.0:
+            break
+        t = nxt
+        g, gt, gtt, grad = _circle_field(domain, w, r, t)
+        best, steep = max(best, float(np.max(g))), max(steep, float(np.max(grad)))
+        lo = np.where(gt > 0, t, lo)
+        hi = np.where(gt < 0, t, hi)
+    return best, steep, rise
+
+
+def _disc_max(domain: Domain, w: Point, r: float) -> tuple[float, float]:
+    """The maximum m of G(., w) on the circle |z - w| = r < delta, as
+    computed, and its rounding allowance 2 u (16 |m| + Lambda g) + rise:
+    Lambda from _point_shift, g the largest |grad G| on the circle, rise
+    what the last Newton step would still add (0 in closed form).  A
+    value of G computed on the circle is off by at most u (16 |G| + Lambda
+    g), and m is one such value (or the closed form, whose rounding is
+    smaller).  The allowance covers m's rounding and shortfall and the
+    rounding of one more value, so m plus the allowance is at least every
+    computed value of G on the circle, and above the true maximum by less
+    than twice the allowance."""
+    pb = geo.pull_back(domain, w)
+    shift = _point_shift(pb, w, r)
+    if isinstance(pb.core, Disc):
+        (value, grad), rise = _disc_core_max(domain, w, r), 0.0
+    else:
+        value, grad, rise = _annulus_core_max(domain, w, r, shift)
+    return value, 2.0 * _ULP * (16.0 * abs(value) + shift * grad) + rise
 
 
 def disc_max_green(domain: Domain, w: Point, r: float) -> float:
     """Maximum of G(., w) over the closed disc of radius r around w.
 
     G is subharmonic there, so the maximum sits on the circle |z - w| = r.
-    Dense angular sampling (offset half a spacing so a boundary tangency is
-    never hit exactly) plus one parabolic refinement per local maximum, and
-    a second-order modulus-of-continuity margin capped at 1e-8.  The result
-    is capped at zero; at r equal to the boundary distance the closed disc
-    touches the boundary, where G = 0, and 0.0 is returned.
+    On a disc core (the unit disc, Disc(c, R), a Moebius image of a disc)
+    it is closed-form: the automorphism that sends the pole to 0 maps the
+    circle to a circle of centre c' and radius rho', and the maximum is
+    log(|c'| + rho').  On an annulus core a scan of the circle finds the
+    local maxima that could be the largest, and bracketed Newton on
+    G_theta takes each to rounding.  The returned value is the maximum plus
+    a rounding allowance (_disc_max): it is at least every computed value
+    of G on the circle, and above the true maximum by less than twice the
+    allowance.  The result is capped at zero; at r equal to the boundary
+    distance the closed disc touches the boundary, where G = 0, and 0.0 is
+    returned.
     """
     geo.pull_back(domain, w)  # refuses a domain with no series and a pole outside
     delta = geo.boundary_distance(domain, w)
@@ -328,28 +444,8 @@ def disc_max_green(domain: Domain, w: Point, r: float) -> float:
         raise InvalidArgument(f"r={r} exceeds boundary distance {delta}")
     if r >= delta:
         return 0.0
-    dtheta = 2 * math.pi / _DISC_MAX_ANGLES
-    theta = (np.arange(_DISC_MAX_ANGLES) + 0.5) * dtheta
-    circle = w + r * np.exp(1j * theta)
-    vals = green_values_raw(domain, w, circle)
-    # Parabolic refinement through each discrete local maximum.
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    is_max = (vals >= left) & (vals >= right)
-    best = float(np.max(vals))
-    idx = np.nonzero(is_max)[0]
-    denom = right[idx] - 2 * vals[idx] + left[idx]
-    ok = denom < -1e-300
-    offset = np.zeros(len(idx))
-    offset[ok] = 0.5 * dtheta * (left[idx][ok] - right[idx][ok]) / denom[ok]
-    offset = np.clip(offset, -dtheta, dtheta)
-    refined_pts = w + r * np.exp(1j * (theta[idx] + offset))
-    refined_vals = green_values_raw(domain, w, refined_pts)
-    if len(refined_vals):
-        best = max(best, float(np.max(refined_vals)))
-    second = np.abs(right - 2 * vals + left) / dtheta**2
-    margin = min(float(np.max(second)) * dtheta**2 / 8.0, 1e-8)
-    return min(best + margin, 0.0)
+    value, allowance = _disc_max(domain, w, r)
+    return min(value + allowance, 0.0)
 
 
 def boundary_flux(domain: Domain, w: Point, n: int) -> float:

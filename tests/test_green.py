@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,10 @@ from suita_lab.errors import (
 from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement
 
 from conftest import interior_points
+
+# the plan's Moebius disc and Moebius annulus
+BLASCHKE = "moebius:1,-0.3,-0.3,1;base=disc:0,0,1"
+MOEBIUS_RING = "moebius:1,0.15,0.15,1;base=annulus:0.5"
 
 
 class TestGreenEval:
@@ -321,6 +326,19 @@ class TestRobinCapacity:
         assert c.capacity == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert c.robin_constant == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "w, ref",
+        [
+            # 1 / (1 - w^2) at the doubles w, 40 digits (mpmath)
+            (1 - 1e-6, "500000.2499857471678048114425714449692815"),
+            (1 - 1e-9, "500000014.3909661317714752215111853092743"),
+        ],
+    )
+    def test_disc_next_to_the_circle(self, unit_disc, w, ref):
+        # (1 - r)(1 + r) is exact there, where 1 - r^2 loses the digits of r^2
+        got = gr.robin_capacity(unit_disc, complex(w)).capacity
+        assert abs(Decimal(got) - Decimal(ref)) <= Decimal(4e-16) * Decimal(ref)
+
     def test_polar_complement_zero(self):
         c = gr.robin_capacity(PolarComplement(), 1 + 0j)
         assert c.capacity == 0.0
@@ -397,12 +415,148 @@ class TestDiscMaxGreen:
         assert value < 0
 
     def test_upper_bound_property(self, unit_disc):
-        # the returned value dominates G on a dense independent sampling
+        # the returned value dominates G on a dense independent sampling, with
+        # no slack beyond its own rounding allowance
         w, r = 0.3 + 0.2j, 0.4
         bound = gr.disc_max_green(unit_disc, w, r)
         theta = np.linspace(0, 2 * math.pi, 1000, endpoint=False) + 0.123
         vals = gr.green_values_raw(unit_disc, w, w + r * np.exp(1j * theta))
-        assert float(np.max(vals)) <= bound + 1e-8
+        assert float(np.max(vals)) <= bound
+
+    # log(rho / (1 - t^2 - t rho)) at the doubles w and r, 40 digits
+    # (mpmath): t = |w - centre| / R and rho = r / R on the disc (centre,
+    # R); the Moebius map is an automorphism, so its image is the unit disc
+    DISC_MAXIMA = [
+        ("disc:0,0,1", 0j, 0.25, "-1.386294361119890618834464242916353136151"),
+        ("disc:0,0,1", 0j, 0.5, "-0.6931471805599453094172321214581765680755"),
+        ("disc:0,0,1", 0j, 0.8, "-0.223143551314209700255143859052009022937"),
+        ("disc:0,0,1", 0j, 0.999, "-0.001000500333583534389210469441380890239765"),
+        ("disc:0,0,1", 0.5 + 0j, 0.125, "-1.704748092238425234644711456506952731746"),
+        ("disc:0,0,1", 0.5 + 0j, 0.25, "-0.9162907318741550651835272117680110714501"),
+        ("disc:0,0,1", 0.5 + 0j, 0.4, "-0.3184537311185345401132228073299277219023"),
+        ("disc:0,0,1", 0.5 + 0j, 0.4995, "-0.001500375375234582747141361236701765697362"),
+        ("disc:0,0,1", 0.3 + 0.4j, 0.125, "-1.704748092238425216477425599004390010076"),
+        ("disc:0,0,1", 0.3 + 0.4j, 0.25, "-0.9162907318741550429790667192648788331671"),
+        ("disc:0,0,1", 0.3 + 0.4j, 0.4, "-0.3184537311185345118530003623259401594655"),
+        ("disc:0,0,1", 0.3 + 0.4j, 0.4995, "-0.001500375375234549468192327245250589459063"),
+        ("disc:0.3,0.2,2", 0.3 + 0.2j, 0.5, "-1.386294361119890618834464242916353136151"),
+        ("disc:0.3,0.2,2", 0.3 + 0.2j, 1.0, "-0.6931471805599453094172321214581765680755"),
+        ("disc:0.3,0.2,2", 0.3 + 0.2j, 1.6, "-0.223143551314209700255143859052009022937"),
+        ("disc:0.3,0.2,2", 0.3 + 0.2j, 1.998, "-0.001000500333583534389210469441380890239765"),
+        ("disc:0.3,0.2,2", 1 + 0.5j, 0.309605672353, "-1.637513278206618299467323937498997041679"),
+        ("disc:0.3,0.2,2", 1 + 0.5j, 0.619211344707, "-0.8674318005630933894379480070290480917001"),
+        ("disc:0.3,0.2,2", 1 + 0.5j, 0.990738151531, "-0.2965405925135587783997036054645738056628"),
+        ("disc:0.3,0.2,2", 1 + 0.5j, 1.23718426672, "-0.001381216511957109638237492740875966704659"),
+        ("disc:0.3,0.2,2", -1.2 + 0.1j, 0.124167590541, "-1.833380257705488446411672687465125940129"),
+        ("disc:0.3,0.2,2", -1.2 + 0.1j, 0.248335181081, "-1.012206117204173390456142835071934878649"),
+        ("disc:0.3,0.2,2", -1.2 + 0.1j, 0.39733628973, "-0.3631949855081914878334100620864968112677"),
+        ("disc:0.3,0.2,2", -1.2 + 0.1j, 0.496173691801, "-0.001751882792386160376295705025409668465115"),
+        (BLASCHKE, 0.2 + 0.1j, 0.194098300562, "-1.541334729327617925921107784340431632201"),
+        (BLASCHKE, 0.2 + 0.1j, 0.388196601125, "-0.7991305611846277388248509369717341483064"),
+        (BLASCHKE, 0.2 + 0.1j, 0.621114561799, "-0.2668937595987637250560432350567821618168"),
+        (BLASCHKE, 0.2 + 0.1j, 0.775616809047, "-0.001224082136275661883074078246589669012968"),
+        (BLASCHKE, 0.6 - 0.3j, 0.0822949016874, "-1.793834178822131439851820808445802801425"),
+        (BLASCHKE, 0.6 - 0.3j, 0.164589803375, "-0.9823856886061596218977934958075423843362"),
+        (BLASCHKE, 0.6 - 0.3j, 0.2633436854, "-0.3490394363209770707191885055551734064554"),
+        (BLASCHKE, 0.6 - 0.3j, 0.328850427143, "-0.001671095828995413831253676683174641708676"),
+        (BLASCHKE, -0.9 + 0j, 0.025, "-1.902107526396920070755011092382604310385"),
+        (BLASCHKE, -0.9 + 0j, 0.0499999999999, "-1.064710736995048764286752568962301555602"),
+        (BLASCHKE, -0.9 + 0j, 0.0799999999999, "-0.3886579897937955395469395518390929690203"),
+        (BLASCHKE, -0.9 + 0j, 0.0998999999999, "-0.001900095578319409148888238210492033802281"),
+    ]
+
+    @pytest.mark.parametrize("literal, w, r, ref", DISC_MAXIMA)
+    def test_disc_cores_meet_the_closed_form(self, literal, w, r, ref):
+        # radii 0.25 to 0.999 of delta: the result lies at or above the
+        # maximum, by at most twice its rounding allowance
+        domain = geo.parse_domain(literal)
+        assert 0.24 * geo.boundary_distance(domain, w) < r < geo.boundary_distance(domain, w)
+        got = gr.disc_max_green(domain, w, r)
+        value, allowance = gr._disc_max(domain, w, r)
+        assert got == value + allowance
+        assert Decimal(ref) <= Decimal(got) <= Decimal(ref) + 2 * Decimal(allowance)
+
+    @staticmethod
+    def _scan_max(domain, w, r, n=1 << 16):
+        """G on n angles of the circle, and the largest value once the top
+        sample's two intervals are scanned again at 4097 angles."""
+        step = 2 * math.pi / n
+        theta = step * (np.arange(n) + 0.37)
+        samples = gr.green_values_raw(domain, w, w + r * np.exp(1j * theta))
+        fine = theta[np.argmax(samples)] + np.linspace(-step, step, 4097)
+        finer = gr.green_values_raw(domain, w, w + r * np.exp(1j * fine))
+        return samples, max(float(np.max(samples)), float(np.max(finer)))
+
+    @pytest.mark.parametrize("literal", ["annulus:0.3", "annulus:0.5", "annulus:0.8", "annulus:0.95", MOEBIUS_RING])
+    @pytest.mark.parametrize("frac", [0.02, 0.5, 0.95])
+    @pytest.mark.parametrize("scale", [0.5, 0.999])
+    def test_annulus_cores_dominate_a_dense_scan(self, literal, frac, scale):
+        # poles at 2%, 50% and 95% of the base ring's width, off every axis
+        domain = geo.parse_domain(literal)
+        core, coeffs = geo.flatten_moebius(domain)
+        zeta = (core.q + frac * (1 - core.q)) * complex(math.cos(1.3), math.sin(1.3))
+        w = complex(geo.moebius_forward(coeffs, zeta))
+        r = scale * geo.boundary_distance(domain, w)
+        got = gr.disc_max_green(domain, w, r)
+        _, allowance = gr._disc_max(domain, w, r)
+        samples, top = self._scan_max(domain, w, r)
+        assert float(np.max(samples)) <= got
+        assert top <= got <= top + 2 * allowance
+        assert allowance < 1e-11  # rounding-sized: Newton ran to its end
+
+    @pytest.mark.parametrize(
+        "q, w",
+        [
+            # r = 0.99 delta from 0.71: the circle passes 0.002 from the inner
+            # circle and 0.08 from the outer one, a local maximum next to each
+            (0.5, 0.71 + 0j),
+            (0.5, 0.71 * complex(math.cos(0.4), math.sin(0.4))),
+            # from 0.52 in Annulus(0.05) the circle nearly touches both
+            # circles; the peak at the small one is the higher, and narrower
+            # than the scan's spacing, so the best sample is at the other one
+            (0.05, 0.52 * complex(math.cos(2.9), math.sin(2.9))),
+        ],
+    )
+    def test_circle_with_two_local_maxima(self, q, w):
+        domain = Annulus(q)
+        r = 0.99 * geo.boundary_distance(domain, w)
+        samples, top = self._scan_max(domain, w, r)
+        assert np.count_nonzero((samples > np.roll(samples, 1)) & (samples > np.roll(samples, -1))) == 2
+        got = gr.disc_max_green(domain, w, r)
+        _, allowance = gr._disc_max(domain, w, r)
+        assert top <= got <= top + 2 * allowance
+
+    def test_value_keeps_its_digits_next_to_the_circle(self, unit_disc):
+        # delta - r = 5e-10: the maximum, -1.5e-9, to rounding relative to
+        # itself (log(|c'| + rho') would keep it only to 1e-16 absolute);
+        # the reference is log(rho / (1 - t^2 - t rho)), 40 digits (mpmath)
+        value, _ = gr._disc_max(unit_disc, 0.5 + 0j, 0.4999999995)
+        ref = Decimal("-1.499999957952102784025630881378005614876e-9")
+        assert abs(Decimal(value) - ref) <= Decimal(4e-16) * abs(ref)
+
+    @pytest.mark.parametrize(
+        "literal, passes",
+        [("disc:0,0,1", 0), ("disc:0.3,0.2,2", 0), (BLASCHKE, 0), ("annulus:0.3", 4), ("annulus:0.8", 4), (MOEBIUS_RING, 4)],
+    )
+    def test_field_passes_per_call(self, literal, passes, monkeypatch):
+        # none on a disc core; on an annulus core the scan and a few Newton
+        # steps, however many local maxima start them
+        calls = []
+
+        def counted(*args, _fn=gr.green_field):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(gr, "green_field", counted)
+        domain = geo.parse_domain(literal)
+        core, coeffs = geo.flatten_moebius(domain)
+        q = getattr(core, "q", 0.0)
+        for frac, angle in itertools.product((0.02, 0.5, 0.95), (0.0, 0.4, 1.3, 2.9)):
+            w = complex(geo.moebius_forward(coeffs, (q + frac * (1 - q)) * complex(math.cos(angle), math.sin(angle))))
+            calls.clear()
+            gr.disc_max_green(domain, w, 0.5 * geo.boundary_distance(domain, w))
+            assert len(calls) <= passes
+            assert all(args[0] is domain for args in calls)
 
 
 class TestCriticalPoints:
