@@ -31,7 +31,7 @@ from .green import (
     green_eval,
     robin_capacity,
 )
-from .bergman import KernelResult, basis_norms, kernel_j, laplacian_identity_check, suita_defect
+from .bergman import KernelResult, kernel_j, laplacian_identity_check, suita_defect
 from .sublevel import (
     AreaEstimate,
     ConvexityReport,

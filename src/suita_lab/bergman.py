@@ -35,15 +35,8 @@ needed: K_j = j!(j+1)!/pi c^(2j+2), c the capacity.
 The stated bound covers the first dropped images (the rest fall off by p
 each), the rounding of the sums, of A and of the factorization, and the
 rounding of the pulled-back pole, whose distance to the nearer circle the
-kernel is most sensitive to.
-
-The Laurent frame that computed K_j before is kept as a referee,
-_frame_kernel, which the main path never reaches: with an orthonormal
-monomial or Laurent basis e_n and the derivative vectors
-v_i = (e_n^(i)(w))_n, K_j(w) is the squared norm of the part of v_j
-orthogonal to span{v_0, ..., v_{j-1}} at fixed truncation, and the basis
-cutoff doubles until two values agree.  Each column of the frame depends
-on its own exponent n only, so a doubling builds only the new exponents.
+kernel is most sensitive to.  The test suite holds kernel_j to that
+bound against Laurent sums carried to 40 digits.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry as geo
-from .errors import InvalidArgument, PointOutsideDomain, TruncationFailure, UnsupportedDomain
+from .errors import InvalidArgument, PointOutsideDomain
 from .geometry import Annulus, Disc, Domain, Point, PolarComplement
 from .green import _dual_log_nome, annulus_dual_terms, robin_capacity
 
@@ -68,11 +61,10 @@ _CAYLEY_INVERSE = (1 + 0j, -1j, 1 + 0j, 1j)
 
 @dataclass(frozen=True)
 class KernelResult:
-    """K_j(w) with the images summed for it (2K + 1 on an annulus, 1 on a
-    disc, whose kernel is one reflection term, 0 on a polar complement)
-    and a bound on |value - K_j(w)| that includes rounding.  From the
-    referee frame, truncation_order is the basis cutoff and tail_bound
-    leaves rounding out."""
+    """K_j(w), the number of images summed for it in truncation_order
+    (2K + 1 on an annulus, 1 on a disc, whose kernel is one reflection
+    term, 0 on a polar complement), and in tail_bound a bound on
+    |value - K_j(w)| that covers the dropped images and rounding."""
 
     order: int
     value: float
@@ -294,6 +286,7 @@ def pinned_kernel(domain: Domain, w: Point, j: int, z: Point) -> float:
     functionals takes its blocks from the image sums at (w, w), (w, z) and
     (z, z).
     """
+    _check_order(j)
     at_z = _point(geo.pull_back(domain, z), z, j)
     gram = _block(at_z, at_z, j, j)[0]
     if j > 0:
@@ -314,6 +307,8 @@ def laplacian_identity_check(
     identity is about); for j = 0 it is the usual diagonal kernel.  Returns
     (fd_laplacian, ratio, rel_error).
     """
+    if not 0.0 < h < math.inf:
+        raise InvalidArgument(f"need a positive finite step h, got {h}")
     stencil = [w, w + h, w - h, w + 1j * h, w - 1j * h]
     for p in stencil:
         if not geo.contains(domain, p):
@@ -368,146 +363,3 @@ def suita_defect(domain: Domain, w: Point) -> tuple[float, float]:
     # the defect goes like s^4 next to a circle, and s moves with |zeta|
     pole = abs(value) * 16 * _EPS * r / min(r - q, 1.0 - r)
     return value, (rounding + tail) / keep + pole
-
-
-# ---------------------------------------------------------------------------
-# The referee: the Laurent frame
-# ---------------------------------------------------------------------------
-
-_MAX_BASIS = 10_000
-_FRAME_TOL = 1e-11  # two successive cutoffs agree to this, relative
-
-
-def basis_norms(domain: Domain, n_lo: int, n_hi: int) -> np.ndarray:
-    """Squared L2 norms of the monomial basis, n_lo..n_hi inclusive.
-
-    Disc of centre c and radius R, in the unit variable u = (z - c)/R:
-    ||u^n||^2 = pi R^2 / (n+1), finite for every n (the norm of (z - c)^n,
-    pi R^(2n+2)/(n+1), leaves the double range once n ~ 354/|log R|).
-    The frame reads the unit disc's, pi / (n+1).
-    Annulus q < |z| < 1: ||z^n||^2 = 2 pi (1 - q^(2n+2)) / (2n+2) away from
-    n = -1 (the expression is positive for n <= -2 as written), and
-    ||z^-1||^2 = 2 pi log(1/q).
-    """
-    if n_hi < n_lo:
-        raise InvalidArgument("empty basis range")
-    n = np.arange(n_lo, n_hi + 1)
-    if isinstance(domain, Disc):
-        if n_lo < 0:
-            raise InvalidArgument("disc basis starts at n = 0")
-        return math.pi * domain.radius**2 / (n + 1)
-    if isinstance(domain, Annulus):
-        q = domain.q
-        out = np.empty(len(n))
-        reg = n != -1
-        nn = n[reg]
-        with np.errstate(over="ignore"):
-            out[reg] = 2 * math.pi * (1.0 - q ** (2 * nn + 2)) / (2 * nn + 2)
-        out[~reg] = 2 * math.pi * math.log(1.0 / q)
-        return out
-    raise UnsupportedDomain("closed-form basis norms exist for Disc and Annulus only")
-
-
-def _derivative_rows(core: Domain, u: complex, j: int, n_lo: int, n_hi: int) -> np.ndarray:
-    """Rows i = 0..j of e_n^(i)(u), n = n_lo..n_hi, for the normalized
-    monomial basis e_n = z^n / ||z^n|| of the core.
-
-    Each power u^m, m = n_lo - j..n_hi, is built once; row i reads the same
-    vector shifted by i.
-    """
-    n = np.arange(n_lo, n_hi + 1)
-    width = len(n)
-    root = np.sqrt(basis_norms(core, n_lo, n_hi))
-    m = np.arange(n_lo - j, n_hi + 1)
-    rows = np.empty((j + 1, width), dtype=complex)
-    # falling factorial n (n-1) ... (n-i+1), valid for negative n as well
-    fall = np.ones(width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if u != 0:
-            powers = u ** (m + 0j)
-        else:  # 0^0 = 1 on the diagonal term, 0 elsewhere (disc center)
-            powers = np.where(m == 0, 1.0 + 0j, 0j)
-        for i in range(j + 1):
-            if i > 0:
-                fall = fall * (n - (i - 1))
-            rows[i] = fall * powers[j - i : j - i + width] / root
-        # Intermediate overflow can only hit far-tail entries whose true
-        # value underflows to zero: the basis decays geometrically at u on
-        # the disc and for n >= 0 on an annulus.  Not so for n <= -2 next to
-        # the inner circle: once n < -355/log(1/q) the norm q^(2n+2)
-        # overflows and the entry reads 0 or inf/inf, while its true size,
-        # (q/|u|)^|n| |n|^(j+1/2), need not be negligible.  Those entries
-        # are taken again in logarithms, with
-        # log ||z^n||^2 = log 2 pi + (2n+2) log q + log1p(-q^-(2n+2)) - log(-2n-2).
-        # While the largest norm, that of z^n_lo, stays finite, no entry is lost.
-        if isinstance(core, Annulus) and not np.isfinite(root[0]):
-            lost = (n <= -2) & ~(np.isfinite(rows) & (rows != 0))
-            cols = lost.any(axis=0)
-            nl, q = n[cols], core.q
-            log_norm = (
-                math.log(2 * math.pi)
-                + (2 * nl + 2) * math.log(q)
-                + np.log1p(-(q ** -(2.0 * nl + 2)))
-                - np.log(-2.0 * nl - 2)
-            )
-            log_u, fall = np.log(complex(u)), np.ones(nl.size)
-            for i in range(j + 1):
-                if i > 0:
-                    fall = fall * (nl - (i - 1))
-                redo = np.sign(fall) * np.exp(np.log(np.abs(fall)) + (nl - i) * log_u - 0.5 * log_norm)
-                rows[i, cols] = np.where(lost[i, cols], redo, rows[i, cols])
-    rows[~np.isfinite(rows)] = 0.0
-    return rows
-
-
-def _qr_residual_sq(rows: np.ndarray) -> float:
-    """Squared norm of the part of the last row orthogonal to the others."""
-    r = np.linalg.qr(rows.T.conj(), mode="r")
-    return float(abs(r[-1, -1]) ** 2)
-
-
-def _n_range(core: Domain, half_n: int) -> tuple[int, int]:
-    """Basis exponents: z^n, n >= 0, on a disc; Laurent, n in Z, on an annulus."""
-    return (0, half_n) if isinstance(core, Disc) else (-half_n, half_n)
-
-
-def _frame_rows(pb: geo.PullBack, w: Point, j: int, half_n: int) -> np.ndarray:
-    """Constraint rows v_0..v_j at w over a basis cutoff of half-width
-    half_n, from the core's rows at pb.zeta_w."""
-    core, coeffs, zeta_w = pb
-    rows = _derivative_rows(core, zeta_w, j, *_n_range(core, half_n))
-    return rows if coeffs is None else _composition_matrix(_inverse_map_taylor(coeffs, w, j), j) @ rows
-
-
-def _frame_kernel(domain: Domain, w: Point, j: int) -> KernelResult:
-    """K_j(w) from the Laurent frame, the referee of kernel_j.
-
-    The basis cutoff doubles until the value settles to _FRAME_TOL; the
-    reported tail bound dominates the next doubling step, and leaves
-    rounding out.  The value at a fixed cutoff is
-    _qr_residual_sq(_frame_rows(...)), bit for bit.
-    """
-    _check_order(j)
-    core, coeffs, zeta_w = geo.pull_back(domain, w)
-    compose = None if coeffs is None else _composition_matrix(_inverse_map_taylor(coeffs, w, j), j)
-    n = max(32, 8 * (j + 1))
-    n_lo, n_hi = _n_range(core, n)
-    rows = _derivative_rows(core, zeta_w, j, n_lo, n_hi)
-    value = _qr_residual_sq(rows if compose is None else compose @ rows)
-    while True:
-        n2 = 2 * n
-        if n2 > _MAX_BASIS:
-            raise TruncationFailure(f"kernel tail target unreachable below basis size {_MAX_BASIS}")
-        # each column depends on its own exponent only: a doubling builds
-        # the new exponents and joins them to the rows already built
-        lo2, hi2 = _n_range(core, n2)
-        parts = [rows, _derivative_rows(core, zeta_w, j, n_hi + 1, hi2)]
-        if lo2 < n_lo:
-            parts.insert(0, _derivative_rows(core, zeta_w, j, lo2, n_lo - 1))
-        rows, n_lo, n_hi = np.hstack(parts), lo2, hi2
-        v2 = _qr_residual_sq(rows if compose is None else compose @ rows)
-        delta = abs(v2 - value)
-        if delta <= _FRAME_TOL * max(v2, 1e-300):
-            tail = max(4.0 * delta, 8.0 * _EPS * v2)
-            return KernelResult(order=j, value=v2, truncation_order=n2, tail_bound=tail)
-        value, n = v2, n2

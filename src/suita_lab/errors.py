@@ -33,10 +33,6 @@ class NoCriticalPoint(SuitaLabError):
     """Requested a critical-point based quantity on a domain without one."""
 
 
-class TruncationFailure(SuitaLabError):
-    """Series truncation target unreachable within the term budget."""
-
-
 class CriticalLevel(SuitaLabError):
     """Level too close to a critical value of the Green function."""
 

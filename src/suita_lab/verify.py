@@ -4,8 +4,8 @@ Kernels, capacities and Green maxima come from the dual-nome images of
 the Green function or from closed forms, areas from slice quadrature, and
 the Monte Carlo module supplies statistical referees.  So the kernel
 checks (suita, thm1, thm2, blb) read K and c from one series, as poisson
-reads G and c; the Laurent frame that computed K before referees
-kernel_j in the test suite, wherever the frame resolves.  The
+reads G and c; the test suite holds K_j to kernel_j's own bound
+against Laurent sums carried to 40 digits.  The
 annulus capacity is the closed-form k = 0 limit plus the other images at
 the pole; oracle_robin checks that limit against the numeric limit of the
 same series (angular means of G - log r, extrapolated to r = 0).  Its

@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-import random
 import warnings
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import pytest
 from suita_lab import bergman as bg
 from suita_lab import geometry as geo
 from suita_lab import green as gr
-from suita_lab.errors import PointOutsideDomain, TruncationFailure, UnsupportedDomain
+from suita_lab.errors import PointOutsideDomain, UnsupportedDomain
 from suita_lab.geometry import Disc, MoebiusImage, PolarComplement
 
 from conftest import interior_points
@@ -19,76 +18,6 @@ from conftest import interior_points
 
 def disc_kernel_exact(j: int, cap: float) -> float:
     return math.factorial(j) * math.factorial(j + 1) / math.pi * cap ** (2 * j + 2)
-
-
-class TestBasisNorms:
-    def test_disc_constant(self, unit_disc):
-        assert bg.basis_norms(unit_disc, 0, 0)[0] == pytest.approx(math.pi, abs=1e-15)
-
-    def test_annulus_log_term(self, annulus_half):
-        got = bg.basis_norms(annulus_half, -1, -1)[0]
-        assert got == pytest.approx(2 * math.pi * math.log(2.0), rel=1e-14)
-
-    def test_annulus_n0(self, annulus_half):
-        assert bg.basis_norms(annulus_half, 0, 0)[0] == pytest.approx(0.75 * math.pi, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [-3, -2, -1, 0, 2, 5])
-    def test_against_quadrature(self, annulus_half, n):
-        # independent oracle: Gauss-Legendre for 2 pi * int_q^1 r^(2n+1) dr
-        nodes, wts = np.polynomial.legendre.leggauss(200)
-        q = annulus_half.q
-        r = 0.5 * (nodes + 1) * (1 - q) + q
-        integral = 2 * math.pi * float(np.sum(wts * r ** (2 * n + 1))) * 0.5 * (1 - q)
-        assert bg.basis_norms(annulus_half, n, n)[0] == pytest.approx(integral, rel=1e-12)
-
-    def test_positive_for_negative_orders(self, annulus_half):
-        norms = bg.basis_norms(annulus_half, -40, 40)
-        assert np.all(norms > 0)
-
-    def test_disc_negative_rejected(self, unit_disc):
-        with pytest.raises(ValueError):
-            bg.basis_norms(unit_disc, -1, 3)
-
-    @pytest.mark.parametrize("radius, w, half_n", [(4.0, 1.0, 600), (0.01, 0.005, 200)])
-    def test_disc_norms_finite_on_any_radius(self, radius, w, half_n):
-        # norms of ((z - c)/R)^n; those of (z - c)^n, pi R^(2n+2)/(n+1),
-        # overflow at R = 4 and underflow to 0 at R = 0.01 within these n.
-        # The frame is built on the disc's core, the unit disc.
-        domain = Disc(0j, radius)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            norms = bg.basis_norms(domain, 0, half_n)
-            pb = geo.pull_back(domain, w)
-            rows = bg._frame_rows(pb, w, 1, half_n)
-        assert norms == pytest.approx(math.pi * radius**2 / np.arange(1, half_n + 2), rel=1e-15)
-        assert np.all(norms > 0)
-        assert np.array_equal(bg.basis_norms(pb.core, 0, half_n), bg.basis_norms(Disc(0j, 1.0), 0, half_n))
-        assert np.all(np.isfinite(rows))
-
-
-class TestFrame:
-    def test_basis_orthonormality_by_quadrature(self, annulus_half):
-        # Gram matrix of the normalized Laurent basis via polar quadrature
-        q = annulus_half.q
-        ns = np.arange(-3, 4)
-        norms = bg.basis_norms(annulus_half, -3, 3)
-        nodes, wts = np.polynomial.legendre.leggauss(220)
-        r = 0.5 * (nodes + 1) * (1 - q) + q
-        radial_weight = wts * 0.5 * (1 - q) * r
-        gram = np.zeros((7, 7), dtype=complex)
-        for a, m in enumerate(ns):
-            for b, n in enumerate(ns):
-                if m != n:
-                    continue  # angular integral vanishes exactly
-                gram[a, b] = 2 * math.pi * np.sum(radial_weight * r ** (m + n)) / math.sqrt(norms[a] * norms[b])
-        assert np.max(np.abs(gram - np.eye(7))) < 1e-12
-
-    def test_constraint_vectors_orthogonalize(self, annulus_half):
-        w = 0.7 + 0j
-        rows = bg._frame_rows(geo.pull_back(annulus_half, w), w, 4, 96)
-        qmat, _ = np.linalg.qr(rows.T.conj())
-        gram = qmat.T.conj() @ qmat
-        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
 
 class TestKernel:
@@ -112,8 +41,12 @@ class TestKernel:
     def test_annulus_against_direct_sum(self, annulus_half):
         w = 0.7 + 0j
         k = bg.kernel_j(annulus_half, w, 0)
-        ns = np.arange(-400, 401)
-        direct = float(np.sum(abs(w) ** (2 * ns) / bg.basis_norms(annulus_half, -400, 400)))
+        # |w|^(2n) / ||z^n||^2, ||z^n||^2 = pi (1 - q^(2n+2)) / (n+1) on
+        # q < |z| < 1 and 2 pi log(1/q) at n = -1
+        q, ns = annulus_half.q, np.arange(-400, 401)
+        ns = ns[ns != -1]
+        laurent = np.sum(abs(w) ** (2 * ns) * (ns + 1) / (math.pi * (1 - q ** (2.0 * ns + 2))))
+        direct = float(laurent) + abs(w) ** -2 / (2 * math.pi * math.log(1 / q))
         assert k.value == pytest.approx(direct, rel=1e-8)
 
     def test_suita_pointwise(self, annulus_half, unit_disc, blaschke_disc):
@@ -142,13 +75,6 @@ class TestKernel:
         large = bg.kernel_j(Disc(0j, 2.0), 0j, 0).value
         assert large == pytest.approx(1 / (4 * math.pi), rel=1e-12)
         assert large < small
-
-    def test_truncation_stability(self, annulus_half):
-        # the referee frame: its value at twice the cutoff it settled at
-        w = 0.7 + 0j
-        k = bg._frame_kernel(annulus_half, w, 2)
-        doubled = bg._qr_residual_sq(bg._frame_rows(geo.pull_back(annulus_half, w), w, 2, 2 * k.truncation_order))
-        assert abs(doubled - k.value) <= k.tail_bound
 
     def test_moebius_scaling(self, unit_disc):
         scaled = MoebiusImage(unit_disc, 2 + 0j, 0j, 0j, 1 + 0j)
@@ -185,12 +111,10 @@ class TestKernel:
         with pytest.raises(UnsupportedDomain):
             bg.kernel_j(unit_square, 0.5 + 0.5j, 0)
 
-    def test_truncation_failure_near_boundary(self, unit_disc):
-        # the referee frame refuses; kernel_j answers in closed form, within
-        # its bound: 1 - |w| is exact here, so 1 - |w|^2 = (1 - |w|)(1 + |w|)
+    def test_closed_form_next_to_the_boundary(self, unit_disc):
+        # kernel_j answers in closed form, within its bound: 1 - |w| is
+        # exact here, so 1 - |w|^2 = (1 - |w|)(1 + |w|)
         w = (1 - 1e-9) + 0j
-        with pytest.raises(TruncationFailure):
-            bg._frame_kernel(unit_disc, w, 0)
         k = bg.kernel_j(unit_disc, w, 0)
         exact = disc_kernel_exact(0, 1.0 / ((1.0 - w.real) * (1.0 + w.real)))
         assert abs(k.value - exact) <= k.tail_bound
@@ -207,9 +131,9 @@ _NEAR_INNER_CIRCLE = {
 }
 
 
-class TestAnnulusFrameOverflow:
-    # next to the inner circle the norms q^(2n+2) of z^n, n <= -2, overflow
-    # while the basis elements at w are still far from negligible
+class TestNearTheInnerCircle:
+    # next to the inner circle the Laurent sum needs tens of thousands of
+    # terms with n <= -2, whose norms q^(2n+2) leave the double range
     @pytest.mark.parametrize("q, f", list(_NEAR_INNER_CIRCLE))
     def test_against_decimal_laurent_sum(self, q, f):
         w = q + f * (1 - q)
@@ -218,12 +142,18 @@ class TestAnnulusFrameOverflow:
             assert abs(k.value - ref) <= 1e-12 * ref
 
 
-# K_j(w), j = 0..3, on Annulus(q) at w = q + f (1 - q), to 40 digits: the
-# Gram matrix of the derivative vectors of the Laurent basis in mpmath at 60
-# digits, each side of the sum carried until 50 successive terms stay below
-# 1e-48 of every entry (|n| up to 13,237), then factored by Cholesky.  The
-# entries at f = 0.02 agree with _NEAR_INNER_CIRCLE to every digit shown.
+# K_j(w), j = 0..3, on Annulus(q) at w = q + f (1 - q), to 40 digits, from
+# the Laurent sum: the Gram matrix of the derivative functionals,
+#     M_ab = sum_n (n)_a (n)_b w^(n-a) conj(w)^(n-b) / ||z^n||^2,
+# in mpmath at 60 digits, each side of the sum carried until 50 successive
+# terms fall below 1e-48 of every entry (1e-50 for q = 0.05 and 0.95, where
+# q = 0.95 takes up to 68,516 terms), then factored by Cholesky: K_j is the
+# square of the j-th diagonal entry of the factor.  The entries at f = 0.02
+# agree with _NEAR_INNER_CIRCLE to every digit shown, and the 1e-50 sum
+# gives the (0.5, 0.5) row to every digit shown.
 _LAURENT_40 = {
+    (0.05, 0.02): [167.23351203204908, 175962.99326883032, 556394406.9359554, 3520804668000.895],
+    (0.05, 0.98): [224.74181799124446, 317356.6894814951, 1344412984.296439, 11390630479497.133],
     (0.3, 0.02): [389.8095030989074, 954739.1112704946, 7015170993.589437, 103091250106109.6],
     (0.3, 0.05): [59.86963498979162, 22521.28193805698, 25415630.381443813, 57363901279.95696],
     (0.3, 0.5): [1.5766944426774179, 15.619774706154157, 464.2186922329192, 27593.227317960936],
@@ -236,41 +166,22 @@ _LAURENT_40 = {
     (0.8, 0.05): [794.0233482574104, 3961379.177609812, 59289912657.75718, 1774782763959246.8],
     (0.8, 0.5): [19.62282216156173, 2419.3728583217744, 894881.2223936833, 661999988.4997514],
     (0.8, 0.95): [809.2056630767396, 4114316.479491179, 62756357990.81422, 1914466467469363.0],
+    (0.95, 0.02): [79603.91636887085, 39815184989.90857, 5.97426242862802e16, 1.7928743304928863e23],
+    (0.95, 0.98): [79756.91513410835, 39968381679.70977, 6.008776285073976e16, 1.8066977408993552e23],
 }
 
 
 class TestImageSums:
+    # K_j is rotation invariant on an annulus: the references hold at every
+    # angle, here the four of the Baseline grid
+    @pytest.mark.parametrize("angle", [0.0, 0.7, 2.0, -2.9])
     @pytest.mark.parametrize("q, f", list(_LAURENT_40))
-    def test_within_the_stated_bound_of_a_40_digit_reference(self, q, f):
-        w = q + f * (1 - q)
+    def test_within_the_stated_bound_of_a_40_digit_reference(self, q, f, angle):
+        w = (q + f * (1 - q)) * cmath.exp(1j * angle)
         for j, ref in enumerate(_LAURENT_40[(q, f)]):
             k = bg.kernel_j(geo.Annulus(q), w, j)
             assert abs(k.value - ref) <= k.tail_bound
             assert k.tail_bound <= 1e-10 * ref
-
-    def test_meets_the_frame_on_the_baseline_grid(self):
-        # a seeded third of the grid q in {0.05, ..., 0.95}, poles at 2-98%
-        # of the width, four angles, j = 0..3: the two routes agree within
-        # the sum of their bounds wherever the frame resolves, and kernel_j
-        # answers where it does not (next to a circle of a thin ring)
-        grid = [
-            (q, f, angle)
-            for q in (0.05, 0.1, 0.3, 0.5, 0.8, 0.9, 0.95)
-            for f in (0.02, 0.05, 0.2, 0.5, 0.8, 0.95, 0.98)
-            for angle in (0.0, 0.7, 2.0, -2.9)
-        ]
-        refused = 0
-        for q, f, angle in random.Random(21).sample(grid, 64):
-            w = (q + f * (1 - q)) * cmath.exp(1j * angle)
-            for j in range(4):
-                k = bg.kernel_j(geo.Annulus(q), w, j)
-                try:
-                    frame = bg._frame_kernel(geo.Annulus(q), w, j)
-                except TruncationFailure:
-                    refused += 1
-                    continue
-                assert abs(k.value - frame.value) <= k.tail_bound + frame.tail_bound
-        assert refused > 0
 
     def test_pinned_kernel_is_the_kernel_at_its_pole(self, moebius_annulus, blaschke_disc):
         for domain, w in ((geo.Annulus(0.3), 0.5 + 0.2j), (moebius_annulus, 0.75 + 0j), (blaschke_disc, 0.2 + 0.1j)):
@@ -342,48 +253,24 @@ class TestLaplacianIdentity:
             bg.laplacian_identity_check(unit_disc, 0.9995 + 0j, 0, 1e-3)
 
 
-# kernel_j on j = 0..4 at 3-4 poles of ten domains, and one derivative
-# matrix, in float.hex, as the frame that rebuilt every power at every
-# doubling computed them (commit 87316b0).  A refusal is frozen as its
-# class name.
+# K_j on j = 0..4 at 29 poles of nine domains, in float.hex, as the Laurent
+# frame that computed K_j before the image sums gave them (commit 87316b0),
+# basis cutoffs of 64 to 4096 modes.  The frame refused j = 4 at the two
+# poles of annulus:0.95; those rows carry no value (null).
 FROZEN = json.loads((Path(__file__).parent / "kernel_frozen_values.json").read_text())
 FROZEN_POLES = [(lit, case["w"]) for lit, cases in FROZEN["domains"].items() for case in cases]
 
 
-def _frozen_row(domain, w, j):
-    try:
-        k = bg._frame_kernel(domain, w, j)
-    except TruncationFailure:
-        return [j, "TruncationFailure"]
-    return [j, k.value.hex(), k.tail_bound.hex(), k.truncation_order]
-
-
 class TestFrozenKernel:
     @pytest.mark.parametrize("literal, w", FROZEN_POLES)
-    def test_kernel_keeps_frozen_bits(self, literal, w):
+    def test_kernel_meets_the_frozen_values(self, literal, w):
         rows = next(c["rows"] for c in FROZEN["domains"][literal] if c["w"] == w)
         domain = geo.parse_domain(literal)
-        assert [_frozen_row(domain, complex(w), j) for j in range(5)] == rows
-
-    def test_frame_keeps_frozen_bits(self):
-        frame = FROZEN["frame"]
-        w = 0.7 + 0j
-        got = bg._frame_rows(geo.pull_back(geo.Annulus(0.5), w), w, 4, 96)
-        assert list(got.shape) == frame["shape"]
-        assert [float(x).hex() for x in got.real.ravel()] == frame["real"]
-        assert [float(x).hex() for x in got.imag.ravel()] == frame["imag"]
-
-    @pytest.mark.parametrize("literal, w", FROZEN_POLES)
-    def test_kernel_is_the_pinned_kernel_at_its_cutoff(self, literal, w):
-        # the grown frame and the frame built at the final cutoff in one go
-        # give the same value, bit for bit
-        domain, w = geo.parse_domain(literal), complex(w)
-        for j in range(5):
-            try:
-                k = bg._frame_kernel(domain, w, j)
-            except TruncationFailure:
+        for j, value, *_ in rows:
+            if value is None:
                 continue
-            assert k.value == bg._qr_residual_sq(bg._frame_rows(geo.pull_back(domain, w), w, j, k.truncation_order))
+            k = bg.kernel_j(domain, complex(w), j)
+            assert abs(k.value - float.fromhex(value)) <= k.tail_bound
 
 
 def _disc_poles():
@@ -392,14 +279,11 @@ def _disc_poles():
 
 
 class TestDiscRadius:
-    # K_j = j!(j+1)!/pi c^(2j+2), c = R/(R^2 - |w - c0|^2), on every radius.
-    # kernel_j takes the closed form.  The referee frame's true norms
-    # pi R^(2n+2)/(n+1) leave the double range once n > 354/|log R|, and its
-    # rows are formed in (w - c0)/R instead: it meets the closed form too,
-    # or refuses where the unit disc's frame refuses.
+    # K_j = j!(j+1)!/pi c^(2j+2), c = R/(R^2 - |w - c0|^2), on every radius,
+    # small and large, with no RuntimeWarning
     @pytest.mark.parametrize("center", [0j, 0.3 - 0.2j])
     @pytest.mark.parametrize("radius", [0.01, 0.1, 0.5, 1.0, 1.3, 2.0, 4.0])
-    def test_closed_form_or_refused_with_the_unit_disc(self, radius, center):
+    def test_closed_form_on_every_radius(self, radius, center):
         domain = Disc(center, radius)
         for u in _disc_poles():
             w = center + radius * u
@@ -408,25 +292,5 @@ class TestDiscRadius:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     k = bg.kernel_j(domain, w, j)
-                    try:
-                        frame = bg._frame_kernel(domain, w, j)
-                    except TruncationFailure:
-                        frame = None
                 assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
                 assert k.value == pytest.approx(disc_kernel_exact(j, cap), rel=1e-12, abs=0)
-                if frame is None:
-                    with pytest.raises(TruncationFailure):
-                        bg._frame_kernel(Disc(0j, 1.0), u, j)
-                else:
-                    assert frame.value == pytest.approx(disc_kernel_exact(j, cap), rel=1e-12, abs=0)
-
-    def test_unit_disc_refuses_only_at_the_edge(self):
-        # the sweep above is not empty: the frame refuses j = 2, 3 at 0.995
-        refused = []
-        for u in _disc_poles():
-            for j in range(4):
-                try:
-                    bg._frame_kernel(Disc(0j, 1.0), u, j)
-                except TruncationFailure:
-                    refused.append((round(abs(u), 3), j))
-        assert refused == [(0.995, 2), (0.995, 3)]

@@ -24,7 +24,6 @@ KINDS = {
     "PointOutsideDomain",
     "InvalidArgument",
     "ConvergenceFailure",
-    "TruncationFailure",
     "CriticalLevel",
     "BelowResolution",
     "NoCriticalPoint",

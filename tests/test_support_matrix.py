@@ -173,8 +173,13 @@ REFUSALS = {
     "boundary_sample 7 nodes": (lambda: geo.boundary_sample(_RING, 7), InvalidArgument, "n >= 8"),
     "boundary_sample 8 nodes on 12 edges": (lambda: geo.boundary_sample(_TWELVE_GON, 8), InvalidArgument, "cannot cover"),
     "kernel_j order 13": (lambda: bg.kernel_j(_RING, 0.7 + 0j, 13), InvalidArgument, "derivative order"),
-    "basis_norms empty range": (lambda: bg.basis_norms(_RING, 3, 2), InvalidArgument, "empty basis range"),
-    "basis_norms disc n < 0": (lambda: bg.basis_norms(_DISC, -1, 2), InvalidArgument, "disc basis starts"),
+    "pinned_kernel order 13": (lambda: bg.pinned_kernel(_RING, 0.7 + 0j, 13, 0.7 + 0j), InvalidArgument, "derivative order"),
+    "pinned_kernel order -1": (lambda: bg.pinned_kernel(_RING, 0.7 + 0j, -1, 0.7 + 0j), InvalidArgument, "derivative order"),
+    "laplacian step h = 0": (
+        lambda: bg.laplacian_identity_check(_RING, 0.7 + 0j, 0, 0.0),
+        InvalidArgument,
+        "positive finite step",
+    ),
     "suita_check j_max 7": (lambda: vf.suita_check(vf.Pole(_RING, 0.7 + 0j), 7), InvalidArgument, "j_max"),
     "eval_weights s = 0": (lambda: wt.eval_weights(0.0), InvalidArgument, "s < 0"),
     "green_eval z = w": (lambda: gr.green_eval(_RING, 0.7 + 0j, 0.7 + 0j), PointOutsideDomain, "z == w"),
