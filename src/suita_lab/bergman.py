@@ -288,9 +288,10 @@ def pinned_kernel(domain: Domain, w: Point, j: int, z: Point) -> float:
     """
     _check_order(j)
     at_z = _point(geo.pull_back(domain, z), z, j)
+    pulled_w = geo.pull_back(domain, w)  # refuses a pole outside the domain, at j = 0 too
     gram = _block(at_z, at_z, j, j)[0]
     if j > 0:
-        at_w = _point(geo.pull_back(domain, w), w, j)
+        at_w = _point(pulled_w, w, j)
         gram[:j, :j] = _block(at_w, at_w, j - 1, j - 1)[0]
         gram[:j, j] = _block(at_w, at_z, j - 1, j)[0][:, j]
         gram[j, :j] = gram[:j, j].conj()

@@ -256,12 +256,13 @@ def _cmd_critical(args) -> int:
 def _cmd_sublevel(args) -> int:
     domain = geo.parse_domain(args.domain)
     w = _parse_point(args.pole)
-    p = sl.profile_scan(domain, w, args.tmin, args.tmax, args.steps, args.grid)
+    field = sl.LevelField(domain, w)  # the profile and the contours read one field
+    p = sl._profile(field, args.tmin, args.tmax, args.steps, with_gamma=True)
     print("t,lambda,log_lambda,gamma_prime,second_diff,e2t_lambda,err_est")
     for row in zip(p.t_samples, p.lam, p.log_lambda, p.gamma_prime, p.second_diff, p.e2t_lambda, p.err_est):
         print(",".join(map(_fmt, row)))
     if args.svg:
-        emit_contours(sl.LevelField(domain, w), p.t_samples, args.svg, args.grid)
+        emit_contours(field, p.t_samples, args.svg, args.grid)
     return 0
 
 

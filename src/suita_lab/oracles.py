@@ -440,6 +440,8 @@ def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
     radii = [float(r) for r in radii]
     if len(radii) < 4 or any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise InvalidArgument("need at least 4 strictly decreasing radii")
+    if not all(0 < r < math.inf for r in radii):  # NaN fails every comparison above
+        raise InvalidArgument(f"need positive finite radii, got {radii}")
     delta = geo.boundary_distance(domain, w)
     if radii[0] > 0.5 * delta:
         raise InvalidArgument(f"largest radius {radii[0]} exceeds half the boundary distance {delta / 2}")
@@ -599,6 +601,8 @@ def grid_area(domain: Domain, w: Point, t: float, resolution: int = 2048) -> Are
     """
     if not (t < 0):
         raise InvalidArgument(f"need t < 0, got {t}")
+    if not resolution >= 1:
+        raise InvalidArgument(f"need a resolution of at least 1, got {resolution}")
     core, coeffs, w_eff = geo.pull_back(domain, w)
     coeffs = coeffs or geo.IDENTITY_COEFFS
     xs = ys = np.linspace(-1.02, 1.02, resolution + 1)  # the outer circle, |z| = 1

@@ -29,7 +29,7 @@ same slice roots.
 
 LevelField(domain, w) is the one way into the sublevel sets of G(., w):
 its area, coarea and contours read single levels, and profile_scan reads
-a uniform grid of levels from one field.
+a uniform grid of levels from one field (_profile, from a kept field).
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class SublevelProfile:
     log_lambda: np.ndarray
     second_diff: np.ndarray  # centered second differences of log_lambda; nan at ends
     e2t_lambda: np.ndarray  # exp(-2t) * lambda
-    resolution: int  # recorded as given to profile_scan; no area or gamma' reads it
 
 
 @dataclass(frozen=True)
@@ -403,8 +402,13 @@ def profile_scan(
     with_gamma: bool = True,
 ) -> SublevelProfile:
     """Uniform t grid with areas, co-area derivatives and convexity data,
-    read from one LevelField.  resolution is only recorded on the profile."""
-    field = LevelField(domain, w)
+    read from one LevelField.  resolution is accepted, for callers that
+    pass it positionally, and read by nothing."""
+    return _profile(LevelField(domain, w), t_min, t_max, steps, with_gamma)
+
+
+def _profile(field: LevelField, t_min: float, t_max: float, steps: int, with_gamma: bool) -> SublevelProfile:
+    """profile_scan on a field already built, which its caller reads again."""
     if not (t_min < t_max < 0):
         raise InvalidArgument(f"need t_min < t_max < 0, got [{t_min}, {t_max}]")
     if steps < 8:
@@ -423,7 +427,6 @@ def profile_scan(
         log_lambda=ll,
         second_diff=d2,
         e2t_lambda=np.exp(-2 * ts) * lam,
-        resolution=resolution,
     )
 
 

@@ -29,12 +29,13 @@ the config's entries name; a check that does not apply to its sample gives
 one passing line whose params open with status=.
 
 The checks read the numbers at the pole from a Pole: delta, the capacity,
-K_j by order and max G on discs by radius, each computed the first time a
-row asks.  run_suite keeps one Pole per (canonical literal, pole) for the
-length of one call, so the suita, thm1, thm2, poisson, blb,
-characterization and oracle_robin rows of a pole share them: poisson reads
-thm1's disc maximum at delta/2, and thm1, thm2, blb and characterization
-read the kernels that suita computed.  Every value is the one a fresh
+K_j by order, max G on discs by radius and the LevelField of G(., w), each
+computed the first time a row asks.  run_suite keeps one Pole per
+(canonical literal, pole) for the length of one call, so the rows of a
+pole share them: poisson reads thm1's disc maximum at delta/2, thm1, thm2,
+blb and characterization read the kernels that suita computed, and the
+blb, thm4 and oracle_mc_area rows read one field, thm4 taking its saddle
+level t0 from it rather than searching again.  Every value is the one a fresh
 computation gives; suita still asks kernel_j once per order, because K_0..K_3
 read off the one Cholesky factor of order 3 differ from kernel_j in the
 last bits.
@@ -130,8 +131,8 @@ def _check(name, domain, w, params, lhs, rhs, overrides=None) -> Check:
 
 class Pole:
     """One (domain, pole) that checks read: delta, the capacity, K_j by
-    order and max G on discs by radius, each computed the first time a
-    check asks for it and then kept.
+    order, max G on discs by radius and the level field, each computed the
+    first time a check asks for it and then kept.
 
     run_suite makes one Pole per (canonical literal, pole) and drops them
     all when it returns; a check called on its own takes Pole(domain, w).
@@ -149,6 +150,10 @@ class Pole:
     @cached_property
     def capacity(self) -> gr.CapacityResult:
         return gr.robin_capacity(self.domain, self.w)
+
+    @cached_property
+    def levels(self) -> sl.LevelField:
+        return sl.LevelField(self.domain, self.w)
 
     def kernel(self, j: int) -> bg.KernelResult:
         if j not in self._kernels:
@@ -243,46 +248,48 @@ def thm4_scan(
     guaranteed near t0 lives between t0 and 0, so a fixed macroscopic
     window would sample nothing relevant.  Width min(0.4, 6 |t0|), upper
     edge at t0/4, steps samples (64 by default; run_suite uses THM4_STEPS =
-    48).  resolution reaches only the profile record: areas do not depend
-    on it.  A top critical level that is not negative contradicts G < 0 and
-    raises ConvergenceFailure.
+    48).  t0 is the saddle level of the LevelField that gives the areas.
+    resolution is accepted, for callers that pass it positionally, and read
+    by nothing.  A disc core raises NoCriticalPoint; a saddle level that is
+    not negative contradicts G < 0 and raises ConvergenceFailure.
     """
-    cps = gr.critical_points(domain, w)
-    if not cps:
+    return _thm4(Pole(domain, w), steps)
+
+
+def _thm4(pole: Pole, steps: int) -> tuple[sl.ConvexityReport, Check]:
+    domain, w, field = pole.domain, pole.w, pole.levels
+    if field.disc_map is not None:
         raise NoCriticalPoint(f"no critical points for {geo.domain_literal(domain)} at {w}")
-    t0 = max(cp.level for cp in cps)
+    t0 = field.t0
     if not t0 < 0:
         raise ConvergenceFailure(f"critical level {t0} is not negative: G < 0 inside the domain")
     width = min(0.4, 6.0 * abs(t0))
     lo = t0 - 0.5 * width
     hi = min(t0 + 0.5 * width, 0.25 * t0)
-    profile = sl.profile_scan(domain, w, lo, hi, steps, resolution, with_gamma=False)
-    report = sl.convexity_report(profile, t0)
+    report = sl.convexity_report(sl._profile(field, lo, hi, steps, with_gamma=False), t0)
     params = f"t0={t0:.12g};window=[{lo:.6g},{hi:.6g}];floor={report.noise_floor:.6g}"
     passed = report.verdict == "NonConvexDetected"
     return report, _line("thm4", domain, w, params, report.min_second_diff, -report.noise_floor, passed)
 
 
-def characterization_probe(poles: list[Pole]) -> list[Check]:
+def characterization_probe(pole: Pole) -> list[Check]:
     """Positivity (or vanishing, for a polar complement) of K_j, j = 0..6,
     plus strict subharmonicity of log K at five seeded interior points."""
+    domain, w = pole.domain, pole.w
+    polar = isinstance(domain, PolarComplement)
     out = []
-    for pole in poles:
-        domain, w = pole.domain, pole.w
-        polar = isinstance(domain, PolarComplement)
-        for j in range(7):
-            value = pole.kernel(j).value
-            if polar:
-                out.append(_line(f"char_zero[j={j}]", domain, w, f"j={j}", abs(value), 0.0, value == 0.0))
-            else:
-                out.append(_line(f"char_pos[j={j}]", domain, w, f"j={j}", 0.0, value, value > 0.0))
+    for j in range(7):
+        value = pole.kernel(j).value
         if polar:
-            continue
-        pts = _seeded_interior_points(domain, w, count=5, seed=2024)
-        for k, p in enumerate(pts):
-            fd, _, _ = bg.laplacian_identity_check(domain, p, 0, 1e-3)
-            name, params = f"char_subharmonic[pt={k}]", f"h=1e-3;pt={_fmt_pole(p)}"
-            out.append(_line(name, domain, p, params, 0.0, fd, fd > 0.0))
+            out.append(_line(f"char_zero[j={j}]", domain, w, f"j={j}", abs(value), 0.0, value == 0.0))
+        else:
+            out.append(_line(f"char_pos[j={j}]", domain, w, f"j={j}", 0.0, value, value > 0.0))
+    if polar:
+        return out
+    for k, p in enumerate(_seeded_interior_points(domain, w, count=5, seed=2024)):
+        fd, _, _ = bg.laplacian_identity_check(domain, p, 0, 1e-3)
+        name, params = f"char_subharmonic[pt={k}]", f"h=1e-3;pt={_fmt_pole(p)}"
+        out.append(_line(name, domain, p, params, 0.0, fd, fd > 0.0))
     return out
 
 
@@ -390,10 +397,10 @@ def _wos_green(pole, params, config) -> list[Check]:
 
 
 def _mc_area(pole, params, config) -> list[Check]:
-    """One draw gives every level of the row its estimate, and one
+    """One draw gives every level of the row its estimate, and the pole's
     LevelField every reference."""
     domain, w = pole.domain, pole.w
-    levels, seed, out = sl.LevelField(domain, w), config.seed, []
+    levels, seed, out = pole.levels, config.seed, []
     for t, est in zip(params["levels"], oc.mc_area(domain, w, params["levels"], params["samples"], seed)):
         diff = est.mean - levels.area(t).value
         out += _within("oracle_mc_area", domain, w, f"t={t};samples={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
@@ -423,11 +430,9 @@ FAMILIES = {
     "thm1": lambda pole, p, cfg: thm1_check(pole, overrides=cfg.tolerances),
     "thm2": lambda pole, p, cfg: [thm2_check(pole, cfg.tolerances)],
     "poisson": lambda pole, p, cfg: [poisson_step_check(pole, 0.5 * pole.delta, cfg.tolerances)],
-    "blb": lambda pole, p, cfg: blb_check(
-        pole, sl.profile_scan(pole.domain, pole.w, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances
-    ),
-    "thm4": lambda pole, p, cfg: [thm4_scan(pole.domain, pole.w, steps=THM4_STEPS)[1]],
-    "characterization": lambda pole, p, cfg: characterization_probe([pole]),
+    "blb": lambda pole, p, cfg: blb_check(pole, sl._profile(pole.levels, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances),
+    "thm4": lambda pole, p, cfg: [_thm4(pole, THM4_STEPS)[1]],
+    "characterization": lambda pole, p, cfg: characterization_probe(pole),
     "flux": _flux,
     "oracle_wos_green": _wos_green,
     "oracle_mc_area": _mc_area,

@@ -14,7 +14,7 @@ from suita_lab import sublevel as sl
 from suita_lab import verify
 from suita_lab.errors import BelowResolution, CriticalLevel, InvalidArgument, UnsupportedDomain
 
-RES = 512  # contour samples, recorded on a profile; areas and gamma' do not depend on it
+RES = 512  # contour samples; profile_scan accepts it and reads it nowhere
 
 
 class TestSublevelArea:
@@ -27,15 +27,14 @@ class TestSublevelArea:
         assert est.value == pytest.approx(math.pi * math.exp(-0.002), rel=1e-5)
 
     def test_error_estimate_covers_resolution_doubling(self, unit_disc, annulus_half):
-        # resolution is only recorded on a profile: doubling it moves no
-        # bit, so the gap is zero and within every err_est
+        # nothing reads a profile's resolution: doubling it moves no bit,
+        # so the gap is zero and within every err_est
         for domain, w, ts in (
             (unit_disc, 0j, (-2.0, -0.15)),
             (annulus_half, 0.7 + 0j, (-1.0, -0.25)),
         ):
             coarse = sl.profile_scan(domain, w, *ts, 8, RES, with_gamma=False)
             fine = sl.profile_scan(domain, w, *ts, 8, 2 * RES, with_gamma=False)
-            assert (coarse.resolution, fine.resolution) == (RES, 2 * RES)
             assert _hex(fine.lam) == _hex(coarse.lam) and _hex(fine.err_est) == _hex(coarse.err_est)
 
     def test_annulus_vs_mc(self, annulus_half):
@@ -296,15 +295,15 @@ def _profile_bits(profile, with_gamma=True):
 
 def _thm4_bits(monkeypatch):
     """The thm4 window of Annulus(0.8) at the pole 0.9, 64 steps: the profile
-    thm4_scan reads, and its report."""
+    thm4_scan reads from its pole's field, and its report."""
     seen = []
-    scan = sl.profile_scan
+    scan = sl._profile
 
     def spy(*args, **kwargs):
         seen.append(scan(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(sl, "profile_scan", spy)
+    monkeypatch.setattr(sl, "_profile", spy)
     report, _ = verify.thm4_scan(geo.parse_domain("annulus:0.8"), 0.9 + 0j, 1024, 64)
     fields = (report.min_second_diff, report.argmin_t, report.critical_level, report.noise_floor)
     return {**_profile_bits(seen[0], with_gamma=False), "report": _hex(fields)}

@@ -150,6 +150,7 @@ REFUSALS = {
     "mc_area t = 0": (lambda: oc.mc_area(_RING, 0.7 + 0j, [0.0], 1000, 1), InvalidArgument, "need t < 0"),
     "mc_area 0 samples": (lambda: oc.mc_area(_RING, 0.7 + 0j, [-1.5], 0, 1), InvalidArgument, "at least 1 sample"),
     "grid_area t = 0": (lambda: oc.grid_area(_RING, 0.7 + 0j, 0.0, 64), InvalidArgument, "need t < 0"),
+    "grid_area resolution -0.5": (lambda: oc.grid_area(_RING, 0.7 + 0j, -0.5, -0.5), InvalidArgument, "resolution of at least 1"),
     "grid_min_gradient grid 1": (lambda: oc.grid_min_gradient(_RING, 0.7 + 0j, 1), InvalidArgument, "at least 2 points"),
     "wos_green 1 walk": (lambda: oc.wos_green(_RING, 0.7 + 0j, -0.6 + 0j, 1, 1), InvalidArgument, "at least 2 walks"),
     "robin_extrapolate 3 radii": (
@@ -157,6 +158,14 @@ REFUSALS = {
         InvalidArgument,
         "at least 4 strictly decreasing",
     ),
+    **{
+        f"robin_extrapolate radii {radii}": (
+            lambda radii=radii: oc.robin_extrapolate(_RING, 0.7 + 0j, radii),
+            InvalidArgument,
+            "positive finite radii",
+        )
+        for radii in ([np.nan] * 4, [0.05, np.nan, 0.01, 0.005], [0.05, 0.02, 0.01, 0.0], [0.05, 0.02, 0.01, -0.01])
+    },
     "robin_extrapolate radius > delta/2": (
         lambda: oc.robin_extrapolate(_RING, 0.7 + 0j, [0.2, 0.1, 0.05, 0.02]),
         InvalidArgument,
@@ -175,6 +184,11 @@ REFUSALS = {
     "kernel_j order 13": (lambda: bg.kernel_j(_RING, 0.7 + 0j, 13), InvalidArgument, "derivative order"),
     "pinned_kernel order 13": (lambda: bg.pinned_kernel(_RING, 0.7 + 0j, 13, 0.7 + 0j), InvalidArgument, "derivative order"),
     "pinned_kernel order -1": (lambda: bg.pinned_kernel(_RING, 0.7 + 0j, -1, 0.7 + 0j), InvalidArgument, "derivative order"),
+    "pinned_kernel pole outside, order 0": (
+        lambda: bg.pinned_kernel(_RING, 5.0 + 0j, 0, 0.7 + 0j),
+        PointOutsideDomain,
+        "outside domain",
+    ),
     "laplacian step h = 0": (
         lambda: bg.laplacian_identity_check(_RING, 0.7 + 0j, 0, 0.0),
         InvalidArgument,

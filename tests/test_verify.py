@@ -141,6 +141,12 @@ class TestThm4Scan:
         with pytest.raises(NoCriticalPoint):
             vf.thm4_scan(unit_disc, 0.3 + 0j)
 
+    def test_one_saddle_search(self, annulus_half, monkeypatch):
+        # t0 is the saddle level of the field that gives the areas
+        calls = TestPoleSharing._count(monkeypatch)
+        vf.thm4_scan(annulus_half, 0.7)
+        assert (len(calls["LevelField"]), len(calls["critical_points"])) == (1, 1)
+
     def test_nonnegative_critical_level_refused(self, annulus_half, monkeypatch):
         # G < 0 inside: a top critical level >= 0 is refused, not moved
         noisy = gr.CriticalPoint(location=-0.7 + 0j, level=7e-15, gradient_residual=0.0, order=2)
@@ -151,9 +157,8 @@ class TestThm4Scan:
 
 class TestCharacterization:
     def test_probe_families(self, annulus_half, unit_disc):
-        checks = vf.characterization_probe(
-            [vf.Pole(annulus_half, 0.7 + 0j), vf.Pole(unit_disc, 0j), vf.Pole(PolarComplement(), 1 + 0j)]
-        )
+        poles = [vf.Pole(annulus_half, 0.7 + 0j), vf.Pole(unit_disc, 0j), vf.Pole(PolarComplement(), 1 + 0j)]
+        checks = [c for pole in poles for c in vf.characterization_probe(pole)]
         pos = [c for c in checks if c.name.startswith("char_pos")]
         zero = [c for c in checks if c.name.startswith("char_zero")]
         sub = [c for c in checks if c.name.startswith("char_subharmonic")]
@@ -161,7 +166,7 @@ class TestCharacterization:
         assert all(c.passed for c in checks)
 
     def test_disc_center_values(self, unit_disc):
-        checks = vf.characterization_probe([vf.Pole(unit_disc, 0j)])
+        checks = vf.characterization_probe(vf.Pole(unit_disc, 0j))
         for j, c in enumerate(c for c in checks if c.name.startswith("char_pos")):
             expect = math.factorial(j) * math.factorial(j + 1) / math.pi
             assert c.rhs == pytest.approx(expect, rel=1e-9)
@@ -240,14 +245,16 @@ class TestRunSuite:
 
 
 class TestPoleSharing:
-    """run_suite reads delta, c, K_j and disc maxima once per (domain, pole),
-    and draws the Monte Carlo samples of a row once."""
+    """run_suite reads delta, c, K_j, disc maxima and the level field once per
+    (domain, pole), and draws the Monte Carlo samples of a row once."""
 
     @staticmethod
     def _count(monkeypatch):
-        """Calls of disc_max_green, kernel_j and mc_area: (calling module, args)."""
+        """Calls of disc_max_green, kernel_j, mc_area, critical_points and
+        LevelField builds: (calling module, args)."""
         calls = {}
-        for module, name in ((gr, "disc_max_green"), (bg, "kernel_j"), (oc, "mc_area")):
+        counted_names = ((gr, "disc_max_green"), (bg, "kernel_j"), (oc, "mc_area"), (gr, "critical_points"), (sl, "LevelField"))
+        for module, name in counted_names:
 
             def counted(*args, _fn=getattr(module, name), _seen=calls.setdefault(name, [])):
                 _seen.append((sys._getframe(1).f_globals["__name__"], args))
@@ -272,6 +279,10 @@ class TestPoleSharing:
             assert asked and len(set(asked)) == len(asked)
             mc_rows = [row for row in vf.plan_rows(vf.SuiteConfig()) if row[0] == "oracle_mc_area"]
             assert len(calls["mc_area"]) == len(mc_rows) == 1
+            # one field per pole of the blb, thm4 and oracle_mc_area rows (disc:0,0,1 at 0,
+            # and the annuli 0.5 at 0.7, 0.8 at 0.9 and 0.3 at 0.55), one saddle search per annulus
+            assert len(calls["LevelField"]) == 4
+            assert [caller for caller, _ in calls["critical_points"]] == [sl.__name__] * 3
             assert report.all_passed
             counts.append({name: len(seen) for name, seen in calls.items()})
         assert counts[0] == counts[1]
