@@ -2,9 +2,11 @@
 """Reproduce the log-area non-convexity of an annulus Green function.
 
 Finds the critical point of G(., w) on Annulus(q), scans lambda({G < t})
-through a window straddling the critical level t0, prints the profile
-table, and writes an SVG of the level curves around the saddle (the
-figure-eight pinch is visible at t0).
+through a window straddling the critical level t0, prints the scan's
+verdict beside the first-derivative witness of the verify suite's thm4
+line (gamma'/lambda falls just above t0), prints the profile table, and
+writes an SVG of the level curves around the saddle (the figure-eight
+pinch is visible at t0).
 
 Usage: python3 scripts/annulus_nonconvexity.py [q] [pole_re] [out.svg]
 Defaults: q = 0.5, pole = 0.7, annulus_saddle.svg.
@@ -42,6 +44,11 @@ def main() -> int:
     print(
         f"\nverdict: {report.verdict}  (min second difference {report.min_second_diff:.4e} "
         f"vs noise floor {report.noise_floor:.4e} on window [{report.window[0]:.4e}, {report.window[1]:.4e}])"
+    )
+    witness = vf.thm4_witness(vf.Pole(domain, pole))
+    print(
+        f"witness: {'pass' if witness.passed else 'FAIL'}  (gamma'/lambda drops by {witness.lhs:.4e} from "
+        f"t0 + {vf.THM4_EPS:g}|t0| to t0 + {2 * vf.THM4_EPS:g}|t0|, vs bound {witness.rhs:.4e})"
     )
 
     t0 = report.critical_level

@@ -57,6 +57,7 @@ from .verify import (
     thm1_check,
     thm2_check,
     thm4_scan,
+    thm4_witness,
 )
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import ConvergenceFailure, InvalidArgument, PointOutsideDomain, UnsupportedDomain
+from .errors import BelowResolution, ConvergenceFailure, InvalidArgument, PointOutsideDomain, UnsupportedDomain
 from .geometry import Annulus, Disc, Domain, Point, Polygon
 from .sublevel import AreaEstimate
 
@@ -597,7 +597,10 @@ def grid_area(domain: Domain, w: Point, t: float, resolution: int = 2048) -> Are
     Cells wholly below t count in full; each cell the level line cuts is
     split 4 x 4 and each subcell adds the exact area of the polygon carved
     out by linearly interpolated crossings.  err_est is 5% of the area of
-    the subcells the line cuts.  The grid is built in blocks of rows.
+    the subcells the line cuts.  The grid is built in blocks of rows.  For
+    t < 0 the set always holds a disc about the pole, so a grid on which no
+    corner or subcell falls below t cannot see it and is refused
+    (BelowResolution), never answered with a zero area.
     """
     if not (t < 0):
         raise InvalidArgument(f"need t < 0, got {t}")
@@ -622,4 +625,6 @@ def grid_area(domain: Domain, w: Point, t: float, resolution: int = 2048) -> Are
         wgt = np.abs(geo.moebius_fprime(coeffs, sz[:, :-1, :-1] + 0.5 * h / _REFINE)) ** 2 * (h.real * h.imag / _REFINE**2)
         area += float(np.sum(frac * wgt))
         err += 0.05 * float(np.sum(wgt[(frac > 0) & (frac < 1)]))
+    if area == 0.0:
+        raise BelowResolution(f"no point of a {resolution} x {resolution} grid falls below the level {t}")
     return AreaEstimate(value=float(area), err_est=float(err))

@@ -293,16 +293,19 @@ class LevelField:
         return (f.reshape(phi.shape) * dphi for f in (area, gamma, noise))
 
     def _annulus_levels(self, ts: np.ndarray, with_gamma: bool):
-        """lambda, err_est and gamma' (nan where unresolved) at the levels ts.
+        """lambda, err_est, gamma' and gamma_err (both nan where unresolved)
+        at the levels ts.
 
         The rule starts at 2 * _FIRST + 1 nodes and halves its step, which
         keeps every old node; a level leaves once its area (and gamma', if
-        asked) agrees with the previous rule.  Each level's numbers depend
-        on that level alone, so a profile returns what single calls return.
+        asked) agrees with the previous rule.  gamma_err is the gap of
+        gamma' between those two rules plus rounding, as err_est is for the
+        area.  Each level's numbers depend on that level alone, so a profile
+        returns what single calls return.
         """
         ends = np.full(ts.shape, math.pi)
         ends[ts < self.t0] = self._tips(ts[ts < self.t0])
-        lam, err, gam = (np.full(ts.shape, np.nan) for _ in range(3))
+        lam, err, gam, gam_err = (np.full(ts.shape, np.nan) for _ in range(4))
         want_gamma = with_gamma & (np.abs(ts - self.t0) > 16 * _EPS * abs(self.t0))  # gamma' diverges at t0
         idx = np.arange(ts.size)
         n = _FIRST
@@ -319,18 +322,20 @@ class LevelField:
             new_a = np.isnan(lam[idx]) & ((gap <= _AREA_TOL * sa + noise[idx]) | (n == _LAST))
             lam[idx[new_a]] = sa[new_a]
             err[idx[new_a]] = (gap + _ROUND * sa + noise[idx])[new_a]
-            new_g = want_gamma[idx] & (np.abs(sg - prev_g) <= _GAMMA_TOL * sg)
+            gap_g = np.abs(sg - prev_g)
+            new_g = want_gamma[idx] & (gap_g <= _GAMMA_TOL * sg)
             gam[idx[new_g]] = sg[new_g]
+            gam_err[idx[new_g]] = (gap_g + _ROUND * sg)[new_g]
             want_gamma[idx[new_g]] = False
             keep = (np.isnan(lam[idx]) | want_gamma[idx]) & (n < _LAST)
             idx, fa, fg, sa, sg = idx[keep], fa[keep], fg[keep], sa[keep], sg[keep]
-        return lam, err, gam
+        return lam, err, gam, gam_err
 
     # -- public reads --------------------------------------------------------
 
     def _levels(self, ts, with_gamma: bool):
-        """lambda, err_est and gamma' at the levels ts; a level whose err_est
-        is not below its lambda is refused (BelowResolution)."""
+        """lambda, err_est, gamma' and gamma_err at the levels ts; a level
+        whose err_est is not below its lambda is refused (BelowResolution)."""
         ts = np.asarray(ts, dtype=float)
         if not np.all(ts < 0):
             raise InvalidArgument(f"need t < 0, got {float(np.max(ts))}")
@@ -341,17 +346,18 @@ class LevelField:
             lam = math.pi * rho2 * abs(a * d - b * c) ** 2 / (d2 - c2) ** 2
             err = _ROUND * lam
             gam = 2.0 * lam * (d2 + c2) / (d2 - c2) if with_gamma else np.full(ts.shape, np.nan)
+            gam_err = _ROUND * gam
         else:
-            lam, err, gam = self._annulus_levels(ts, with_gamma)
+            lam, err, gam, gam_err = self._annulus_levels(ts, with_gamma)
         lost = ~(err < lam)
         if np.any(lost):
             i = int(np.argmax(lost))
             raise BelowResolution(f"area {lam[i]:.3g} at level {ts[i]} does not exceed its error estimate {err[i]:.3g}")
-        return lam, err, gam
+        return lam, err, gam, gam_err
 
     def area(self, t: float) -> AreaEstimate:
         """Area of the sublevel set {G(., w) < t} with an attached error estimate."""
-        lam, err, _ = self._levels([t], with_gamma=False)
+        lam, err, _, _ = self._levels([t], with_gamma=False)
         return AreaEstimate(value=float(lam[0]), err_est=float(err[0]))
 
     def coarea(self, t: float) -> float:
@@ -362,7 +368,7 @@ class LevelField:
         logarithmically), or when the rule's n- and 2n-node values of gamma'
         do not agree to _GAMMA_TOL, as happens just below t0.
         """
-        _, _, gam = self._levels([t], with_gamma=True)
+        gam = self._levels([t], with_gamma=True)[2]
         if np.isnan(gam[0]):
             raise CriticalLevel(f"gamma' at level {t} not resolved (critical level {self.t0})")
         return float(gam[0])
@@ -414,7 +420,7 @@ def _profile(field: LevelField, t_min: float, t_max: float, steps: int, with_gam
     if steps < 8:
         raise InvalidArgument("need at least 8 profile steps")
     ts = np.linspace(t_min, t_max, steps)
-    lam, err, gp = field._levels(ts, with_gamma)
+    lam, err, gp, _ = field._levels(ts, with_gamma)
     ll = np.log(lam)
     d2 = np.full(steps, np.nan)
     dt = ts[1] - ts[0]

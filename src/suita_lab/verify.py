@@ -18,9 +18,10 @@ The tolerance table is part of the report.  Margins are compared against
 Carlo checks whose tolerance is 3 times the standard error carried by the
 estimate itself (a stated bound for walk-on-spheres).  Lines whose rule
 has no tolerance are not in the table: blb_monotone (a drop must stay
-within the profile's own error estimates), thm4 (a second difference
-below minus its noise floor) and the characterization lines (K_j > 0,
-or K_j == 0 on a polar complement).
+within the profile's own error estimates), thm4 (the drop of gamma'/lambda
+just above the saddle level, less the bound its error estimates put on it)
+and the characterization lines (K_j > 0, or K_j == 0 on a polar
+complement).
 
 The plan is one list of rows (family, literal, pole, params) in report
 order (plan_rows), and run_suite runs each row through its function in
@@ -60,7 +61,7 @@ from .geometry import Domain, Point, PolarComplement
 
 THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
 GOLDEN_RADIUS_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0
-THM4_STEPS = 48  # log lambda samples per thm4 window in the suite
+THM4_EPS = 1e-4  # the thm4 witness reads the levels t0 + eps |t0| and t0 + 2 eps |t0|
 
 DEFAULT_TOLERANCES = {
     "suita": 1e-8,
@@ -247,29 +248,65 @@ def thm4_scan(
     exponentially in the modulus of the annulus, and the concave stretch
     guaranteed near t0 lives between t0 and 0, so a fixed macroscopic
     window would sample nothing relevant.  Width min(0.4, 6 |t0|), upper
-    edge at t0/4, steps samples (64 by default; run_suite uses THM4_STEPS =
-    48).  t0 is the saddle level of the LevelField that gives the areas.
+    edge at t0/4, steps samples (64 by default).  t0 is the saddle level of
+    the LevelField that gives the areas.  This is the second-difference
+    diagnostic; run_suite's thm4 row is the first-derivative thm4_witness.
     resolution is accepted, for callers that pass it positionally, and read
     by nothing.  A disc core raises NoCriticalPoint; a saddle level that is
     not negative contradicts G < 0 and raises ConvergenceFailure.
     """
-    return _thm4(Pole(domain, w), steps)
-
-
-def _thm4(pole: Pole, steps: int) -> tuple[sl.ConvexityReport, Check]:
-    domain, w, field = pole.domain, pole.w, pole.levels
-    if field.disc_map is not None:
-        raise NoCriticalPoint(f"no critical points for {geo.domain_literal(domain)} at {w}")
-    t0 = field.t0
-    if not t0 < 0:
-        raise ConvergenceFailure(f"critical level {t0} is not negative: G < 0 inside the domain")
+    pole = Pole(domain, w)
+    t0 = _saddle_level(pole)
     width = min(0.4, 6.0 * abs(t0))
     lo = t0 - 0.5 * width
     hi = min(t0 + 0.5 * width, 0.25 * t0)
-    report = sl.convexity_report(sl._profile(field, lo, hi, steps, with_gamma=False), t0)
+    report = sl.convexity_report(sl._profile(pole.levels, lo, hi, steps, with_gamma=False), t0)
     params = f"t0={t0:.12g};window=[{lo:.6g},{hi:.6g}];floor={report.noise_floor:.6g}"
     passed = report.verdict == "NonConvexDetected"
     return report, _line("thm4", domain, w, params, report.min_second_diff, -report.noise_floor, passed)
+
+
+def _saddle_level(pole: Pole) -> float:
+    """t0 of the pole's level field; NoCriticalPoint on a disc core, and
+    ConvergenceFailure for a level that is not negative (G < 0 inside)."""
+    field = pole.levels
+    if field.disc_map is not None:
+        raise NoCriticalPoint(f"no critical points for {geo.domain_literal(pole.domain)} at {pole.w}")
+    if not field.t0 < 0:
+        raise ConvergenceFailure(f"critical level {field.t0} is not negative: G < 0 inside the domain")
+    return field.t0
+
+
+def thm4_witness(pole: Pole) -> Check:
+    """log lambda is not convex just above the saddle level t0 (Theorem 4).
+
+    If log lambda were convex, its slope R = gamma'/lambda would not fall.
+    Just above t0, gamma' falls like (2/|f''|) log(1/(t - t0)), and so does
+    R: the line reads lambda, err_est, gamma' and gamma_err at t1 = t0 +
+    eps |t0| and t2 = t0 + 2 eps |t0| (eps = THM4_EPS) from the pole's
+    level field, and passes iff the drop 1 - R(t2)/R(t1) exceeds the bound
+    those error estimates put on it (_rate_drop).  lhs is the drop, rhs its
+    bound and the margin drop - bound; a nan (gamma' not resolved) fails.
+    A disc core raises NoCriticalPoint, a saddle level that is not negative
+    ConvergenceFailure.
+    """
+    t0 = _saddle_level(pole)
+    ts = t0 + np.array([1.0, 2.0]) * THM4_EPS * abs(t0)
+    lam, err, gam, gam_err = pole.levels._levels(ts, with_gamma=True)
+    drop, bound = _rate_drop(lam, err, gam, gam_err)
+    rate = gam / lam
+    params = f"t0={t0:.12g};eps={THM4_EPS:g};rate=[{rate[0]:.12g},{rate[1]:.12g}]"
+    return _line("thm4", pole.domain, pole.w, params, drop, bound, drop > bound, margin=drop - bound)
+
+
+def _rate_drop(lam, err, gam, gam_err) -> tuple[float, float]:
+    """The drop 1 - R2/R1 of R = gamma'/lambda between two levels, and the
+    largest change of it that the relative errors err/lambda and
+    gamma_err/gamma' at both levels allow, plus the rounding of the ratio."""
+    (l1, l2), (g1, g2) = err / lam, gam_err / gam
+    ratio = float(gam[1] * lam[0] / (gam[0] * lam[1]))
+    spread = math.expm1(math.log1p(g2) + math.log1p(l1) - math.log1p(-g1) - math.log1p(-l2))
+    return 1.0 - ratio, ratio * (spread + 4 * sl._EPS) + sl._EPS * abs(1.0 - ratio)
 
 
 def characterization_probe(pole: Pole) -> list[Check]:
@@ -431,7 +468,7 @@ FAMILIES = {
     "thm2": lambda pole, p, cfg: [thm2_check(pole, cfg.tolerances)],
     "poisson": lambda pole, p, cfg: [poisson_step_check(pole, 0.5 * pole.delta, cfg.tolerances)],
     "blb": lambda pole, p, cfg: blb_check(pole, sl._profile(pole.levels, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances),
-    "thm4": lambda pole, p, cfg: [_thm4(pole, THM4_STEPS)[1]],
+    "thm4": lambda pole, p, cfg: [thm4_witness(pole)],
     "characterization": lambda pole, p, cfg: characterization_probe(pole),
     "flux": _flux,
     "oracle_wos_green": _wos_green,

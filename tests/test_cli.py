@@ -511,7 +511,7 @@ class TestSublevelCommand:
 
 class TestNonconvexityScript:
     def test_thin_ring_runs(self, tmp_path, monkeypatch, capsys):
-        # the script reads thm4_scan, profile_scan and LevelField contours
+        # the script reads thm4_scan, thm4_witness, profile_scan and LevelField contours
         import runpy
 
         script = os.path.join(os.path.dirname(__file__), "..", "scripts", "annulus_nonconvexity.py")
@@ -519,7 +519,8 @@ class TestNonconvexityScript:
         svg = tmp_path / "saddle.svg"
         monkeypatch.setattr(sys, "argv", ["annulus_nonconvexity.py", "0.8", "0.9", str(svg)])
         assert main() == 0
-        assert "verdict: NonConvexDetected" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verdict: NonConvexDetected" in out and "witness: pass" in out
         assert svg.read_text().count("<polyline") >= 3  # one curve set per level, three levels
 
 

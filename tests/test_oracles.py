@@ -343,6 +343,13 @@ class TestGridArea:
         with pytest.raises(InvalidArgument, match="need t < 0"):
             oc.grid_area(annulus_half, 0.7 + 0j, 0.0, 64)
 
+    def test_coarsest_grid_that_sees_the_set(self, annulus_half):
+        # n = 1..4 are refused (the support matrix); n = 8 already sees the
+        # set, and its estimate holds the slice quadrature's area
+        est = oc.grid_area(annulus_half, 0.7 + 0j, -0.5, 8)
+        area = sl.LevelField(annulus_half, 0.7 + 0j).area(-0.5).value
+        assert est.value > 0 and abs(est.value - area) <= est.err_est
+
     def test_polygon_unsupported(self, unit_square):
         with pytest.raises(UnsupportedDomain):
             oc.grid_area(unit_square, 0.5 + 0.5j, -1.0, 64)

@@ -22,7 +22,7 @@ from suita_lab import oracles as oc
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
 from suita_lab import weights as wt
-from suita_lab.errors import InvalidArgument, InvalidDomain, PointOutsideDomain, UnsupportedDomain
+from suita_lab.errors import BelowResolution, InvalidArgument, InvalidDomain, PointOutsideDomain, UnsupportedDomain
 from suita_lab.geometry import Annulus, Disc, MoebiusImage, PolarComplement, Polygon
 
 _DISC = Disc(0j, 1.0)
@@ -151,6 +151,11 @@ REFUSALS = {
     "mc_area 0 samples": (lambda: oc.mc_area(_RING, 0.7 + 0j, [-1.5], 0, 1), InvalidArgument, "at least 1 sample"),
     "grid_area t = 0": (lambda: oc.grid_area(_RING, 0.7 + 0j, 0.0, 64), InvalidArgument, "need t < 0"),
     "grid_area resolution -0.5": (lambda: oc.grid_area(_RING, 0.7 + 0j, -0.5, -0.5), InvalidArgument, "resolution of at least 1"),
+    # no corner of a grid this coarse falls below t: it cannot see the set
+    **{
+        f"grid_area resolution {n} blind": (lambda n=n: oc.grid_area(_RING, 0.7 + 0j, -0.5, n), BelowResolution, "falls below")
+        for n in (1, 2, 3, 4)
+    },
     "grid_min_gradient grid 1": (lambda: oc.grid_min_gradient(_RING, 0.7 + 0j, 1), InvalidArgument, "at least 2 points"),
     "wos_green 1 walk": (lambda: oc.wos_green(_RING, 0.7 + 0j, -0.6 + 0j, 1, 1), InvalidArgument, "at least 2 walks"),
     "robin_extrapolate 3 radii": (

@@ -155,6 +155,70 @@ class TestThm4Scan:
             vf.thm4_scan(annulus_half, 0.7 + 0j)
 
 
+class TestThm4Witness:
+    """The thm4 row: gamma'/lambda falls between t0 + eps |t0| and
+    t0 + 2 eps |t0|, by more than the field's error estimates allow."""
+
+    def test_plan_lines_pass_by_a_wide_margin(self):
+        checks = vf.run_suite(suite="thm4").checks
+        assert len(checks) == len(vf.SuiteConfig().thm4_entries) == 2
+        for c in checks:
+            assert c.passed and c.margin == c.lhs - c.rhs
+            assert 0 < 1e6 * c.rhs <= c.lhs
+
+    @pytest.mark.parametrize("literal, w", [("annulus:0.8", 0.9 + 0j), ("moebius:1,0.15,0.15,1;base=annulus:0.5", 0.75 + 0j)])
+    def test_passes_off_the_plan(self, literal, w):
+        check = vf.thm4_witness(vf.Pole(parse_domain(literal), w))
+        assert check.passed and check.lhs > check.rhs > 0
+
+    @pytest.mark.parametrize(
+        "literal, w", [("disc:0,0,1", 0j), ("disc:0,0,1", 0.5 + 0j), ("moebius:1,-0.3,-0.3,1;base=disc:0,0,1", 0.2 + 0.1j)]
+    )
+    def test_no_drop_on_the_disc_family(self, literal, w, monkeypatch):
+        # log lambda is convex on a disc (linear at the centre): read the
+        # witness at t = -2 from the closed-form lambda and gamma' of the
+        # disc core, and R = gamma'/lambda = 2 (1 + r^2 rho^2)/(1 - r^2 rho^2),
+        # rho = e^t, r the pole's distance from the centre, does not fall
+        # (the Moebius image is the unit disc itself)
+        monkeypatch.setattr(vf, "_saddle_level", lambda pole: -2.0)
+        check = vf.thm4_witness(vf.Pole(parse_domain(literal), w))
+        assert check.lhs <= check.rhs and not check.passed
+        x = abs(w) ** 2 * np.exp(2.0 * (-2.0 + 2.0 * vf.THM4_EPS * np.array([1.0, 2.0])))
+        rate = 2.0 * (1.0 + x) / (1.0 - x)
+        assert abs(check.lhs - (1.0 - rate[1] / rate[0])) <= check.rhs
+        assert (check.lhs == 0.0) == (w == 0)
+
+    def test_nan_never_passes(self, annulus_half, monkeypatch):
+        levels = sl.LevelField._levels
+
+        def unresolved(self, ts, with_gamma):
+            lam, err, gam, gam_err = levels(self, ts, with_gamma)
+            return lam, err, np.full_like(gam, np.nan), gam_err
+
+        monkeypatch.setattr(sl.LevelField, "_levels", unresolved)
+        check = vf.thm4_witness(vf.Pole(annulus_half, 0.7 + 0j))
+        assert math.isnan(check.lhs) and not check.passed
+
+    def test_nonnegative_critical_level_refused(self, annulus_half, monkeypatch):
+        noisy = gr.CriticalPoint(location=-0.7 + 0j, level=7e-15, gradient_residual=0.0, order=2)
+        monkeypatch.setattr(gr, "critical_points", lambda domain, w: [noisy])
+        with pytest.raises(ConvergenceFailure):
+            vf.thm4_witness(vf.Pole(annulus_half, 0.7 + 0j))
+
+    def test_two_levels_per_entry(self, monkeypatch):
+        # the scan read 48 levels per entry, 96 in all
+        read = []
+        levels = sl.LevelField._levels
+
+        def counted(self, ts, with_gamma):
+            read.append(len(ts))
+            return levels(self, ts, with_gamma)
+
+        monkeypatch.setattr(sl.LevelField, "_levels", counted)
+        vf.run_suite(suite="thm4")
+        assert read == [2, 2]
+
+
 class TestCharacterization:
     def test_probe_families(self, annulus_half, unit_disc):
         poles = [vf.Pole(annulus_half, 0.7 + 0j), vf.Pole(unit_disc, 0j), vf.Pole(PolarComplement(), 1 + 0j)]
