@@ -306,10 +306,13 @@ def laplacian_identity_check(
     The differentiated function keeps its vanishing constraints pinned at w
     (the kernel of the fixed subspace H_j(w), which is what the curvature
     identity is about); for j = 0 it is the usual diagonal kernel.  Returns
-    (fd_laplacian, ratio, rel_error).
+    (fd_laplacian, ratio, rel_error).  A domain with no series is refused
+    (UnsupportedDomain) before the stencil is checked: on the polar
+    complement every K_j is 0, and the ratio has no value.
     """
     if not 0.0 < h < math.inf:
         raise InvalidArgument(f"need a positive finite step h, got {h}")
+    geo.pull_back(domain, w)
     stencil = [w, w + h, w - h, w + 1j * h, w - 1j * h]
     for p in stencil:
         if not geo.contains(domain, p):

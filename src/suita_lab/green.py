@@ -26,8 +26,10 @@ Closed forms used here:
 * MoebiusImage: pullback, since G is conformally invariant.
 
 Gradients come from term-wise differentiation: writing G = Re f with f
-holomorphic in z, grad G = (Re f', -Im f').  The same f'' feeds the Newton
-refinement of critical points.
+holomorphic in z, grad G = (Re f', -Im f').  The same f'' gives the slope
+for the Newton search of critical points.  That search, and every root
+the sublevel module solves, runs on one vectorized, safeguarded bracketed
+Newton (_newton).
 
 Everything is vectorized over numpy arrays of complex z.  The annulus
 series makes one pass per point set (green_field), for every part the
@@ -466,6 +468,41 @@ def boundary_flux(domain: Domain, w: Point, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Roots
+# ---------------------------------------------------------------------------
+
+
+_SWEEPS = 200  # Newton sweeps before a root is declared lost
+
+
+def _newton(fun, lo, hi, x, tol, noise=0.0):
+    """Roots of increasing functions, one per bracket [lo, hi] with fun(lo) < 0 < fun(hi).
+
+    fun(x, idx) returns the values and slopes at x of the problems idx; all
+    open problems take one step per sweep.  A step that leaves the bracket
+    becomes a bisection; an exact zero, or a step that rounds to nothing,
+    is kept.  A root is done when its step or its bracket falls to tol, or
+    its value to the rounding noise of fun (an array, or 0 for none).
+    """
+    noise = np.broadcast_to(noise, np.shape(x))
+    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
+    idx = np.arange(x.size)
+    for _ in range(_SWEEPS):
+        if idx.size == 0:
+            return x
+        cur = x[idx]
+        g, dg = fun(cur, idx)
+        a = lo[idx] = np.where(g < 0, cur, lo[idx])
+        b = hi[idx] = np.where(g > 0, cur, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = cur - g / dg
+        nxt = np.where((g == 0) | (nxt == cur), cur, np.where((nxt > a) & (nxt < b), nxt, 0.5 * (a + b)))
+        x[idx] = nxt
+        idx = idx[~((np.abs(g) <= noise[idx]) | (np.abs(nxt - cur) <= tol) | (b - a <= tol))]
+    raise ConvergenceFailure(f"{idx.size} roots not found in {_SWEEPS} Newton sweeps")
+
+
+# ---------------------------------------------------------------------------
 # Critical points
 # ---------------------------------------------------------------------------
 
@@ -479,10 +516,10 @@ def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
     the line of the pole maps the ring and the pole to themselves, so
     grad G is radial along that line, and G, which vanishes at both ends
     of the segment and is negative in between, has its minimum there.  r is
-    the root of g(r) = Re(f'(r u) u) by Newton steps g / Re(f'' u^2) kept
-    inside the shrinking sign-change bracket (bisection otherwise), down
-    to rounding.  The point is nondegenerate (|f''| > 0), of order 2.  A
-    Moebius image pulls the pole back and pushes the point forward.
+    the root of g(r) = Re(f'(r u) u), with slope Re(f''(r u) u^2), found by
+    _newton on the bracket (q, 1) from sqrt(q) down to a step of 4 u (u
+    the unit roundoff).  The point is nondegenerate (|f''| > 0), of order
+    2.  A Moebius image pulls the pole back and pushes the point forward.
     ConvergenceFailure is raised when g shows no sign change on (q, 1), as
     when the field underflows across a very thin ring.
     """
@@ -491,41 +528,21 @@ def critical_points(domain: Domain, w: Point) -> list[CriticalPoint]:
         return []
     q = core.q
     u = -zeta_w / abs(zeta_w)
-
-    def field(r: float, parts: tuple[str, ...]) -> list[np.ndarray]:
-        return green_field(core, zeta_w, np.asarray(r * u), parts)
-
-    def slope(r: float) -> float:
-        return (complex(field(r, ("f1",))[0]) * u).real
-
-    lo, hi = q, 1.0
-    if not (slope(lo) < 0 < slope(hi)):
+    (ends,) = green_field(core, zeta_w, np.array([q, 1.0]) * u, ("f1",))
+    if not ((ends[0] * u).real < 0 < (ends[1] * u).real):
         raise ConvergenceFailure(
             f"dG/dr shows no sign change on the far ray of Annulus({q}) from the pole {zeta_w}: "
             f"G there is about exp(-pi^2/log(1/q)) = exp({-math.pi**2 / -math.log(q):.4g}), "
             "below the double range"
         )
-    r = math.sqrt(q)
-    for _ in range(200):
-        f1, f2 = (complex(v) for v in field(r, ("f1", "f2")))
-        g = (f1 * u).real
-        if g == 0:
-            break
-        if g < 0:
-            lo = r
-        else:
-            hi = r
-        dg = (f2 * u * u).real
-        nxt = r - g / dg if dg > 0 else math.nan
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt in (lo, hi, r):
-            break
-        r = nxt
-    else:
-        raise ConvergenceFailure(f"no root of dG/dr found on the far ray of Annulus({q}) from the pole {zeta_w}")
+
+    def slope(r, _):
+        f1, f2 = green_field(core, zeta_w, r * u, ("f1", "f2"))
+        return (f1 * u).real, (f2 * u * u).real
+
+    r = float(_newton(slope, [q], [1.0], [math.sqrt(q)], 4 * _ULP)[0])
     zc = r * u
-    g, f1, f2 = field(r, ("g", "f1", "f2"))
+    g, f1, f2 = green_field(core, zeta_w, np.asarray(zc), ("g", "f1", "f2"))
     if not abs(complex(f2)) > 0:
         raise ConvergenceFailure(f"degenerate critical point at {zc}: f'' vanishes")
     resid = abs(complex(f1))

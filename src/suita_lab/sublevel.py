@@ -20,12 +20,12 @@ angle phi* where the slice minimum m(phi) reaches t.  Both use one
 tanh-sinh rule (Takahasi & Mori 1974), whose nodes cluster at the pole
 line and at the neck next to the saddle; it doubles its nodes until the
 n- and 2n-node sums agree, and err_est is their gap plus rounding.  All
-roots of a profile, at every level and node, are solved together by a
-vectorized safeguarded Newton.  A Moebius image adds the weight |F'|^2
-across each interval (Gauss-Legendre in x).  On a disc core {G < t} =
-M(D(0, e^t)), M the Moebius map of D(0, 1) onto the domain with M(0) = w,
-in closed form (the core is the unit disc).  Level curves come from the
-same slice roots.
+roots of a profile, at every level and node, are solved together by
+green's vectorized safeguarded Newton (green._newton), the one that finds
+the saddle.  A Moebius image adds the weight |F'|^2 across each interval
+(Gauss-Legendre in x).  On a disc core {G < t} = M(D(0, e^t)), M the
+Moebius map of D(0, 1) onto the domain with M(0) = w, in closed form (the
+core is the unit disc).  Level curves come from the same slice roots.
 
 LevelField(domain, w) is the one way into the sublevel sets of G(., w):
 its area, coarea and contours read single levels, and profile_scan reads
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import green as gr
-from .errors import BelowResolution, ConvergenceFailure, CriticalLevel, InvalidArgument
+from .errors import BelowResolution, CriticalLevel, InvalidArgument
 from .geometry import Disc, Domain, Point
 
 _EPS = float(np.finfo(float).eps)
@@ -51,7 +51,6 @@ _FIRST = 12  # the first rule has 2 * _FIRST + 1 nodes, and each doubling halves
 _LAST = 768  # no rule beyond 2 * _LAST + 1 nodes
 _AREA_TOL = 1e-14  # n- against 2n-node agreement of an area, relative
 _GAMMA_TOL = 1e-6  # the same for gamma', whose tip singularity makes it the less accurate of the two
-_SWEEPS = 200  # Newton sweeps before a root is declared lost
 _FAN = 32  # slices of the t-independent fan of slice minima
 
 
@@ -82,33 +81,6 @@ class ConvexityReport:
     window: tuple[float, float]
     noise_floor: float
     verdict: str  # "ConvexWithinTolerance" | "NonConvexDetected"
-
-
-def _newton(fun, lo, hi, x, tol, noise=0.0):
-    """Roots of increasing functions, one per bracket [lo, hi] with fun(lo) < 0 < fun(hi).
-
-    fun(x, idx) returns the values and slopes at x of the problems idx; all
-    open problems take one step per sweep.  A step that leaves the bracket
-    becomes a bisection; an exact zero, or a step that rounds to nothing,
-    is kept.  A root is done when its step or its bracket falls to tol, or
-    its value to the rounding noise of fun (an array, or 0 for none).
-    """
-    noise = np.broadcast_to(noise, np.shape(x))
-    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
-    idx = np.arange(x.size)
-    for _ in range(_SWEEPS):
-        if idx.size == 0:
-            return x
-        cur = x[idx]
-        g, dg = fun(cur, idx)
-        a = lo[idx] = np.where(g < 0, cur, lo[idx])
-        b = hi[idx] = np.where(g > 0, cur, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = cur - g / dg
-        nxt = np.where((g == 0) | (nxt == cur), cur, np.where((nxt > a) & (nxt < b), nxt, 0.5 * (a + b)))
-        x[idx] = nxt
-        idx = idx[~((np.abs(g) <= noise[idx]) | (np.abs(nxt - cur) <= tol) | (b - a <= tol))]
-    raise ConvergenceFailure(f"{idx.size} slice roots not found in {_SWEEPS} Newton sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +155,7 @@ class LevelField:
         far = np.nonzero(phi >= 1e-8)[0]
         out = np.array(x0, dtype=float)
         fun = lambda x, idx: [v.real for v in self._read(x, phi[far[idx]], ("f1", "f2"))]
-        out[far] = _newton(fun, np.full(far.shape, self.log_q), np.zeros(far.shape), out[far], 4 * _EPS)
+        out[far] = gr._newton(fun, np.full(far.shape, self.log_q), np.zeros(far.shape), out[far], 4 * _EPS)
         return out
 
     def _tips(self, ts: np.ndarray) -> np.ndarray:
@@ -218,7 +190,7 @@ class LevelField:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return target[idx] - gap, dm / (2.0 * gap) * np.minimum(phi, 1.0)
 
-        return phi_of(_newton(fun, y_of(lo), y_of(hi), y_of(np.clip(start, lo, hi)), 4 * _EPS))
+        return phi_of(gr._newton(fun, y_of(lo), y_of(hi), y_of(np.clip(start, lo, hi)), 4 * _EPS))
 
     def _roots(self, ts, phi):
         """(x_lo, x_hi) of {G < t} on the slices phi, t and phi aligned.
@@ -261,7 +233,7 @@ class LevelField:
             return sign[idx] * np.expm1(g), sign[idx] * np.exp(g) * zf.real
 
         # G carries a rounding error of up to about 20 eps |G| (the thin ring)
-        roots = _newton(fun, a, b, start, 4 * _EPS, 32 * _EPS * np.abs(t_side))
+        roots = gr._newton(fun, a, b, start, 4 * _EPS, 32 * _EPS * np.abs(t_side))
         x_lo = np.where(open_ & inner, self.log_q, xm)
         x_hi = np.where(open_ & outer, 0.0, xm)
         x_lo[lo_side] = roots[: lo_side.size]

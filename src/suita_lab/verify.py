@@ -202,7 +202,11 @@ def thm1_check(pole: Pole, r_list=None, overrides=None) -> list[Check]:
 
 
 def thm2_check(pole: Pole, overrides=None) -> Check:
-    """K(w) <= C / (delta^2 log(1/(delta c))) with C = (11 + 5 sqrt 5)/(4 pi)."""
+    """K(w) <= C / (delta^2 log(1/(delta c))) with C = (11 + 5 sqrt 5)/(4 pi).
+
+    The polar complement is refused (UnsupportedDomain), as by thm1_check
+    and poisson_step_check: there delta c = inf * 0 has no value."""
+    geo.pull_back(pole.domain, pole.w)
     delta, cap = pole.delta, pole.capacity.capacity
     dc = delta * cap
     if dc >= 1.0 - 1e-12:

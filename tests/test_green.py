@@ -559,6 +559,79 @@ class TestDiscMaxGreen:
             assert all(args[0] is domain for args in calls)
 
 
+class TestNewton:
+    """green._newton, the one bracketed Newton of the package: the slice
+    roots of sublevel and the saddle of critical_points."""
+
+    @staticmethod
+    def _solve(fun, lo, hi, x, tol, noise=0.0):
+        """The roots, and the points at which each sweep read fun."""
+        seen = []
+
+        def recorded(x, idx):
+            seen.append((x.copy(), idx.copy()))
+            return fun(x)
+
+        return gr._newton(recorded, lo, hi, x, tol, noise), seen
+
+    @staticmethod
+    def _cubic(x):
+        return x**3 + x - 1.0, 3.0 * x * x + 1.0
+
+    @staticmethod
+    def _triple(x):  # a triple root at 0.5, where the slope vanishes too
+        return (x - 0.5) ** 3, 3.0 * (x - 0.5) ** 2
+
+    def test_a_step_that_leaves_the_bracket_is_a_bisection(self):
+        # Newton on arctan overshoots from 5 (to -26.4) and from -2.5 (to 8.4)
+        arctan = lambda x: (np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2))
+        root, seen = self._solve(arctan, [-10.0], [10.0], [5.0], 1e-12)
+        points = [float(x[0]) for x, _ in seen]
+        assert points[:3] == [5.0, -2.5, 1.25]  # the midpoints of [-10, 5] and [-2.5, 5]
+        assert all(-10.0 <= p <= 10.0 for p in points)
+        assert root[0] == pytest.approx(0.3, abs=1e-15)
+
+    def test_an_exact_zero_is_kept(self):
+        # g = g' = 0 at the start: the step is nan, and the start is the root
+        root, seen = self._solve(self._triple, [0.0], [1.0], [0.5], 0.0)
+        assert root[0] == 0.5 and len(seen) == 1
+
+    def test_each_problem_is_done_on_its_own(self):
+        # the first starts on its root, so later sweeps read only the second
+        root, seen = self._solve(self._triple, [0.0, 0.0], [1.0, 1.0], [0.5, 0.9], 0.0)
+        assert root[0] == 0.5 and abs(root[1] - 0.5) < 1e-5
+        assert seen[0][1].tolist() == [0, 1] and all(idx.tolist() == [1] for _, idx in seen[1:])
+        assert all(0.5 <= x[-1] <= 1.0 for x, _ in seen)
+
+    @pytest.mark.parametrize("noise", [1e-6, 2e-6, 1e-3])
+    def test_stops_on_the_noise_rule(self, noise):
+        root, seen = self._solve(self._cubic, [0.0], [2.0], [2.0], 0.0, noise)
+        values = [abs(float(self._cubic(x)[0][0])) for x, _ in seen]
+        assert all(v > noise for v in values[:-1]) and values[-1] <= noise
+        _, exhaustive = self._solve(self._cubic, [0.0], [2.0], [2.0], 0.0)
+        assert len(seen) < len(exhaustive)
+        assert root[0] == pytest.approx(0.6823278038280193, rel=1e-3)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    def test_stops_on_the_tol_rule(self, tol):
+        root, seen = self._solve(self._cubic, [0.0], [2.0], [2.0], tol)
+        points = [float(x[0]) for x, _ in seen] + [float(root[0])]
+        steps = np.abs(np.diff(points))
+        assert np.all(steps[:-1] > tol) and steps[-1] <= tol
+        assert root[0] == pytest.approx(0.6823278038280193, abs=tol)
+
+    def test_bisections_stop_on_the_tol_rule(self):
+        # f' = 0 everywhere: every step is a bisection of the bracket, the
+        # k-th of length 2^-(k+1) from 0.5 in [0, 1], and the ninth is tol
+        root, seen = self._solve(lambda x: (x - 0.3, np.zeros_like(x)), [0.0], [1.0], [0.5], 2.0**-10)
+        assert len(seen) == 9 and abs(root[0] - 0.3) <= 2.0**-10
+
+    def test_convergence_failure_after_the_sweeps(self, monkeypatch):
+        monkeypatch.setattr(gr, "_SWEEPS", 3)
+        with pytest.raises(ConvergenceFailure, match="2 roots not found in 3 Newton sweeps"):
+            gr._newton(lambda x, idx: self._cubic(x), [0.0, 0.0], [2.0, 2.0], [2.0, 1.5], 0.0)
+
+
 class TestCriticalPoints:
     def test_disc_empty(self, unit_disc):
         assert gr.critical_points(unit_disc, 0.3 + 0j) == []
@@ -581,6 +654,35 @@ class TestCriticalPoints:
             assert cp.level < 0
             if level is not None:
                 assert cp.level == pytest.approx(level, rel=1e-10)
+
+    @staticmethod
+    def _passes(domain, w, monkeypatch):
+        """The green_field passes of one critical_points call."""
+        calls = []
+
+        def counted(*args, _fn=gr.green_field):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(gr, "green_field", counted)
+        gr.critical_points(domain, w)
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("q, w", [(0.5, 0.7), (0.3, 0.55), (0.8, 0.9)])
+    def test_field_passes_on_the_plan(self, q, w, monkeypatch):
+        # one pass for the bracket ends, the Newton sweeps, one for the point
+        assert self._passes(Annulus(q), w + 0j, monkeypatch) <= 8
+
+    def test_field_passes_across_the_rings(self, monkeypatch):
+        # 243 poles: nine rings, nine radii across each, three angles
+        passes = []
+        for q in np.linspace(0.02, 0.95, 9):
+            for frac in np.linspace(0.1, 0.9, 9):
+                for angle in (0.0, 1.0, 2.5):
+                    w = (q + frac * (1 - q)) * complex(math.cos(angle), math.sin(angle))
+                    passes.append(self._passes(Annulus(float(q)), w, monkeypatch))
+        assert len(passes) == 243 and max(passes) <= 16
 
     def test_thin_ring_underflow_refused(self):
         # across Annulus(0.99) G is about exp(-pi^2 / log(1/q)) = exp(-982),

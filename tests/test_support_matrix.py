@@ -62,6 +62,9 @@ OPERATIONS = {
     "disc_max_green": _disc_max,
     "boundary_flux": lambda d, w, z: gr.boundary_flux(d, w, 64),
     "kernel_j": lambda d, w, z: bg.kernel_j(d, w, 0),
+    "pinned_kernel": lambda d, w, z: bg.pinned_kernel(d, w, 1, z),
+    "laplacian_identity_check": lambda d, w, z: bg.laplacian_identity_check(d, w, 1, 1e-3),
+    "suita_defect": lambda d, w, z: bg.suita_defect(d, w),
     "sublevel_area": lambda d, w, z: sl.LevelField(d, w).area(-1.5),
     "wos_green": lambda d, w, z: oc.wos_green(d, w, z, 64, 1),
     "mc_area": lambda d, w, z: oc.mc_area(d, w, [-1.5], 1000, 1),
@@ -69,7 +72,10 @@ OPERATIONS = {
     "grid_min_gradient": lambda d, w, z: oc.grid_min_gradient(d, w, 48),
 }
 
-_SERIES = ("green_eval", "robin_capacity", "critical_points", "disc_max_green", "boundary_flux", "kernel_j")
+_SERIES = (
+    "green_eval", "robin_capacity", "critical_points", "disc_max_green", "boundary_flux",
+    "kernel_j", "pinned_kernel", "laplacian_identity_check", "suita_defect",
+)  # fmt: skip
 _LEVELS = ("sublevel_area", "mc_area", "grid_area", "grid_min_gradient")
 
 # (operation, family) -> refusal class; every other pair succeeds
@@ -198,6 +204,12 @@ REFUSALS = {
         lambda: bg.laplacian_identity_check(_RING, 0.7 + 0j, 0, 0.0),
         InvalidArgument,
         "positive finite step",
+    ),
+    # delta c = inf * 0 on the polar complement: no bound, as for thm1 and poisson
+    "thm2_check polar complement": (
+        lambda: vf.thm2_check(vf.Pole(PolarComplement(), 1 + 0j)),
+        UnsupportedDomain,
+        "no series Green function",
     ),
     "suita_check j_max 7": (lambda: vf.suita_check(vf.Pole(_RING, 0.7 + 0j), 7), InvalidArgument, "j_max"),
     "eval_weights s = 0": (lambda: wt.eval_weights(0.0), InvalidArgument, "s < 0"),
