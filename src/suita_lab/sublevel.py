@@ -210,11 +210,10 @@ class LevelField:
         """
         xm = self._slice_minimum(phi)
         m, _, fxx = self._read(xm, phi, ("g", "f1", "f2"))
-        closed = []  # the inner, then the outer circle is the root
-        for c in (self.log_q, 0.0):
-            g, zf = self._read(np.full(phi.shape, c), phi, ("g", "f1"))
-            closed.append(g - ts <= 4 * _EPS * np.abs(zf.real))
-        inner, outer = closed
+        # the inner, then the outer circle is the root: both circles from one read
+        circles = np.repeat([self.log_q, 0.0], phi.size)
+        g, zf = self._read(circles, np.tile(phi, 2), ("g", "f1"))
+        inner, outer = np.split(g - np.tile(ts, 2) <= 4 * _EPS * np.abs(zf.real), 2)
         open_ = m < ts - 4 * _EPS * np.abs(ts)
         k = np.nonzero(open_)[0]
         lo_side, hi_side = k[~inner[k]], k[~outer[k]]

@@ -438,12 +438,13 @@ def _wos_green(pole, params, config) -> list[Check]:
 
 
 def _mc_area(pole, params, config) -> list[Check]:
-    """One draw gives every level of the row its estimate, and the pole's
-    LevelField every reference."""
+    """One draw gives every level of the row its estimate, and one level pass
+    of the pole's LevelField every reference."""
     domain, w = pole.domain, pole.w
-    levels, seed, out = pole.levels, config.seed, []
-    for t, est in zip(params["levels"], oc.mc_area(domain, w, params["levels"], params["samples"], seed)):
-        diff = est.mean - levels.area(t).value
+    levels, seed, out = params["levels"], config.seed, []
+    refs = pole.levels._levels(levels, with_gamma=False)[0]
+    for t, est, ref in zip(levels, oc.mc_area(domain, w, levels, params["samples"], seed), refs):
+        diff = est.mean - float(ref)
         out += _within("oracle_mc_area", domain, w, f"t={t};samples={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
     return out
 

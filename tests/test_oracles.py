@@ -326,6 +326,80 @@ class TestMcArea:
         assert oc.mc_area(domain, w, [-0.3, -0.3], 20_000, 9) == [alone[-0.3], alone[-0.3]]
 
 
+def _unfiltered_mc_area(domain, w, levels, samples, seed):
+    """mc_area's estimator without the comparison disc: the same draw, with
+    every sample inside the domain put through the series."""
+    x0, x1, y0, y1 = geo.bounding_box(domain)
+    idx = np.arange(samples, dtype=np.uint64)
+    pts = x0 + (x1 - x0) * oc.counter_uniform(seed, oc._STREAM_AREA_X, idx)
+    pts = pts + 1j * (y0 + (y1 - y0) * oc.counter_uniform(seed, oc._STREAM_AREA_Y, idx))
+    g = gr.green_values_raw(domain, w, pts[geo.contains_mask(domain, pts)])
+    box = (x1 - x0) * (y1 - y0)
+    out = []
+    for t in levels:
+        p = float(np.count_nonzero(g < t)) / samples
+        out.append((box * p, box * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)))
+    return out
+
+
+_FILTER_CASES = [("disc:0,0,1", 0j), ("disc:0,0,1", 0.9 + 0j), ("disc:2,1,3", 3.2 + 0.4j)]
+_FILTER_CASES += [
+    (f"annulus:{q}", (q + share * (1 - q)) * complex(math.cos(0.4), math.sin(0.4)))
+    for q in (0.3, 0.5, 0.8, 0.95)
+    for share in (0.02, 0.5, 0.98)
+]
+_FILTER_CASES += [(lit, w) for lit, w in vf.default_plan() if lit.startswith("moebius")]
+
+
+class TestMcAreaFilter:
+    """The comparison disc drops only samples that cannot be hits: every
+    estimate is that of the sampler that puts each inside sample through
+    the series."""
+
+    @pytest.mark.parametrize("literal, w", _FILTER_CASES)
+    def test_matches_unfiltered_estimator(self, literal, w):
+        domain = geo.parse_domain(literal)
+        levels = (-0.01, -0.5, -3.0, -20.0)
+        ref = dict(zip(levels, _unfiltered_mc_area(domain, w, levels, 20_000, 9)))
+        for asked in [[t] for t in levels] + [list(levels)]:
+            got = [(e.mean.hex(), e.std_error.hex()) for e in oc.mc_area(domain, w, asked, 20_000, 9)]
+            assert got == [(ref[t][0].hex(), ref[t][1].hex()) for t in asked]
+
+    def test_series_sees_only_the_disc(self, annulus_half, monkeypatch):
+        # at t = -3 the pseudo-hyperbolic disc about 0.7 is about 5e-3 of the
+        # box, so few of the 20,000 samples reach the series
+        fed = []
+        field = gr.green_values_raw
+        monkeypatch.setattr(gr, "green_values_raw", lambda d, w, z: fed.append(z.size) or field(d, w, z))
+        oc.mc_area(annulus_half, 0.7 + 0j, [-3.0], 20_000, 9)
+        assert sum(fed) < 200
+
+    def test_comparison_disc_covers_the_pseudo_hyperbolic_disc(self):
+        # the circle |zeta - zeta_w| = rho |1 - conj(zeta_w) zeta| lies inside
+        # the padded disc, and the circle of rho e^1e-5, moved out by 2e-9
+        # (twice the core pad), outside it
+        u = np.exp(2j * math.pi * np.arange(64) / 64)
+        for zeta_w in (0j, 0.5 + 0j, -0.3 + 0.8j, 0.999 + 0j):
+            for t in (-0.01, -1.0, -20.0):
+                centre, radius = oc._comparison_disc(zeta_w, t)
+                near, far = ((s * math.exp(t) * u + zeta_w) / (1 + np.conj(zeta_w) * s * math.exp(t) * u) for s in (1, math.exp(1e-5)))
+                assert np.all(np.abs(near - centre) < radius)
+                assert np.all(np.abs(far - centre) + 2e-9 > radius)
+        assert oc._comparison_disc(0.5 + 0j, -1e-7) == (0j, math.inf)
+
+    def test_empty_levels(self, annulus_half, monkeypatch):
+        # nothing is drawn for no level, and the arguments are still checked
+        monkeypatch.setattr(oc, "counter_uniform", None)
+        assert oc.mc_area(annulus_half, 0.7 + 0j, [], 200_000, 1) == []
+        assert oc.mc_area(annulus_half, 0.7 + 0j, iter(()), 1, 1) == []
+        with pytest.raises(InvalidArgument, match="sample"):
+            oc.mc_area(annulus_half, 0.7 + 0j, [], 0, 1)
+        with pytest.raises(UnsupportedDomain):
+            oc.mc_area(Polygon((0j, 1 + 0j, 1j)), 0.3 + 0.3j, [], 100, 1)
+        with pytest.raises(PointOutsideDomain):
+            oc.mc_area(annulus_half, 0.2 + 0j, [], 100, 1)
+
+
 class TestGridArea:
     # The plan's three blb profiles and the Moebius annulus, at both ends of
     # their windows: the slice quadrature lies inside the grid's error bar.

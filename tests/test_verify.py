@@ -277,13 +277,18 @@ class TestRunSuite:
 
     def test_oracle_area_references_share_one_field(self, monkeypatch):
         # both oracle_mc_area references are read from one LevelField, so
-        # the saddle search and its fan of slice minima run once
-        built = []
+        # the saddle search and its fan of slice minima run once, and from
+        # one level pass of it
+        built, passes = [], []
 
         class Counted(sl.LevelField):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
+
+            def _levels(self, ts, with_gamma):
+                passes.append(list(ts))
+                return super()._levels(ts, with_gamma)
 
         monkeypatch.setattr(sl, "LevelField", Counted)
         (row,) = [row for row in vf.REFEREE_ROWS if row[0] == "oracle_mc_area"]
@@ -291,6 +296,21 @@ class TestRunSuite:
         checks = vf.FAMILIES[family](vf.Pole(parse_domain(literal), w), {**params, "samples": 1000}, vf.SuiteConfig())
         assert [c.params.split(";")[0] for c in checks] == ["t=-0.5", "t=-1.0"]
         assert len(built) == 1
+        assert passes == [[-0.5, -1.0]]
+
+    def test_oracle_area_row_feeds_few_points_to_the_series(self, monkeypatch):
+        # the comparison disc keeps the row's 200,000 samples off the series
+        # unless they can fall below its largest level (about 59% of them
+        # lie in the domain)
+        fed = []
+        field = gr.green_values_raw
+        monkeypatch.setattr(gr, "green_values_raw", lambda d, w, z: fed.append(np.size(z)) or field(d, w, z))
+        (row,) = [row for row in vf.REFEREE_ROWS if row[0] == "oracle_mc_area"]
+        family, literal, w, params = row
+        assert params["samples"] == 200_000
+        checks = vf.FAMILIES[family](vf.Pole(parse_domain(literal), w), params, vf.SuiteConfig())
+        assert all(c.passed for c in checks)
+        assert 0 < sum(fed) <= 16_000
 
     def test_default_plan_shape(self):
         plan = vf.default_plan()
