@@ -54,6 +54,7 @@ from .green import _dual_log_nome, annulus_dual_terms, robin_capacity
 
 MAX_ORDER = 12  # factorial growth makes higher orders pointless in doubles
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 # W -> (W - i)/(W + i): the upper half-plane onto the unit disc, the
 # inverse of the Cayley map W = i(1 + z)/(1 - z)
 _CAYLEY_INVERSE = (1 + 0j, -1j, 1 + 0j, 1j)
@@ -341,7 +342,9 @@ def suita_defect(domain: Domain, w: Point) -> tuple[float, float]:
     terms, and the subtracted terms are smaller than the leading
     4 s^2 u_k by the factor 1/sinh^2(pi^2 / h), so nothing cancels: at
     q = 0.8 the defect is about 1e-37, where pi K and c^2 agree to every
-    digit a double holds.
+    digit a double holds.  Where u_1 or the value leaves the normal range
+    (u_1 reads 0 once sinh^2 overflows, at the mid-width pole from q = 0.9727
+    on) the bound is at least 8 smallest normal doubles: no annulus reads (0, 0).
     """
     pb = geo.pull_back(domain, w)
     if isinstance(pb.core, Disc):
@@ -366,4 +369,7 @@ def suita_defect(domain: Domain, w: Point) -> tuple[float, float]:
     tail = u[n] * (3.0 * u[n] + 4.0 * s2 + 2.0 + 2.0 * abs(value)) / -math.expm1(_dual_log_nome(q))
     # the defect goes like s^4 next to a circle, and s moves with |zeta|
     pole = abs(value) * 16 * _EPS * r / min(r - q, 1.0 - r)
-    return value, (rounding + tail) / keep + pole
+    bound = (rounding + tail) / keep + pole
+    if min(u[0], value) < _TINY:  # rounding is absolute there, and 0 < u_1 < 1 / DBL_MAX once sinh^2 overflows
+        bound = max(bound, 8.0 * _TINY)
+    return value, bound

@@ -219,29 +219,25 @@ def emit_contours(field: sl.LevelField, t_list, path: str, resolution: int) -> N
 
 
 def _cmd_green(args) -> int:
-    domain = geo.parse_domain(args.domain)
-    value = gr.green_eval(domain, _parse_point(args.pole), _parse_point(args.at))
+    value = gr.green_eval(args.domain, args.pole, _parse_point(args.at))
     print(",".join(_fmt(v) for v in (value.value, value.grad_x, value.grad_y, value.truncation_bound)))
     return 0
 
 
 def _cmd_capacity(args) -> int:
-    domain = geo.parse_domain(args.domain)
-    cap = gr.robin_capacity(domain, _parse_point(args.pole))
+    cap = gr.robin_capacity(args.domain, args.pole)
     print(",".join(_fmt(v) for v in (cap.capacity, cap.robin_constant, cap.truncation_bound)))
     return 0
 
 
 def _cmd_kernel(args) -> int:
-    domain = geo.parse_domain(args.domain)
-    k = bg.kernel_j(domain, _parse_point(args.pole), args.order)
+    k = bg.kernel_j(args.domain, args.pole, args.order)
     print(f"{k.order},{_fmt(k.value)},{k.truncation_order},{_fmt(k.tail_bound)}")
     return 0
 
 
 def _cmd_critical(args) -> int:
-    domain = geo.parse_domain(args.domain)
-    points = gr.critical_points(domain, _parse_point(args.pole))
+    points = gr.critical_points(args.domain, args.pole)
     for cp in points:
         print(
             ",".join(
@@ -254,9 +250,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_sublevel(args) -> int:
-    domain = geo.parse_domain(args.domain)
-    w = _parse_point(args.pole)
-    field = sl.LevelField(domain, w)  # the profile and the contours read one field
+    field = sl.LevelField(args.domain, args.pole)  # the profile and the contours read one field
     p = sl._profile(field, args.tmin, args.tmax, args.steps, with_gamma=True)
     print("t,lambda,log_lambda,gamma_prime,second_diff,e2t_lambda,err_est")
     for row in zip(p.t_samples, p.lam, p.log_lambda, p.gamma_prime, p.second_diff, p.e2t_lambda, p.err_est):
@@ -288,8 +282,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    domain = geo.parse_domain(args.domain)
-    w = _parse_point(args.pole)
+    domain, w = args.domain, args.pole
     if args.kind == "wos":
         if args.at is None:
             raise ConfigError("oracle wos needs --at")
@@ -299,10 +292,8 @@ def _cmd_oracle(args) -> int:
             raise ConfigError("oracle area needs --level")
         (est,) = oc.mc_area(domain, w, [args.level], args.samples, args.seed)
     elif args.kind == "robin":
-        delta = geo.boundary_distance(domain, w)
-        radii = [0.25 * delta / 2**k for k in range(5)]
-        value, residual = oc.robin_extrapolate(domain, w, radii)
-        print(f"{_fmt(value)},{_fmt(residual)},{64 * len(radii)},{args.seed}")
+        value, residual = oc.robin_extrapolate(domain, w)
+        print(f"{_fmt(value)},{_fmt(residual)},{oc._ROBIN_ANGLES * len(oc._ROBIN_LADDER)},{args.seed}")
         return 0
     else:  # gridscan
         for p in oc.grid_min_gradient(domain, w, args.grid):
@@ -347,7 +338,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     argv = merged
     parser = argparse.ArgumentParser(prog="suita-lab", description="Planar potential-theory toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    # --domain and --pole, shared by every subcommand that reads a (domain, pole) pair
+    # --domain and --pole of every subcommand that reads a (domain, pole) pair; main parses them
     located = argparse.ArgumentParser(add_help=False)
     located.add_argument("--domain", required=True)
     located.add_argument("--pole", required=True)
@@ -413,6 +404,8 @@ def main(argv=None) -> int:
         # argparse uses exit status 2 for usage errors and 0 for --help
         return int(exc.code or 0)
     try:
+        if "domain" in args:  # a subcommand built on the shared located parser
+            args.domain, args.pole = geo.parse_domain(args.domain), _parse_point(args.pole)
         return args.func(args)
     except (SuitaLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ Nothing here shares series machinery with the quantities it validates:
   level cannot be a hit.  The disc is padded far past rounding, so the
   filter moves no count, and each estimate is that of the plain sampler,
 * ``robin_extrapolate`` -- the capacity limit evaluated as a genuine limit
-  with Richardson extrapolation,
+  with Richardson extrapolation, on a ladder of circles of its own
+  (``_ROBIN_LADDER``): every caller used the same one,
 * ``grid_min_gradient`` -- lattice localization of the zeros of grad G.
   It reads the series gradient but not the search of
   ``green.critical_points``, which goes straight to the reflection axis
@@ -459,15 +460,19 @@ def _comparison_disc(zeta_w: complex, t: float) -> tuple[complex, float]:
 
 _MEAN_ULPS = 4.0  # rounding of one angular mean of robin_extrapolate, in units of eps (s / r + |log r| + |mean|)
 _STEP_ULPS = 8.0  # rounding of one Richardson step, in units of eps (|extrapolant| + |correction|)
+# robin_extrapolate: points on each circle, and the radii of the circles over the boundary distance
+_ROBIN_ANGLES, _ROBIN_LADDER = 64, tuple(0.25 / 2**k for k in range(5))
 
 
-def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
+def robin_extrapolate(domain: Domain, w: Point) -> tuple[float, float]:
     """Capacity via the defining limit: angular means of G - log r, pushed to r = 0.
 
     Returns (capacity, residual).  The residual bounds the error of the
     capacity in units of c: the gap between the last two extrapolants of
     log c plus the rounding of the means carried through the tableau,
-    taken through exp.
+    taken through exp.  The circles are the function's own, delta times
+    _ROBIN_LADDER (delta / 4 halved four times, inside half the boundary
+    distance delta), because no caller ever chose other ones.
 
     The angular mean kills the harmonic variation exactly (mean value
     property), so the Richardson table in r^2 is flat up to series and
@@ -486,18 +491,12 @@ def robin_extrapolate(domain: Domain, w: Point, radii) -> tuple[float, float]:
     errors of its two entries with weights 1 + a and a, a = x_{i+k} /
     (x_i - x_{i+k}), and adds its own rounding.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 4 or any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise InvalidArgument("need at least 4 strictly decreasing radii")
-    if not all(0 < r < math.inf for r in radii):  # NaN fails every comparison above
-        raise InvalidArgument(f"need positive finite radii, got {radii}")
     delta = geo.boundary_distance(domain, w)
-    if radii[0] > 0.5 * delta:
-        raise InvalidArgument(f"largest radius {radii[0]} exceeds half the boundary distance {delta / 2}")
+    radii = [delta * f for f in _ROBIN_LADDER]
     _, coeffs, zeta_w = geo.pull_back(domain, w)
     s = abs(w) if coeffs is None else max(abs(w), abs(zeta_w) * abs(geo.moebius_fprime(coeffs, zeta_w)))
     eps = float(np.finfo(float).eps)
-    theta = np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False))
+    theta = np.exp(1j * np.linspace(0, 2 * math.pi, _ROBIN_ANGLES, endpoint=False))
     means, err = [], []  # err: bounds on the rounding of the current column
     for r in radii:
         ring = w + r * theta

@@ -219,6 +219,26 @@ class TestSuitaDefect:
             assert value > 0
             assert abs(value - direct) <= bound + slack
 
+    # past the double range at the mid-width pole: sinh^2(pi^2 / h) overflows
+    # from q = 0.9727 on, and the defect, about 4 s^2 u_1, is below the
+    # smallest normal double (3.1e-309 at q = 0.9727); u_1 is formed here in
+    # log space, where it does not underflow
+    @pytest.mark.parametrize("q", [0.9727, 0.975, 0.99])
+    def test_past_the_double_range(self, q):
+        r, h = (1 + q) / 2, -math.log(q)
+        s2 = math.sin(math.pi * min(math.log1p((r - q) / q), -math.log(r)) / h) ** 2
+        x = math.pi**2 / h
+        # sinh^2 x + s2 = e^(2x) / 4 * ((1 - e^(-2x))^2 + 4 s2 e^(-2x))
+        log_u1 = math.log(s2) - (2 * x - math.log(4) + math.log1p(-2 * math.exp(-2 * x) * (1 - 2 * s2) + math.exp(-4 * x)))
+        value, bound = bg.suita_defect(geo.Annulus(q), complex(r, 0))
+        assert bound > 0
+        assert abs(value - 4 * s2 * math.exp(log_u1)) <= bound
+        assert math.log(bound) > math.log(4 * s2) + log_u1  # the bound covers the defect itself
+
+    @pytest.mark.parametrize("q, bits", [(0.95, 1.186136706006571e-166), (0.97, 5.724722052374114e-281), (0.9726, 4.3700871008359054e-308)])
+    def test_inside_the_double_range(self, q, bits):
+        assert bg.suita_defect(geo.Annulus(q), complex((1 + q) / 2, 0))[0] == bits
+
     def test_conformal_invariance_and_discs(self, moebius_annulus, blaschke_disc):
         _, coeffs = geo.flatten_moebius(moebius_annulus)
         zeta = 0.7 + 0.1j

@@ -125,11 +125,16 @@ class TestParsing:
 
     def test_oracle_robin(self, capsys):
         assert run_cli(["oracle", "robin", "--domain", "annulus:0.5", "--pole", "0.7,0"]) == 0
-        value, residual, samples, seed = capsys.readouterr().out.strip().split(",")
+        out = capsys.readouterr().out
+        value, residual, samples, seed = out.strip().split(",")
         cap = gr.robin_capacity(Annulus(0.5), 0.7 + 0j).capacity
         # the printed value carries 12 significant digits
         assert abs(float(value) - cap) <= float(residual) + 1e-11 * cap
         assert (samples, seed) == ("320", "42")  # 64 angles on each of 5 radii
+        # the whole line, byte for byte, on two domains
+        assert out == "3.24079599285,1.16309132751e-12,320,42\n"
+        assert run_cli(["oracle", "robin", "--domain", "moebius:1,-0.3,-0.3,1;base=disc:0,0,1", "--pole", "0.2,0.1"]) == 0
+        assert capsys.readouterr().out == "1.05263157895,8.63010418343e-14,320,42\n"
 
     def test_oracle_area_row(self, capsys):
         # mc_area draws every level of a call at once; the command's one
@@ -510,18 +515,39 @@ class TestSublevelCommand:
 
 
 class TestNonconvexityScript:
-    def test_thin_ring_runs(self, tmp_path, monkeypatch, capsys):
-        # the script reads thm4_scan, thm4_witness, profile_scan and LevelField contours
+    @staticmethod
+    def _main():
         import runpy
 
-        script = os.path.join(os.path.dirname(__file__), "..", "scripts", "annulus_nonconvexity.py")
-        main = runpy.run_path(script)["main"]
+        return runpy.run_path(os.path.join(os.path.dirname(__file__), "..", "scripts", "annulus_nonconvexity.py"))["main"]
+
+    def test_thin_ring_runs(self, tmp_path, monkeypatch, capsys):
+        # the script reads thm4_scan, and the witness, the profile and the
+        # contours of one Pole: two level fields
+        fields = []
+
+        class Counted(sl.LevelField):
+            def __init__(self, *args):
+                fields.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sl, "LevelField", Counted)
         svg = tmp_path / "saddle.svg"
         monkeypatch.setattr(sys, "argv", ["annulus_nonconvexity.py", "0.8", "0.9", str(svg)])
-        assert main() == 0
+        assert self._main()() == 0
         out = capsys.readouterr().out
         assert "verdict: NonConvexDetected" in out and "witness: pass" in out
         assert svg.read_text().count("<polyline") >= 3  # one curve set per level, three levels
+        assert len(fields) == 2
+
+    def test_failed_witness_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failed(pole):
+            return vf._line("thm4", pole.domain, pole.w, "", 0.0, 1.0, False)
+
+        monkeypatch.setattr(vf, "thm4_witness", failed)
+        monkeypatch.setattr(sys, "argv", ["annulus_nonconvexity.py", "0.5", "0.7", str(tmp_path / "x.svg")])
+        assert self._main()() == 1
+        assert "witness: FAIL" in capsys.readouterr().out
 
 
 class TestEntryPoint:

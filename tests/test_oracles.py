@@ -431,22 +431,22 @@ class TestGridArea:
 
 class TestRobinExtrapolate:
     def test_disc_center(self, unit_disc):
-        c, residual = oc.robin_extrapolate(unit_disc, 0j, [0.1 / 2**k for k in range(5)])
+        c, residual = oc.robin_extrapolate(unit_disc, 0j)
         assert c == pytest.approx(1.0, abs=1e-8)
         assert 0.0 <= residual <= 1e-4  # a larger gap is refused
 
     def test_disc_offcenter(self, unit_disc):
-        c, _ = oc.robin_extrapolate(unit_disc, 0.5 + 0j, [0.1 / 2**k for k in range(5)])
+        c, _ = oc.robin_extrapolate(unit_disc, 0.5 + 0j)
         assert c == pytest.approx(4.0 / 3.0, abs=1e-6)
 
     def test_annulus_matches_series(self, annulus_half):
-        c, _ = oc.robin_extrapolate(annulus_half, 0.7 + 0j, [0.08 / 2**k for k in range(5)])
+        c, _ = oc.robin_extrapolate(annulus_half, 0.7 + 0j)
         assert c == pytest.approx(gr.robin_capacity(annulus_half, 0.7 + 0j).capacity, abs=1e-6)
 
     def test_moebius_transport_validated(self, blaschke_disc):
         w = 0.2 + 0.1j
         series = gr.robin_capacity(blaschke_disc, w).capacity
-        limit, _ = oc.robin_extrapolate(blaschke_disc, w, [0.15 / 2**k for k in range(5)])
+        limit, _ = oc.robin_extrapolate(blaschke_disc, w)
         assert limit == pytest.approx(series, abs=1e-6)
 
     # the plan's three oracle_robin rows, then poles next to a circle, where
@@ -461,19 +461,29 @@ class TestRobinExtrapolate:
         # capacity's own bound; it read 0 on Annulus(0.5) at 0.7 when it was
         # only the gap between the last two extrapolants
         domain = geo.parse_domain(literal)
-        radii = [0.25 * geo.boundary_distance(domain, w) / 2**k for k in range(5)]
-        c, residual = oc.robin_extrapolate(domain, w, radii)
+        c, residual = oc.robin_extrapolate(domain, w)
         series = gr.robin_capacity(domain, w)
         assert abs(c - series.capacity) <= residual + series.capacity * series.truncation_bound
         assert residual <= limit
 
-    def test_radii_validation(self, unit_disc):
-        with pytest.raises(ValueError):
-            oc.robin_extrapolate(unit_disc, 0j, [0.1, 0.2, 0.05, 0.02])  # not decreasing
-        with pytest.raises(ValueError):
-            oc.robin_extrapolate(unit_disc, 0j, [0.1, 0.05, 0.02])  # too few
-        with pytest.raises(ValueError):
-            oc.robin_extrapolate(unit_disc, 0.9 + 0j, [0.2, 0.1, 0.05, 0.02])  # exceeds delta/2
+    def test_reads_the_circles_its_row_prints(self, monkeypatch):
+        # on each of the plan's oracle_robin rows, the circles whose means the
+        # limit reads are the five that the row's line names: delta / 4,
+        # halved four times
+        radii, raw = [], gr.green_values_raw
+
+        def recording(domain, w, z):
+            radii.append(float(np.mean(np.abs(z - w))))
+            return raw(domain, w, z)
+
+        monkeypatch.setattr(gr, "green_values_raw", recording)
+        for _, literal, w, _ in [row for row in vf.REFEREE_ROWS if row[0] == "oracle_robin"]:
+            domain = geo.parse_domain(literal)
+            radii.clear()
+            (check,) = vf._robin(vf.Pole(domain, w), {}, vf.SuiteConfig())
+            assert check.params == f"radii={radii[0]:.6g}..{radii[-1]:.6g}"
+            delta = geo.boundary_distance(domain, w)
+            assert radii == pytest.approx([0.25 * delta / 2**k for k in range(5)], rel=1e-14)
 
 
 class TestGridMinGradient:

@@ -164,24 +164,6 @@ REFUSALS = {
     },
     "grid_min_gradient grid 1": (lambda: oc.grid_min_gradient(_RING, 0.7 + 0j, 1), InvalidArgument, "at least 2 points"),
     "wos_green 1 walk": (lambda: oc.wos_green(_RING, 0.7 + 0j, -0.6 + 0j, 1, 1), InvalidArgument, "at least 2 walks"),
-    "robin_extrapolate 3 radii": (
-        lambda: oc.robin_extrapolate(_RING, 0.7 + 0j, [0.04, 0.02, 0.01]),
-        InvalidArgument,
-        "at least 4 strictly decreasing",
-    ),
-    **{
-        f"robin_extrapolate radii {radii}": (
-            lambda radii=radii: oc.robin_extrapolate(_RING, 0.7 + 0j, radii),
-            InvalidArgument,
-            "positive finite radii",
-        )
-        for radii in ([np.nan] * 4, [0.05, np.nan, 0.01, 0.005], [0.05, 0.02, 0.01, 0.0], [0.05, 0.02, 0.01, -0.01])
-    },
-    "robin_extrapolate radius > delta/2": (
-        lambda: oc.robin_extrapolate(_RING, 0.7 + 0j, [0.2, 0.1, 0.05, 0.02]),
-        InvalidArgument,
-        "exceeds half the boundary distance",
-    ),
     "poisson r = delta": (
         lambda: vf.poisson_step_check(vf.Pole(_RING, 0.7 + 0j), geo.boundary_distance(_RING, 0.7 + 0j)),
         InvalidArgument,
