@@ -384,11 +384,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=["all", "suita", "thm1", "thm2", "blb", "thm4", "poisson", "characterization"],
-    )
+    p.add_argument("--suite", default="all", choices=["all", *vf.FAMILIES])
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--format", default="csv", choices=["csv", "json"])

@@ -470,7 +470,8 @@ def robin_extrapolate(domain: Domain, w: Point) -> tuple[float, float]:
     Returns (capacity, residual).  The residual bounds the error of the
     capacity in units of c: the gap between the last two extrapolants of
     log c plus the rounding of the means carried through the tableau,
-    taken through exp.  The circles are the function's own, delta times
+    taken through exp.  It is what the oracle_robin line of verify reads
+    as its referee's bound.  The circles are the function's own, delta times
     _ROBIN_LADDER (delta / 4 halved four times, inside half the boundary
     distance delta), because no caller ever chose other ones.
 

@@ -13,15 +13,17 @@ independent referee is the canonical product in the test suite.  A check
 records both sides, the oriented margin (positive = pass) and its full
 context, so a failed line can be replayed directly.
 
-The tolerance table is part of the report.  Margins are compared against
-``-tol * scale`` with scale = max(|lhs|, |rhs|), except for the Monte
-Carlo checks whose tolerance is 3 times the standard error carried by the
-estimate itself (a stated bound for walk-on-spheres), and oracle_robin,
-which allows 1e-6 between the capacity and its limit.  Lines whose rule has
-no tolerance are not in the table: blb_monotone (a drop must stay within
-the profile's own error estimates), thm4 (the drop of gamma'/lambda just
-above the saddle level, less the bound its error estimates put on it) and
-the characterization lines (K_j > 0, or K_j == 0 on a polar complement).
+The tolerance table is part of the report and holds only the families
+whose default-plan lines decide on rounding: suita and blb_lower compare
+their margin against ``-tol * scale`` with scale = max(|lhs|, |rhs|), and
+flux its error against tol * 2 pi.  Every other line is judged on its own
+numbers: thm1, thm2 and poisson pass iff their inequality holds as
+computed; an oracle line passes iff |diff| is at most the bound its
+referee states (3 standard errors of a Monte Carlo estimate, and for
+oracle_robin the residual of the limit plus the capacity's own error);
+blb_monotone, thm4 and the characterization lines follow their own rules
+(a drop within the profile's error estimates, the drop of gamma'/lambda
+above the bound its error estimates put on it, K_j > 0 or K_j == 0).
 
 The plan is one list of rows (family, literal, pole, params) in report
 order (plan_rows), and run_suite runs each row through its function in
@@ -63,15 +65,7 @@ THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
 GOLDEN_RADIUS_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0
 THM4_EPS = 1e-4  # the thm4 witness reads the levels t0 + eps |t0| and t0 + 2 eps |t0|
 
-DEFAULT_TOLERANCES = {
-    "suita": 1e-8,
-    "thm1": 1e-8,
-    "thm2": 1e-8,
-    "poisson": 1e-8,
-    "blb_lower": 1e-4,
-    "flux": 1e-5,
-    "oracle": 0.0,  # added to each oracle line's bound: 3 x a Monte Carlo estimate's standard error, 1e-6 for oracle_robin
-}
+DEFAULT_TOLERANCES = {"suita": 1e-8, "blb_lower": 1e-4, "flux": 1e-5}
 
 
 @dataclass(frozen=True)
@@ -185,7 +179,7 @@ def suita_check(pole: Pole, j_max: int = 3, overrides=None) -> list[Check]:
     return out
 
 
-def thm1_check(pole: Pole, r_list=None, overrides=None) -> list[Check]:
+def thm1_check(pole: Pole, r_list=None) -> list[Check]:
     """K(w) <= 1 / (-2 pi r^2 max_{|z-w|<=r} G) for each r, plus the golden radius.
 
     A disc that touches the boundary has max G = 0 and an infinite bound."""
@@ -197,11 +191,11 @@ def thm1_check(pole: Pole, r_list=None, overrides=None) -> list[Check]:
     for r in radii:
         max_g = pole.disc_max(r)
         bound = math.inf if max_g == 0 else 1.0 / (-2.0 * math.pi * r * r * max_g)
-        out.append(_check(f"thm1[r={r:.6g}]", domain, w, f"r={r:.12g};maxG={max_g:.12g}", kernel, bound, overrides))
+        out.append(_line(f"thm1[r={r:.6g}]", domain, w, f"r={r:.12g};maxG={max_g:.12g}", kernel, bound, kernel <= bound))
     return out
 
 
-def thm2_check(pole: Pole, overrides=None) -> Check:
+def thm2_check(pole: Pole) -> Check:
     """K(w) <= C / (delta^2 log(1/(delta c))) with C = (11 + 5 sqrt 5)/(4 pi).
 
     The polar complement is refused (UnsupportedDomain), as by thm1_check
@@ -213,10 +207,10 @@ def thm2_check(pole: Pole, overrides=None) -> Check:
         raise SkippedDegenerate(f"delta*c = {dc}; the bound is vacuous for a centered disc")
     kernel = pole.kernel(0).value
     bound = THM2_CONSTANT / (delta * delta * math.log(1.0 / dc))
-    return _check("thm2", pole.domain, pole.w, f"delta={delta:.12g};c={cap:.12g}", kernel, bound, overrides)
+    return _line("thm2", pole.domain, pole.w, f"delta={delta:.12g};c={cap:.12g}", kernel, bound, kernel <= bound)
 
 
-def poisson_step_check(pole: Pole, r: float, overrides=None) -> Check:
+def poisson_step_check(pole: Pole, r: float) -> Check:
     """max G on the r-circle <= ((R-r)/(R+r)) log(R c), R the boundary distance."""
     R = pole.delta
     if not (0 < r < R):
@@ -225,7 +219,7 @@ def poisson_step_check(pole: Pole, r: float, overrides=None) -> Check:
     max_g = pole.disc_max(r)
     bound = (R - r) / (R + r) * math.log(R * cap)
     params = f"r={r:.12g};R={R:.12g};c={cap:.12g}"
-    return _check(f"poisson[r={r:.6g}]", pole.domain, pole.w, params, max_g, bound, overrides)
+    return _line(f"poisson[r={r:.6g}]", pole.domain, pole.w, params, max_g, bound, max_g <= bound)
 
 
 def blb_check(pole: Pole, profile: sl.SublevelProfile, overrides=None) -> list[Check]:
@@ -424,9 +418,9 @@ def _flux(pole, params, config) -> list[Check]:
     return [_line("flux", domain, w, f"n={params['n']}", flux, 2 * math.pi, passed, margin=-error)]
 
 
-def _within(name, domain, w, params, diff, bound, config) -> list[Check]:
-    """An oracle line: |diff| at most the bound, plus the oracle tolerance."""
-    return [_line(name, domain, w, params, abs(diff), bound, abs(diff) <= bound + _tol("oracle", config.tolerances))]
+def _within(name, domain, w, params, diff, bound) -> list[Check]:
+    """An oracle line: |diff| at most the bound its referee states."""
+    return [_line(name, domain, w, params, abs(diff), bound, abs(diff) <= bound)]
 
 
 def _wos_green(pole, params, config) -> list[Check]:
@@ -434,7 +428,7 @@ def _wos_green(pole, params, config) -> list[Check]:
     z, seed = params["at"], config.seed
     est = oc.wos_green(domain, w, z, params["walks"], seed)
     diff = est.mean - gr.green_eval(domain, w, z).value
-    return _within("oracle_wos_green", domain, w, f"z={_fmt_pole(z)};walks={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
+    return _within("oracle_wos_green", domain, w, f"z={_fmt_pole(z)};walks={est.samples};seed={seed}", diff, 3.0 * est.std_error)
 
 
 def _mc_area(pole, params, config) -> list[Check]:
@@ -445,15 +439,20 @@ def _mc_area(pole, params, config) -> list[Check]:
     refs = pole.levels._levels(levels, with_gamma=False)[0]
     for t, est, ref in zip(levels, oc.mc_area(domain, w, levels, params["samples"], seed), refs):
         diff = est.mean - float(ref)
-        out += _within("oracle_mc_area", domain, w, f"t={t};samples={est.samples};seed={seed}", diff, 3.0 * est.std_error, config)
+        out += _within("oracle_mc_area", domain, w, f"t={t};samples={est.samples};seed={seed}", diff, 3.0 * est.std_error)
     return out
 
 
 def _robin(pole, params, config) -> list[Check]:
-    domain, w = pole.domain, pole.w
+    """The series capacity c against robin_extrapolate's limit, within the
+    limit's residual plus c's own error: log c is off by at most its
+    series' truncation_bound plus the roundings of the few logarithms summed
+    to form it, 8 eps (1 + |log c|) in all, and exp carries that to c."""
+    domain, w, cap = pole.domain, pole.w, pole.capacity
     ends = f"radii={pole.delta * oc._ROBIN_LADDER[0]:.6g}..{pole.delta * oc._ROBIN_LADDER[-1]:.6g}"  # of robin_extrapolate's circles
-    diff = pole.capacity.capacity - oc.robin_extrapolate(domain, w)[0]
-    return _within("oracle_robin", domain, w, ends, diff, 1e-6, config)
+    limit, residual = oc.robin_extrapolate(domain, w)
+    own = cap.capacity * math.expm1(cap.truncation_bound + 8 * sl._EPS * (1 + abs(cap.robin_constant)))
+    return _within("oracle_robin", domain, w, ends, cap.capacity - limit, residual + own)
 
 
 def _polygon_symmetry(pole, params, config) -> list[Check]:
@@ -463,15 +462,15 @@ def _polygon_symmetry(pole, params, config) -> list[Check]:
     a = oc.wos_green(domain, w, z, walks, seed)
     b = oc.wos_green(domain, z, w, walks, seed + 1)
     bound = 3.0 * math.hypot(a.std_error, b.std_error)
-    return _within("oracle_polygon_symmetry", domain, w, f"walks={a.samples};seed={seed}", a.mean - b.mean, bound, config)
+    return _within("oracle_polygon_symmetry", domain, w, f"walks={a.samples};seed={seed}", a.mean - b.mean, bound)
 
 
 # family -> (pole, row params, config) -> report lines
 FAMILIES = {
     "suita": lambda pole, p, cfg: suita_check(pole, cfg.j_max, cfg.tolerances),
-    "thm1": lambda pole, p, cfg: thm1_check(pole, overrides=cfg.tolerances),
-    "thm2": lambda pole, p, cfg: [thm2_check(pole, cfg.tolerances)],
-    "poisson": lambda pole, p, cfg: [poisson_step_check(pole, 0.5 * pole.delta, cfg.tolerances)],
+    "thm1": lambda pole, p, cfg: thm1_check(pole),
+    "thm2": lambda pole, p, cfg: [thm2_check(pole)],
+    "poisson": lambda pole, p, cfg: [poisson_step_check(pole, 0.5 * pole.delta)],
     "blb": lambda pole, p, cfg: blb_check(pole, sl._profile(pole.levels, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances),
     "thm4": lambda pole, p, cfg: [thm4_witness(pole)],
     "characterization": lambda pole, p, cfg: characterization_probe(pole),
@@ -502,8 +501,12 @@ def plan_rows(config: SuiteConfig) -> list[tuple]:
 
 def run_suite(config: SuiteConfig | None = None, suite: str = "all") -> VerificationReport:
     """Run the plan's rows, or one family's; failures are recorded, never
-    raised.  A row that fails the series gate (_CORES) gives no line.  The
-    rows of one (domain, pole) share one Pole, which lives for this call."""
+    raised.  A suite that is neither "all" nor a FAMILIES key raises
+    InvalidArgument.  A row that fails the series gate (_CORES) gives no
+    line.  The rows of one (domain, pole) share one Pole, which lives for
+    this call."""
+    if suite != "all" and suite not in FAMILIES:
+        raise InvalidArgument(f"no suite {suite!r}; known: all, {', '.join(FAMILIES)}")
     config = config or SuiteConfig()
     t_start = time.perf_counter()
     checks: list[Check] = []

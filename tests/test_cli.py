@@ -186,6 +186,11 @@ class TestConfig:
             "tolerance.",
             "tolerance.char_zero",
             "tolerance.blb_monotone",
+            # judged on their own numbers: no line of theirs reads a tolerance
+            "tolerance.thm1",
+            "tolerance.thm2",
+            "tolerance.poisson",
+            "tolerance.oracle",
         ],
     )
     def test_unknown_tolerance_family_rejected(self, tmp_path, key):
@@ -409,6 +414,15 @@ class TestVerifyCommand:
         assert code == 1
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
         assert fails and all(re.fullmatch(r"FAIL \S+ domain=\S+ pole=\S+ \S+ lhs=\S+ rhs=\S+", f) for f in fails)
+
+    @pytest.mark.parametrize("suite", ["flux", "oracle_robin"])
+    def test_row_family_suite_writes_its_golden_rows(self, tmp_path, capsys, suite):
+        out = tmp_path / "f.csv"
+        assert run_cli(["verify", "--suite", suite, "--out", str(out)]) == 0
+        header, *golden = GOLDEN.read_text().splitlines()
+        rows = [line for line in golden if line.startswith(f"{suite},")]
+        assert len(rows) == 3
+        assert out.read_text().splitlines() == [header, *rows]
 
     def test_grid_option_refused(self, capsys):
         assert run_cli(["verify", "--suite", "thm2", "--grid", "128"]) == 2

@@ -194,6 +194,8 @@ REFUSALS = {
         "no series Green function",
     ),
     "suita_check j_max 7": (lambda: vf.suita_check(vf.Pole(_RING, 0.7 + 0j), 7), InvalidArgument, "j_max"),
+    # a line family that is not a row family has no rows either
+    **{f"run_suite suite {suite}": (lambda suite=suite: vf.run_suite(suite=suite), InvalidArgument, "no suite") for suite in ("flx", "blb_lower")},
     "eval_weights s = 0": (lambda: wt.eval_weights(0.0), InvalidArgument, "s < 0"),
     "green_eval z = w": (lambda: gr.green_eval(_RING, 0.7 + 0j, 0.7 + 0j), PointOutsideDomain, "z == w"),
     "laplacian stencil past the boundary": (

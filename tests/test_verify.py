@@ -270,6 +270,39 @@ class TestRunSuite:
         report = vf.run_suite(cfg)
         assert not report.all_passed  # numerical-noise failures must surface
 
+    @pytest.mark.parametrize("family", ["thm1", "thm2", "poisson"])
+    def test_lhs_past_rhs_by_1e10_fails(self, annulus_half, monkeypatch, family):
+        # the theorem lines pass iff their inequality holds as computed: no slack
+        run = {
+            "thm1": lambda pole: min(vf.thm1_check(pole), key=lambda c: c.rhs),
+            "thm2": vf.thm2_check,
+            "poisson": lambda pole: vf.poisson_step_check(pole, 0.5 * pole.delta),
+        }[family]
+        clean = run(vf.Pole(annulus_half, 0.7 + 0j))
+        assert clean.passed
+        lhs = clean.rhs + 1e-10 * abs(clean.rhs)
+        if family == "poisson":
+            monkeypatch.setattr(gr, "disc_max_green", lambda *args: lhs)
+        else:
+            kernel = bg.kernel_j
+            monkeypatch.setattr(bg, "kernel_j", lambda d, w, j: dataclasses.replace(kernel(d, w, j), value=lhs))
+        line = run(vf.Pole(annulus_half, 0.7 + 0j))
+        assert (line.lhs, line.rhs, line.passed) == (lhs, clean.rhs, False)
+
+    def test_oracle_robin_sees_a_capacity_off_by_1e9(self, monkeypatch):
+        # the line reads the referee's residual, about 1e-12 of c, not a fixed 1e-6
+        exact = gr.robin_capacity
+
+        def off(domain, w):
+            cap = exact(domain, w)
+            return gr.CapacityResult(cap.capacity * (1 + 1e-9), cap.robin_constant + math.log1p(1e-9), cap.truncation_bound)
+
+        monkeypatch.setattr(gr, "robin_capacity", off)
+        checks = vf.run_suite(suite="oracle_robin").checks
+        assert len(checks) == 3
+        assert not any(c.passed for c in checks)
+        assert all(c.rhs <= 2e-12 for c in checks)
+
     def test_suite_filter(self, small_config):
         report = vf.run_suite(small_config, suite="thm1")
         assert report.checks
@@ -393,6 +426,11 @@ SUITE_LINES = {
     "thm4": ("thm4",),
     "poisson": ("poisson",),
     "characterization": ("char_pos", "char_zero", "char_subharmonic"),
+    "flux": ("flux",),
+    "oracle_wos_green": ("oracle_wos_green",),
+    "oracle_mc_area": ("oracle_mc_area",),
+    "oracle_robin": ("oracle_robin",),
+    "oracle_polygon_symmetry": ("oracle_polygon_symmetry",),
 }
 
 
@@ -411,16 +449,16 @@ class TestPlan:
     def test_every_family_has_a_default_row(self):
         assert {family for family, *_ in vf.plan_rows(vf.SuiteConfig())} == set(vf.FAMILIES)
 
-    @pytest.mark.parametrize("family", ["thm1", "suita", "flux"])
+    @pytest.mark.parametrize("family", ["blb_lower", "suita", "flux"])
     def test_family_tolerance_reaches_only_its_lines(self, family):
         # tolerance.<family> = 0 fails exactly the lines of that family with a
-        # negative margin (none for thm1), and leaves every other line as it was
+        # negative margin, and leaves every other line as it was
         config = vf.SuiteConfig(tolerances=cli.parse_config(f"tolerance.{family} = 0\n")["tolerances"])
         header, *golden = GOLDEN.read_text().splitlines()
         flips = {i for i, c in enumerate(cli.parse_report_csv(str(GOLDEN))) if _name_family(c.name) == family and c.margin < 0}
         expected = [line.removesuffix(",true") + ",false" if i in flips else line for i, line in enumerate(golden)]
         assert cli.report_csv_text(vf.run_suite(config)).splitlines() == [header, *expected]
-        assert bool(flips) == (family != "thm1")
+        assert flips
 
     def test_thm4_skip_on_a_disc(self):
         config = vf.SuiteConfig(entries=[("disc:0,0,1", 0j)], thm4_entries=[("disc:0,0,1", 0j)])
