@@ -6,9 +6,9 @@ through a window straddling the critical level t0, prints the scan's
 verdict beside the first-derivative witness of the verify suite's thm4
 line (gamma'/lambda falls just above t0), prints the profile table, and
 writes an SVG of the level curves around the saddle (the figure-eight
-pinch is visible at t0).  The witness, the profile and the contours read
-one level field.  Exits 1 unless the witness passes and the scan detects
-the non-convexity.
+pinch is visible at t0).  The saddle, the witness, the profile and the
+contours read one level field.  Exits 1 unless the witness passes and the
+scan detects the non-convexity.
 
 Usage: python3 scripts/annulus_nonconvexity.py [q] [pole_re] [out.svg]
 Defaults: q = 0.5, pole = 0.7, annulus_saddle.svg.
@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from suita_lab import green as gr
 from suita_lab import sublevel as sl
 from suita_lab import verify as vf
 from suita_lab.cli import emit_contours
@@ -35,14 +34,13 @@ def main() -> int:
     w = complex(float(sys.argv[2]) if len(sys.argv) > 2 else 0.7, 0.0)
     out = sys.argv[3] if len(sys.argv) > 3 else "annulus_saddle.svg"
     domain = Annulus(q)
-    pole = vf.Pole(domain, w)  # the witness, the profile and the contours read its one level field
+    pole = vf.Pole(domain, w)  # the saddle, the witness, the profile and the contours read its one level field
 
-    cps = gr.critical_points(domain, w)
-    for cp in cps:
-        print(
-            f"critical point {cp.location:.12g}: level {cp.level:.6e}, "
-            f"|grad| residual {cp.gradient_residual:.1e}, order {cp.order}"
-        )
+    cp = pole.levels.saddle
+    print(
+        f"critical point {cp.location:.12g}: level {cp.level:.6e}, "
+        f"|grad| residual {cp.gradient_residual:.1e}, order {cp.order}"
+    )
     report, _ = vf.thm4_scan(domain, w, resolution=1024, steps=64)
     print(
         f"\nverdict: {report.verdict}  (min second difference {report.min_second_diff:.4e} "

@@ -92,10 +92,10 @@ class LevelField:
     """G(., w) on one domain, read at many levels.
 
     Holds what does not depend on t: for a disc core the map M, for an
-    annulus core the rotated pole, the saddle level and the fan of slice
-    minima.  Build one per (domain, pole) and read every level from it.
-    Every set of slice points is read in one pass of the field (_read),
-    for all of G, z f' and z f' + z^2 f'' that the step needs there.
+    annulus core the rotated pole, the saddle (in image coordinates), its
+    level t0 and the fan of slice minima.  Build one per (domain, pole) and
+    read every level from it; every set of slice points is read in one pass
+    of the field (_read), for all of G, z f' and z f' + z^2 f'' the step needs.
     """
 
     def __init__(self, domain: Domain, w: Point):
@@ -114,6 +114,8 @@ class LevelField:
         self.frame = geo.moebius_compose(coeffs, (w_eff / self.r0, 0.0, 0.0, 1.0))
         saddle = gr.critical_points(core, self.r0)[0]
         self.t0 = saddle.level
+        jac = abs(geo.moebius_fprime(self.frame, saddle.location))  # scales the residual, as critical_points does for images
+        self.saddle = gr.CriticalPoint(complex(geo.moebius_forward(self.frame, saddle.location)), self.t0, saddle.gradient_residual / jac, saddle.order)
         # The fan: slice minima x_m and levels m on _FAN slices from the pole
         # (phi = 0, x_m = log r0, m = -inf) to the saddle (phi = pi, m = t0).
         # They do not depend on t; they start and bracket every later solve.

@@ -13,17 +13,18 @@ independent referee is the canonical product in the test suite.  A check
 records both sides, the oriented margin (positive = pass) and its full
 context, so a failed line can be replayed directly.
 
-The tolerance table is part of the report and holds only the families
-whose default-plan lines decide on rounding: suita and blb_lower compare
-their margin against ``-tol * scale`` with scale = max(|lhs|, |rhs|), and
-flux its error against tol * 2 pi.  Every other line is judged on its own
-numbers: thm1, thm2 and poisson pass iff their inequality holds as
-computed; an oracle line passes iff |diff| is at most the bound its
-referee states (3 standard errors of a Monte Carlo estimate, and for
-oracle_robin the residual of the limit plus the capacity's own error);
-blb_monotone, thm4 and the characterization lines follow their own rules
-(a drop within the profile's error estimates, the drop of gamma'/lambda
-above the bound its error estimates put on it, K_j > 0 or K_j == 0).
+The tolerance table is part of the report and holds only flux, whose
+error is compared against tol * 2 pi.  Every other line is judged on its
+own numbers: thm1, thm2 and poisson pass iff their inequality holds as
+computed; suita and blb_lower iff rhs - lhs >= -bound, the bound built
+from the stated errors of both sides (kernel_j's tail_bound, the
+capacity's truncation_bound, the profile's err_est); an oracle line iff
+|diff| is at most the bound its referee states (3 standard errors of a
+Monte Carlo estimate, and for oracle_robin the residual of the limit plus
+the capacity's own error); blb_monotone, thm4 and the characterization
+lines follow their own rules (a drop within the profile's error
+estimates, the drop of gamma'/lambda above the bound its error estimates
+put on it, K_j > 0 or K_j == 0).
 
 The plan is one list of rows (family, literal, pole, params) in report
 order (plan_rows), and run_suite runs each row through its function in
@@ -64,8 +65,9 @@ from .geometry import Domain, Point, PolarComplement
 THM2_CONSTANT = (11.0 + 5.0 * math.sqrt(5.0)) / (4.0 * math.pi)
 GOLDEN_RADIUS_FACTOR = (math.sqrt(5.0) - 1.0) / 2.0
 THM4_EPS = 1e-4  # the thm4 witness reads the levels t0 + eps |t0| and t0 + 2 eps |t0|
+_EPS = float(np.finfo(float).eps)
 
-DEFAULT_TOLERANCES = {"suita": 1e-8, "blb_lower": 1e-4, "flux": 1e-5}
+DEFAULT_TOLERANCES = {"flux": 1e-5}
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,6 @@ def _fmt_pole(w: complex) -> str:
     return f"{w.real:.12g},{w.imag:.12g}"
 
 
-def _family(name: str) -> str:
-    return name.split("[", 1)[0]
-
-
-def _tol(name: str, overrides: dict[str, float] | None) -> float:
-    fam = _family(name)
-    if overrides and fam in overrides:
-        return overrides[fam]
-    if overrides and "all" in overrides:
-        return overrides["all"]
-    return DEFAULT_TOLERANCES[fam]
-
-
 def _line(name, domain, w, params, lhs, rhs, passed, margin=None) -> Check:
     """One report line; the margin is rhs - lhs (positive = pass) unless given."""
     if margin is None:
@@ -118,10 +107,12 @@ def _line(name, domain, w, params, lhs, rhs, passed, margin=None) -> Check:
     return Check(name, geo.domain_literal(domain), _fmt_pole(w), params, lhs, rhs, margin, bool(passed))
 
 
-def _check(name, domain, w, params, lhs, rhs, overrides=None) -> Check:
-    """Oriented check: pass iff rhs - lhs >= -tol * scale."""
-    scale = max(abs(lhs), abs(rhs))
-    return _line(name, domain, w, params, lhs, rhs, rhs - lhs >= -_tol(name, overrides) * scale)
+def _log_capacity_error(cap: gr.CapacityResult) -> float:
+    """A bound on the error of log c: the series' truncation_bound plus the roundings
+    of the few logarithms summed to form it, 8 eps (1 + |log c|); 0 where c = 0."""
+    if cap.capacity == 0:
+        return 0.0
+    return cap.truncation_bound + 8 * _EPS * (1 + abs(cap.robin_constant))
 
 
 class Pole:
@@ -166,16 +157,20 @@ class Pole:
 # ---------------------------------------------------------------------------
 
 
-def suita_check(pole: Pole, j_max: int = 3, overrides=None) -> list[Check]:
-    """K_j(w) >= j!(j+1)!/pi * c(w)^(2j+2) for j = 0..j_max (j=0 is the Suita bound)."""
+def suita_check(pole: Pole, j_max: int = 3) -> list[Check]:
+    """K_j(w) >= j!(j+1)!/pi * c(w)^(2j+2) for j = 0..j_max (j=0 is the Suita bound), within
+    c's error raised to the power 2j + 2, the roundings of the power, of /pi and of the
+    product, and K_j's tail_bound: 0 on the polar complement, where K_j = c = 0."""
     if not 0 <= j_max <= 6:
         raise InvalidArgument("j_max must be within 0..6")
     domain, w, cap = pole.domain, pole.w, pole.capacity.capacity
+    log_err = _log_capacity_error(pole.capacity)
     out = []
     for j in range(j_max + 1):
         kernel = pole.kernel(j)
         lhs = math.factorial(j) * math.factorial(j + 1) / math.pi * cap ** (2 * j + 2)
-        out.append(_check(f"suita[j={j}]", domain, w, f"j={j};c={cap:.12g}", lhs, kernel.value, overrides))
+        bound = lhs * math.expm1((2 * j + 2) * log_err + (2 * j + 6) * _EPS) + kernel.tail_bound
+        out.append(_line(f"suita[j={j}]", domain, w, f"j={j};c={cap:.12g}", lhs, kernel.value, kernel.value - lhs >= -bound))
     return out
 
 
@@ -222,13 +217,17 @@ def poisson_step_check(pole: Pole, r: float) -> Check:
     return _line(f"poisson[r={r:.6g}]", pole.domain, pole.w, params, max_g, bound, max_g <= bound)
 
 
-def blb_check(pole: Pole, profile: sl.SublevelProfile, overrides=None) -> list[Check]:
-    """K(w) >= 1/(e^{-2t} lambda(t)) at every profile sample, plus monotonicity."""
+def blb_check(pole: Pole, profile: sl.SublevelProfile) -> list[Check]:
+    """K(w) >= 1/(e^{-2t} lambda(t)) at every profile sample within lhs (rho/(1 - rho) + 4 eps)
+    plus K's tail_bound, rho = err_est/lambda < 1 (LevelField refuses the levels where it is
+    not), plus monotonicity."""
     domain, w = pole.domain, pole.w
-    kernel = pole.kernel(0).value
+    kernel = pole.kernel(0)
     out = []
-    for t, e2t in zip(profile.t_samples, profile.e2t_lambda):
-        out.append(_check(f"blb_lower[t={t:.6g}]", domain, w, f"t={t:.12g}", 1.0 / e2t, kernel, overrides))
+    for t, e2t, lam, err in zip(profile.t_samples, profile.e2t_lambda, profile.lam, profile.err_est):
+        lhs, rho = 1.0 / e2t, err / lam
+        bound = lhs * (rho / (1.0 - rho) + 4 * _EPS) + kernel.tail_bound
+        out.append(_line(f"blb_lower[t={t:.6g}]", domain, w, f"t={t:.12g}", lhs, kernel.value, kernel.value - lhs >= -bound))
     max_drop, passed = sl.monotonicity_check(profile)
     out.append(_line("blb_monotone", domain, w, f"steps={len(profile.t_samples)}", max_drop, 0.0, passed))
     return out
@@ -304,7 +303,7 @@ def _rate_drop(lam, err, gam, gam_err) -> tuple[float, float]:
     (l1, l2), (g1, g2) = err / lam, gam_err / gam
     ratio = float(gam[1] * lam[0] / (gam[0] * lam[1]))
     spread = math.expm1(math.log1p(g2) + math.log1p(l1) - math.log1p(-g1) - math.log1p(-l2))
-    return 1.0 - ratio, ratio * (spread + 4 * sl._EPS) + sl._EPS * abs(1.0 - ratio)
+    return 1.0 - ratio, ratio * (spread + 4 * _EPS) + _EPS * abs(1.0 - ratio)
 
 
 def characterization_probe(pole: Pole) -> list[Check]:
@@ -414,7 +413,7 @@ def _flux(pole, params, config) -> list[Check]:
     domain, w = pole.domain, pole.w
     flux = gr.boundary_flux(domain, w, params["n"])
     error = abs(flux - 2 * math.pi)
-    passed = error <= _tol("flux", config.tolerances) * 2 * math.pi
+    passed = error <= config.tolerances.get("flux", config.tolerances.get("all", DEFAULT_TOLERANCES["flux"])) * 2 * math.pi
     return [_line("flux", domain, w, f"n={params['n']}", flux, 2 * math.pi, passed, margin=-error)]
 
 
@@ -445,13 +444,12 @@ def _mc_area(pole, params, config) -> list[Check]:
 
 def _robin(pole, params, config) -> list[Check]:
     """The series capacity c against robin_extrapolate's limit, within the
-    limit's residual plus c's own error: log c is off by at most its
-    series' truncation_bound plus the roundings of the few logarithms summed
-    to form it, 8 eps (1 + |log c|) in all, and exp carries that to c."""
+    limit's residual plus c's own error: exp carries the error of log c
+    (_log_capacity_error) to c."""
     domain, w, cap = pole.domain, pole.w, pole.capacity
     ends = f"radii={pole.delta * oc._ROBIN_LADDER[0]:.6g}..{pole.delta * oc._ROBIN_LADDER[-1]:.6g}"  # of robin_extrapolate's circles
     limit, residual = oc.robin_extrapolate(domain, w)
-    own = cap.capacity * math.expm1(cap.truncation_bound + 8 * sl._EPS * (1 + abs(cap.robin_constant)))
+    own = cap.capacity * math.expm1(_log_capacity_error(cap))
     return _within("oracle_robin", domain, w, ends, cap.capacity - limit, residual + own)
 
 
@@ -467,11 +465,11 @@ def _polygon_symmetry(pole, params, config) -> list[Check]:
 
 # family -> (pole, row params, config) -> report lines
 FAMILIES = {
-    "suita": lambda pole, p, cfg: suita_check(pole, cfg.j_max, cfg.tolerances),
+    "suita": lambda pole, p, cfg: suita_check(pole, cfg.j_max),
     "thm1": lambda pole, p, cfg: thm1_check(pole),
     "thm2": lambda pole, p, cfg: [thm2_check(pole)],
     "poisson": lambda pole, p, cfg: [poisson_step_check(pole, 0.5 * pole.delta)],
-    "blb": lambda pole, p, cfg: blb_check(pole, sl._profile(pole.levels, *p["t"], cfg.profile_steps, with_gamma=False), cfg.tolerances),
+    "blb": lambda pole, p, cfg: blb_check(pole, sl._profile(pole.levels, *p["t"], cfg.profile_steps, with_gamma=False)),
     "thm4": lambda pole, p, cfg: [thm4_witness(pole)],
     "characterization": lambda pole, p, cfg: characterization_probe(pole),
     "flux": _flux,

@@ -167,11 +167,11 @@ class TestConfig:
             "domains = disc:0,0,1 | annulus:0.5\n"
             "poles = 0.5,0 | 0.7,0\n"
             "seeds = 7\n"
-            "tolerance.suita = 1e-6\n"
+            "tolerance.flux = 1e-6\n"
         )
         config = cli.suite_config_from_file(str(cfg))
         assert config.seed == 7
-        assert config.tolerances == {"suita": 1e-6}
+        assert config.tolerances == {"flux": 1e-6}
         # pole 0.5 is outside the annulus, pole 0.7 inside both
         assert ("annulus:0.5", 0.5 + 0j) not in config.entries
         assert ("annulus:0.5", 0.7 + 0j) in config.entries
@@ -191,6 +191,9 @@ class TestConfig:
             "tolerance.thm2",
             "tolerance.poisson",
             "tolerance.oracle",
+            # judged on the stated errors of both sides
+            "tolerance.suita",
+            "tolerance.blb_lower",
         ],
     )
     def test_unknown_tolerance_family_rejected(self, tmp_path, key):
@@ -269,13 +272,13 @@ class TestConfig:
         "text, message",
         [
             ("poles = 0.2,0\n", "line 3: 'poles' given twice"),
-            ("tolerance.suita = 1e-6\ntolerance.suita = 1e-7\n", "line 4: 'tolerance.suita' given twice"),
+            ("tolerance.flux = 1e-6\ntolerance.flux = 1e-7\n", "line 4: 'tolerance.flux' given twice"),
             ("seeds = 1.5\n", "seeds needs an integer, got '1.5'"),
             ("steps = x\n", "steps needs an integer, got 'x'"),
-            ("tolerance.suita = abc\n", "tolerance.suita needs a number, got 'abc'"),
-            ("tolerance.suita = inf\n", "line 3: tolerance.suita needs a finite number >= 0, got 'inf'"),
-            ("tolerance.suita = nan\n", "line 3: tolerance.suita needs a finite number >= 0, got 'nan'"),
-            ("tolerance.suita = -1\n", "line 3: tolerance.suita needs a finite number >= 0, got '-1'"),
+            ("tolerance.flux = abc\n", "tolerance.flux needs a number, got 'abc'"),
+            ("tolerance.flux = inf\n", "line 3: tolerance.flux needs a finite number >= 0, got 'inf'"),
+            ("tolerance.flux = nan\n", "line 3: tolerance.flux needs a finite number >= 0, got 'nan'"),
+            ("tolerance.flux = -1\n", "line 3: tolerance.flux needs a finite number >= 0, got '-1'"),
             ("tolerance.all = inf\n", "line 3: tolerance.all needs a finite number >= 0, got 'inf'"),
         ],
         ids=[
@@ -408,8 +411,9 @@ class TestVerifyCommand:
         assert out.read_text().count("\n") >= 2
 
     def test_exit_one_on_failure(self, tmp_path, capsys):
+        # at zero tolerance the flux line of annulus:0.5 fails (error 1.8e-15)
         cfg = tmp_path / "strict.cfg"
-        cfg.write_text("domains = disc:0,0,1\npoles = 0.5,0\ntolerance.all = 0\n")
+        cfg.write_text("domains = annulus:0.5\npoles = 0.7,0\ntolerance.all = 0\n")
         code = run_cli(["verify", "--config", str(cfg)])
         assert code == 1
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
@@ -536,9 +540,11 @@ class TestNonconvexityScript:
         return runpy.run_path(os.path.join(os.path.dirname(__file__), "..", "scripts", "annulus_nonconvexity.py"))["main"]
 
     def test_thin_ring_runs(self, tmp_path, monkeypatch, capsys):
-        # the script reads thm4_scan, and the witness, the profile and the
-        # contours of one Pole: two level fields
-        fields = []
+        # the script reads thm4_scan, and the saddle, the witness, the profile
+        # and the contours of one Pole: two level fields, one saddle search each
+        fields, searches = [], []
+        search = gr.critical_points
+        monkeypatch.setattr(gr, "critical_points", lambda *args: searches.append(args) or search(*args))
 
         class Counted(sl.LevelField):
             def __init__(self, *args):
@@ -552,7 +558,7 @@ class TestNonconvexityScript:
         out = capsys.readouterr().out
         assert "verdict: NonConvexDetected" in out and "witness: pass" in out
         assert svg.read_text().count("<polyline") >= 3  # one curve set per level, three levels
-        assert len(fields) == 2
+        assert len(fields) == len(searches) == 2
 
     def test_failed_witness_exits_1(self, tmp_path, monkeypatch, capsys):
         def failed(pole):

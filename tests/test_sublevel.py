@@ -253,6 +253,15 @@ class TestLevelField:
         sl.profile_scan(annulus_half, 0.7 + 0j, -1.2, -0.2, 16, RES, with_gamma=True)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("fixture, w", [("annulus_half", 0.7 + 0j), ("annulus_thin", 0.9 + 0j), ("moebius_annulus", 0.75 + 0j)])
+    def test_field_keeps_its_saddle(self, request, fixture, w):
+        # the saddle the field searched for, pushed forward to image
+        # coordinates, is the one critical_points finds
+        domain = request.getfixturevalue(fixture)
+        field = sl.LevelField(domain, w)
+        assert field.saddle == gr.critical_points(domain, w)[0]
+        assert field.saddle.level == field.t0
+
     @pytest.mark.parametrize(
         "fixture, w, t_min, t_max",
         [
