@@ -78,6 +78,8 @@ def parse_config(text: str) -> dict:
             if not (math.isfinite(tol) and tol >= 0):
                 raise ConfigError(f"line {lineno}: {key} needs a finite number >= 0, got {value!r}")
             out["tolerances"][family] = tol
+            if "all" in out["tolerances"] and out["tolerances"].keys() >= set(vf.DEFAULT_TOLERANCES):
+                raise ConfigError(f"line {lineno}: tolerance.all reaches no line: every family ({', '.join(vf.DEFAULT_TOLERANCES)}) has its own key")
         elif key in _KNOWN_KEYS:
             out[key] = value
         else:

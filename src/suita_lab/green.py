@@ -31,11 +31,17 @@ for the Newton search of critical points.  That search, and every root
 the sublevel module solves, runs on one vectorized, safeguarded bracketed
 Newton (_newton).
 
-Everything is vectorized over numpy arrays of complex z.  The annulus
-series makes one pass per point set (green_field), for every part the
-caller needs there: it forms the strip coordinates once, holds the images
-on the leading array axis, and takes z in fixed-size blocks, returning
-whichever of G, f', f'' and the tail bound are asked for.
+Everything is vectorized over numpy arrays.  The annulus series
+(_strip_series) makes one pass per block of strip coordinates, theta
+across the ring and l0 along it, for every part the caller needs there:
+the images sit on the leading array axis, and the points come in
+fixed-size blocks.  It has two entries.  The z entry (_dual_field, behind
+green_field) reads theta and l0 off |z| and arg(z/w), and returns whichever
+of G, f', f'' and the tail bound are asked for.  The slice entry
+(_slice_field, which sublevel.LevelField reads) takes slice coordinates
+z = exp(x + i phi) about a positive pole, reads theta and l0 off x and phi
+with no complex exp or log, and returns G, z f' and z f' + z^2 f'' as the
+series forms them.
 """
 
 from __future__ import annotations
@@ -111,20 +117,41 @@ def annulus_dual_terms(q: float) -> int:
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:
     """Sum over the image axis from 0.0, one image after another (np.sum
-    would add runs of them pairwise, which moves the last bit)."""
+    would add runs of them pairwise, which moves the last bit).  For a few
+    points np.add.accumulate, which adds in the same order, saves a Python
+    step per image; it walks a wide block point by point, so that is
+    summed row by row."""
+    if rows[0].size <= 32:
+        return 0.0 + np.add.accumulate(rows)[-1]
     acc = 0.0 + rows[0]
     for row in rows[1:]:
         acc += row
     return acc
 
 
-def _dual_field(q: float, w: Point, z: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
-    """The parts of the field of Annulus(q) at z, in the order asked: "g"
-    (G), "f1" (f'), "f2" (f'') and "tail" (the truncation bound of G).
+def _blocks(a: np.ndarray) -> list[np.ndarray]:
+    """a in blocks of _BLOCK points (a 0-d a is one block, whose images lie
+    on a 1-D array)."""
+    return [a] if a.ndim == 0 else [a.reshape(-1)[b : b + _BLOCK] for b in range(0, max(a.size, 1), _BLOCK)]
 
-    theta = pi log(|z|/q) / h in (0, pi) crosses the ring, and the image k
-    sits at the offset L_k = pi (arg(z/w) + 2 pi k) / h along the strip,
-    with the principal arg(z/w), so |L_0| <= pi^2 / h.
+
+def _joined(results: list[dict[str, np.ndarray]], shape: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """The parts of each block (_blocks) put back into arrays of the given shape."""
+    if not shape:
+        return results[0]
+    if len(results) == 1:
+        return {p: v.reshape(shape) for p, v in results[0].items()}
+    return {p: np.concatenate([r[p] for r in results]).reshape(shape) for p in results[0]}
+
+
+def _strip_series(q: float, theta0: float, theta: np.ndarray, l0: np.ndarray, parts: set[str]) -> dict[str, np.ndarray]:
+    """The image sums of Annulus(q) on one block of strip coordinates:
+    "g" (G), "s" (S), "t" (T) and "tail" (the truncation bound of G),
+    whichever are in parts.
+
+    theta = pi log(|z|/q) / h in (0, pi) crosses the ring, theta0 is the
+    pole's, and the image k sits at the offset L_k = l0 + 2 pi^2 k / h along
+    the strip, with l0 = pi arg(z/w) / h the principal one, |l0| <= pi^2 / h.
 
     G = sum_k 1/2 log((sinh^2(L_k/2) + sin^2((theta - theta0)/2)) /
     (sinh^2(L_k/2) + sin^2((theta + theta0)/2))), each term taken as
@@ -132,68 +159,113 @@ def _dual_field(q: float, w: Point, z: np.ndarray, parts: tuple[str, ...]) -> li
     sin^2((theta + theta0)/2)), which has no cancellation however small the
     term; only next to the pole (rho > 1/2) is the quotient itself taken.
 
-    f' = C S / z and f'' = (C / z^2) (-S + (i pi / h) sum_k eps_k v_k (1 -
-    v_k^2) / D_k^2), with C = -2 pi sin(theta0) / h, S = sum_k v_k / D_k,
+    S = sum_k v_k / D_k and T = sum_k eps_k v_k (1 - v_k^2) / D_k^2, with
     v_k = exp(-|L_k| +- i theta), eps_k = +-1 the sign of L_k and D_k =
-    (1 - v_k e^{i theta0})(1 - v_k e^{-i theta0}).  |v_k| <= 1: v is the
-    image point of the upper half-plane model or its inverse, whichever
-    lies in the unit disc, so nothing overflows however far the image sits.
+    (1 - v_k e^{i theta0})(1 - v_k e^{-i theta0}).  With C = -2 pi
+    sin(theta0) / h they give z f' = C S and z^2 f'' = C (-S + (i pi / h)
+    T).  |v_k| <= 1: v is the image point of the upper half-plane model or
+    its inverse, whichever lies in the unit disc, so nothing overflows
+    however far the image sits.
 
     The dropped images |k| > K are each below 2.2 |sin(theta) sin(theta0)|
     exp(-|L_k|), and beyond k = +-(K+1) they fall off by the factor p.
     """
     h = -math.log(q)
-    theta0 = math.pi * math.log(abs(w) / q) / h
     sin0 = math.sin(theta0)
     e0 = complex(math.cos(theta0), sin0)
-    c = -2.0 * math.pi * sin0 / h
     step = 2.0 * math.pi**2 / h
     n = annulus_dual_terms(q)
-    shifts = np.arange(-n, n + 1) * step
-    if z.ndim:  # a 0-d z is one block, whose images lie on a 1-D array
-        shifts = shifts[:, None]
-    blocks = [z] if z.ndim == 0 else [z.reshape(-1)[b : b + _BLOCK] for b in range(0, max(z.size, 1), _BLOCK)]
-    cw = np.conj(w)
+    shifts = np.arange(-n, n + 1.0) * step
+    offsets = l0 + (shifts[:, None] if theta.ndim else shifts)
+    out = {}
+    if "g" in parts or "tail" in parts:
+        neg_num = np.sin(theta) * -sin0
+    if "g" in parts:
+        s_plus = np.sin(0.5 * (theta + theta0))
+        a_plus = s_plus * s_plus  # not ** 2, which is pow() on a numpy scalar
+        sh2 = np.sinh(0.5 * offsets) ** 2
+        neg_rho = neg_num / (sh2 + a_plus)
+        terms = np.log1p(neg_rho)
+        near = neg_rho < -0.5
+        if near.any():
+            s_minus = np.sin(0.5 * (theta - theta0))
+            a_minus = s_minus * s_minus
+            terms = np.where(near, np.log((sh2 + a_minus) / (sh2 + a_plus)), terms)
+        out["g"] = _row_sum(0.5 * terms)
+    if "s" in parts or "t" in parts:
+        # eps (i theta - L) = -|L| +- i theta exactly: L_k is never -0.0
+        eps = np.copysign(1.0, offsets)
+        v = np.exp(eps * (1j * theta - offsets))
+        d = (1.0 - v * e0) * (1.0 - v * e0.conjugate())
+    if "s" in parts:
+        out["s"] = _row_sum(v / d)
+    if "t" in parts:
+        out["t"] = _row_sum(eps * v * (1.0 - v * v) / (d * d))
+    if "tail" in parts:
+        # exp(-|L|) at L_{K+1} = L_K + step > 0 and L_{-K-1} = L_{-K} - step < 0
+        edge = np.exp(-step - offsets[-1]) + np.exp(offsets[0] - step)
+        out["tail"] = 2.2 * np.abs(neg_num) * edge / (1.0 - math.exp(_dual_log_nome(q)))
+    return out
+
+
+# the image sum (_strip_series) each derivative part is formed from
+_SUMS = {"f1": "s", "f2": "t"}
+
+
+def _dual_field(q: float, w: Point, z: np.ndarray, parts: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The parts of the field of Annulus(q) at z, by name: "g" (G), "f1"
+    (f'), "f2" (f'') and "tail" (the truncation bound of G).
+
+    The z entry of the series (_strip_series): theta and l0 come from |z|
+    and the principal arg(z/w), and f' = C S / z, f'' = C (-S + (i pi / h)
+    T) / z^2.
+    """
+    h = -math.log(q)
+    theta0 = math.pi * math.log(abs(w) / q) / h
+    c = -2.0 * math.pi * math.sin(theta0) / h
+    sums = {_SUMS.get(p, p) for p in parts}
+    if "f2" in parts:
+        sums.add("s")
+    cw = w.conjugate()
     results = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for zb in blocks:
+        for zb in _blocks(z):
             zw = zb * cw
             theta = math.pi * np.log(np.abs(zb) / q) / h
-            offsets = math.pi * np.arctan2(zw.imag, zw.real) / h + shifts
-            out = {}
-            if "g" in parts or "tail" in parts:
-                neg_num = np.sin(theta) * -sin0
-            if "g" in parts:
-                s_plus = np.sin(0.5 * (theta + theta0))
-                a_plus = s_plus * s_plus  # not ** 2, which is pow() on a numpy scalar
-                sh2 = np.sinh(0.5 * offsets) ** 2
-                neg_rho = neg_num / (sh2 + a_plus)
-                terms = np.log1p(neg_rho)
-                near = neg_rho < -0.5
-                if near.any():
-                    s_minus = np.sin(0.5 * (theta - theta0))
-                    a_minus = s_minus * s_minus
-                    terms = np.where(near, np.log((sh2 + a_minus) / (sh2 + a_plus)), terms)
-                out["g"] = _row_sum(0.5 * terms)
-            if "f1" in parts or "f2" in parts:
-                # eps (i theta - L) = -|L| +- i theta exactly: L_k is never -0.0
-                eps = np.copysign(1.0, offsets)
-                v = np.exp(eps * (1j * theta - offsets))
-                d = (1.0 - v * e0) * (1.0 - v * e0.conjugate())
-                s = _row_sum(v / d)
-                out["f1"] = c * s / zb
+            out = _strip_series(q, theta0, theta, math.pi * np.arctan2(zw.imag, zw.real) / h, sums)
+            if "f1" in parts:
+                out["f1"] = c * out["s"] / zb
             if "f2" in parts:
-                t = _row_sum(eps * v * (1.0 - v * v) / (d * d))
-                out["f2"] = c * (-s + (1j * math.pi / h) * t) / (zb * zb)
-            if "tail" in parts:
-                # exp(-|L|) at L_{K+1} = L_K + step > 0 and L_{-K-1} = L_{-K} - step < 0
-                edge = np.exp(-step - offsets[-1]) + np.exp(offsets[0] - step)
-                out["tail"] = 2.2 * np.abs(neg_num) * edge / (1.0 - math.exp(_dual_log_nome(q)))
-            results.append([out[p] for p in parts])
-    if z.ndim == 0:
-        return results[0]
-    columns = results[0] if len(results) == 1 else [np.concatenate(col) for col in zip(*results)]
-    return [col.reshape(z.shape) for col in columns]
+                out["f2"] = c * (-out["s"] + (1j * math.pi / h) * out["t"]) / (zb * zb)
+            results.append({p: out[p] for p in parts})
+    return _joined(results, z.shape)
+
+
+def _slice_field(q: float, r0: float, x: np.ndarray, phi: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
+    """The parts of the field of Annulus(q), pole r0 > 0, at z = exp(x +
+    i phi), |phi| <= pi, in the order asked: "g" (G), "f1" (z f') and "f2"
+    (z f' + z^2 f'').
+
+    The slice entry of the series (_strip_series): theta = pi (x - log q) /
+    h and l0 = pi phi / h are read off the slice coordinates, z f' = C S,
+    and z f' + z^2 f'' = C (i pi / h) T, whose real part is G_xx.
+    """
+    log_q = math.log(q)
+    h = -log_q
+    theta0 = math.pi * math.log(r0 / q) / h
+    c = -2.0 * math.pi * math.sin(theta0) / h
+    sums = {_SUMS.get(p, p) for p in parts}
+    results = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for xb, pb in zip(_blocks(x), _blocks(phi)):
+            out = _strip_series(q, theta0, math.pi * (xb - log_q) / h, math.pi * pb / h, sums)
+            if "f1" in parts:
+                out["f1"] = c * out["s"]
+            if "f2" in parts:
+                out["f2"] = (c * math.pi / h * 1j) * out["t"]
+            results.append({p: out[p] for p in parts})
+    out = _joined(results, x.shape)
+    return [out[p] for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +282,7 @@ def _field(pb: geo.PullBack, zeta: np.ndarray, z: np.ndarray, parts: tuple[str, 
     if coeffs is not None and "f2" in parts and "f1" not in parts:
         inner = parts + ("f1",)  # the push of f'' needs f'
     if isinstance(core, Annulus):
-        out = dict(zip(inner, _dual_field(core.q, w, zeta, inner)))
+        out = _dual_field(core.q, w, zeta, inner)
     else:  # the unit disc's closed forms
         wc = np.conj(w)
         forms = {
@@ -304,7 +376,7 @@ def robin_capacity(domain: Domain, w: Point) -> CapacityResult:
         with np.errstate(over="ignore"):
             sh2 = np.sinh(k * (math.pi**2 / h)) ** 2
         robin = math.log(math.pi / (2.0 * h * r * s)) + float(np.sum(np.log1p(-s * s / (sh2 + s * s))))
-        tail = float(_dual_field(q, zeta_w, np.asarray(zeta_w, dtype=complex), ("tail",))[0])
+        tail = float(_dual_field(q, zeta_w, np.asarray(zeta_w, dtype=complex), ("tail",))["tail"])
         cap = math.exp(robin)
     if coeffs is not None:  # the capacity of an image scales by 1/|F'|
         robin -= math.log(abs(geo.moebius_fprime(coeffs, zeta_w)))

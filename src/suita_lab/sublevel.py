@@ -27,6 +27,12 @@ the saddle.  A Moebius image adds the weight |F'|^2 across each interval
 Moebius map of D(0, 1) onto the domain with M(0) = w, in closed form (the
 core is the unit disc).  Level curves come from the same slice roots.
 
+Every root, tip and integrand reads the annulus field in the slice
+coordinates themselves: the slice entry of green's annulus series
+(green._slice_field) takes (x, phi) as they are and returns G, z f'
+(G_x = Re, G_phi = -Im) and z f' + z^2 f'' (G_xx = Re), with no z formed
+and no complex exp or log per point.
+
 LevelField(domain, w) is the one way into the sublevel sets of G(., w):
 its area, coarea and contours read single levels, and profile_scan reads
 a uniform grid of levels from one field (_profile, from a kept field).
@@ -95,7 +101,8 @@ class LevelField:
     annulus core the rotated pole, the saddle (in image coordinates), its
     level t0 and the fan of slice minima.  Build one per (domain, pole) and
     read every level from it; every set of slice points is read in one pass
-    of the field (_read), for all of G, z f' and z f' + z^2 f'' the step needs.
+    of the field in slice coordinates (_read), for all of G, z f' and
+    z f' + z^2 f'' the step needs.
     """
 
     def __init__(self, domain: Domain, w: Point):
@@ -129,16 +136,10 @@ class LevelField:
     # -- the field on slices (rotated frame) ---------------------------------
 
     def _read(self, x, phi, parts):
-        """The parts of the field at z = exp(x + i phi), from one pass (see
-        green.green_field): "g" is G, "f1" is z f' (G_x = Re, G_phi = -Im)
-        and "f2", read with "f1", is z f' + z^2 f'' (G_xx = Re)."""
-        z = np.exp(x + 1j * phi)
-        out = dict(zip(parts, gr.green_field(self.core, self.r0, z, parts)))
-        if "f1" in out:
-            out["f1"] = z * out["f1"]
-        if "f2" in out:
-            out["f2"] = out["f1"] + z * z * out["f2"]
-        return [out[p] for p in parts]
+        """The parts of the field at z = exp(x + i phi), from one pass of the
+        series in slice coordinates (green._slice_field): "g" is G, "f1" is
+        z f' (G_x = Re, G_phi = -Im) and "f2" is z f' + z^2 f'' (G_xx = Re)."""
+        return gr._slice_field(self.core.q, self.r0, x, phi, parts)
 
     def _weight(self, x, phi):
         """Area weight of a slice point, summed over phi and -phi (G is even in phi)."""
@@ -211,7 +212,7 @@ class LevelField:
         log|z - w| next to the pole.
         """
         xm = self._slice_minimum(phi)
-        m, _, fxx = self._read(xm, phi, ("g", "f1", "f2"))
+        m, fxx = self._read(xm, phi, ("g", "f2"))
         # the inner, then the outer circle is the root: both circles from one read
         circles = np.repeat([self.log_q, 0.0], phi.size)
         g, zf = self._read(circles, np.tile(phi, 2), ("g", "f1"))

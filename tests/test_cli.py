@@ -280,6 +280,8 @@ class TestConfig:
             ("tolerance.flux = nan\n", "line 3: tolerance.flux needs a finite number >= 0, got 'nan'"),
             ("tolerance.flux = -1\n", "line 3: tolerance.flux needs a finite number >= 0, got '-1'"),
             ("tolerance.all = inf\n", "line 3: tolerance.all needs a finite number >= 0, got 'inf'"),
+            # flux is the one family: both keys would name one value
+            ("tolerance.all = 0\ntolerance.flux = 1\n", "line 4: tolerance.all reaches no line: every family (flux) has its own key"),
         ],
         ids=[
             "poles-twice",
@@ -291,6 +293,7 @@ class TestConfig:
             "tolerance-nan",
             "tolerance-negative",
             "tolerance-all-inf",
+            "tolerance-all-and-flux",
         ],
     )
     def test_unreadable_values_refused(self, tmp_path, capsys, text, message):

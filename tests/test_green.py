@@ -222,6 +222,25 @@ class TestOnePassField:
         assert [f(domain, w, z).tobytes() for f in RAW] == [r.tobytes() for r in ref]
 
 
+@pytest.mark.parametrize("points", [(), (1,), (5,), (32,), (33,), (300,)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_row_sum_adds_one_image_after_another(points, kind):
+    # both ways of _row_sum (np.add.accumulate for a few points, rows for
+    # more) give the bits of a plain loop from 0.0, signed zeros included
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((27, *points)) * 10.0 ** rng.integers(-12, 12, (27, *points))
+    if kind is complex:
+        rows = rows + 1j * rng.standard_normal((27, *points))
+    rows = np.where(rng.random(rows.shape) < 0.2, -0.0, rows)
+    if points:
+        rows[:, 0] = -0.0  # a point whose every image is -0.0 sums to 0.0
+    ref = [0.0 + rows[0][i] for i in np.ndindex(points)]
+    for row in rows[1:]:
+        ref = [a + row[i] for a, i in zip(ref, np.ndindex(points))]
+    got = np.ravel(gr._row_sum(rows))
+    assert got.tobytes() == np.array(ref, dtype=got.dtype).tobytes()
+
+
 PARTS = ("g", "f1", "f2", "tail")
 
 
@@ -315,6 +334,52 @@ class TestAnnulusField:
     def test_term_count_from_q(self):
         assert [gr.annulus_dual_terms(q) for q in (0.8, 0.5, 0.3)] == [1, 2, 3]
         assert gr.annulus_dual_terms(1e-6) > gr.annulus_dual_terms(0.01) > 3
+
+
+def _slice_points(q, x_pole):
+    """Slice coordinates (x, phi) on Annulus(q): the far slice phi = pi,
+    points 0.1% of the log-width from each circle, and points next to the
+    pole (0.1% of the width away, on both sides of phi = 0)."""
+    h = -math.log(q)
+    xs = np.array([math.log(q) + 1e-3 * h, math.log(q) + 0.3 * h, x_pole, -0.6 * h, -1e-3 * h])
+    phis = np.array([math.pi, 2.5, 1.0, 0.2, -0.7])
+    x, phi = (a.ravel() for a in np.meshgrid(xs, phis))
+    near = 1e-3 * h * np.exp(1j * np.linspace(0.1, 2 * math.pi, 7))
+    return np.concatenate([x, x_pole + near.real]), np.concatenate([phi, near.imag])
+
+
+class TestSliceEntry:
+    @pytest.mark.parametrize("frac", [0.12, 0.5, 0.9])
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95])
+    def test_agrees_with_the_z_entry(self, q, frac):
+        # the series read in slice coordinates about a positive pole against
+        # green_field at z = exp(x + i phi): G relative, z f' against the
+        # size of its pole term, G_xx against |z f'| + |z^2 f''|.  The z
+        # entry reads z rounded to a few ulps, which moves its z f' and
+        # z^2 f'' by up to 4 eps p^2 and 8 eps p^3, p = |z / (z - w)|: next
+        # to the pole of a thin ring that is the larger part of the gap
+        x_pole = (1.0 - frac) * math.log(q)
+        r0 = math.exp(x_pole)
+        x, phi = _slice_points(q, x_pole)
+        g, zf1, f2 = gr._slice_field(q, r0, x, phi, ("g", "f1", "f2"))
+        z = np.exp(x + 1j * phi)
+        ref_g, ref_f1, ref_f2 = gr.green_field(Annulus(q), r0, z, ("g", "f1", "f2"))
+        zf, zzf, pole = z * ref_f1, z * z * ref_f2, np.abs(z / (z - r0))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(g - ref_g) <= 1e-11 * np.abs(ref_g))
+        assert np.all(np.abs(zf1 - zf) <= 1e-12 * (np.abs(zf) + pole) + 4 * eps * pole**2)
+        assert np.all(np.abs(f2.real - (zf + zzf).real) <= 1e-12 * (np.abs(zf) + np.abs(zzf)) + 8 * eps * pole**3)
+
+    def test_parts_and_blocks_keep_their_bits(self, monkeypatch):
+        # each part alone, all three in another order, and the same points
+        # in blocks of 7: one pass of the series gives the same bits
+        q, r0 = 0.3, 0.6
+        x, phi = _slice_points(q, math.log(r0))
+        alone = [gr._slice_field(q, r0, x, phi, (p,))[0] for p in ("g", "f1", "f2")]
+        both = gr._slice_field(q, r0, x, phi, ("f2", "g", "f1"))
+        assert [v.tobytes() for v in both] == [alone[i].tobytes() for i in (2, 0, 1)]
+        monkeypatch.setattr(gr, "_BLOCK", 7)
+        assert [v.tobytes() for v in gr._slice_field(q, r0, x, phi, ("g", "f1", "f2"))] == [v.tobytes() for v in alone]
 
 
 class TestRobinCapacity:
